@@ -28,6 +28,7 @@ from .debruijn import (
     full_graph,
     integer_determinant,
     subgraph_from_frequency,
+    subgraph_to_dot,
 )
 from .errors import CycseqError, DomainError, ResourceCapError
 from .freqspace import (

@@ -95,45 +95,35 @@ def cmd_euler_count(args) -> None:
     _emit({"count": str(debruijn.count_eulerian_cycles(g))})
 
 
-def _table_rows(p: int) -> list[dict]:
-    return [
-        {k: (str(v) if k != "k" else v) for k, v in row.items()}
-        for row in twofold.twofold_table(p)
-    ]
+def _print_table(rows: list[dict], fmt: str, head: dict) -> None:
+    """The per-k rows as CSV, or as the JSON document `head` plus "table"."""
+    if fmt == "csv":
+        print("k,perm_no,phi,cofactor")
+        for row in rows:
+            print(f"{row['k']},{row['perm_no']},{row['phi']},{row['cofactor']}")
+        return
+    table = [{k: (str(v) if k != "k" else v) for k, v in row.items()} for row in rows]
+    _emit({**head, "table": table})
 
 
 def cmd_twofold(args) -> None:
-    count = twofold.count_twofold(args.p, max_p=args.max_p)
-    if args.table and args.format == "csv":
-        print("k,perm_no,phi,cofactor")
-        for row in twofold.twofold_table(args.p):
-            print(f"{row['k']},{row['perm_no']},{row['phi']},{row['cofactor']}")
-        return
-    out: dict = {"p": args.p, "count": str(count)}
+    rows = twofold.twofold_table(args.p, max_p=args.max_p)
+    # count_twofold's assembly, over the rows already computed.
+    head = {"p": args.p, "count": str(sum(r["cofactor"] * r["phi"] for r in rows))}
     if args.table:
-        out["table"] = _table_rows(args.p)
-    _emit(out)
+        _print_table(rows, args.format, head)
+    else:
+        _emit(head)
 
 
 def cmd_phi_table(args) -> None:
-    if args.format == "csv":
-        print("k,perm_no,phi,cofactor")
-        for row in twofold.twofold_table(args.p):
-            print(f"{row['k']},{row['perm_no']},{row['phi']},{row['cofactor']}")
-        return
-    _emit({"p": args.p, "table": _table_rows(args.p)})
+    _print_table(twofold.twofold_table(args.p), args.format, {"p": args.p})
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cycseq",
         description="Exact combinatorics of cyclic symbolic sequences.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="upper bound on internal parallelism (results are independent of it)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -207,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         args.func(args)
     except ResourceCapError as exc:

@@ -50,8 +50,28 @@ class DeBruijnGraph:
         return mat
 
 
+def _find(parent: dict, v):
+    """Root of v's class; halves the path on the way up."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _union_find(vertices: Iterable, pairs: Iterable[tuple]) -> dict:
+    """Parent map over `vertices` with the two ends of every pair merged;
+    a vertex is a class root exactly when it is its own parent."""
+    parent = {v: v for v in vertices}
+    for u, v in pairs:
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+    return parent
+
+
 class Multigraph:
-    """Directed multigraph with an explicit vertex set and edge multiplicities."""
+    """Directed multigraph with an explicit vertex set and edge multiplicities
+    keyed by (tail, head); the one weighted-graph type of the package."""
 
     def __init__(self, vertices: Iterable = (), edges: dict | None = None):
         self.vertices = set(vertices)
@@ -68,15 +88,6 @@ class Multigraph:
         self.vertices.add(v)
         self.edges[(u, v)] = self.edges.get((u, v), 0) + mult
 
-    def out_degree(self, v) -> int:
-        return sum(m for (u, _), m in self.edges.items() if u == v)
-
-    def in_degree(self, v) -> int:
-        return sum(m for (_, w), m in self.edges.items() if w == v)
-
-    def edge_total(self) -> int:
-        return sum(self.edges.values())
-
     def is_balanced(self) -> bool:
         out: dict = {}
         inc: dict = {}
@@ -88,96 +99,63 @@ class Multigraph:
     def is_connected(self) -> bool:
         """Connectivity of the undirected support over vertices that carry
         at least one edge; an edgeless graph is not connected."""
-        active = set()
-        for (u, v), m in self.edges.items():
-            if m > 0:
-                active.add(u)
-                active.add(v)
-        if not active:
+        if not self.edges:
             return False
-        nbrs: dict = {v: set() for v in active}
-        for (u, v), m in self.edges.items():
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        start = next(iter(active))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in nbrs[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == active
+        parent = _union_find({v for edge in self.edges for v in edge}, self.edges)
+        return sum(1 for v, r in parent.items() if v == r) == 1
 
 
-class WeightedSubgraph:
-    """Edge-weighted subgraph of G_l(p) induced by a level-(p+1) frequency
-    vector: weight of edge j is the window count Z_j."""
-
-    def __init__(self, base: DeBruijnGraph, weights: dict[int, int]):
-        self.base = base
-        self.weights = {e: w for e, w in weights.items() if w}
-        for e, w in self.weights.items():
-            if w < 0:
-                raise DomainError("edge weights must be non-negative")
-            if not (0 <= e < base.edge_count):
-                raise DomainError(f"edge index {e} out of range")
-
-    @classmethod
-    def from_frequency(cls, z: FrequencyVector) -> "WeightedSubgraph":
-        if z.p < 1:
-            raise DomainError("need a frequency vector at level >= 1")
-        base = DeBruijnGraph(z.l, z.p - 1)
-        return cls(base, dict(z.items()))
-
-    def vertices(self) -> set[int]:
-        out = set()
-        for e in self.weights:
-            t, h = self.base.edge_endpoints(e)
-            out.add(t)
-            out.add(h)
-        return out
-
-    def to_multigraph(self) -> Multigraph:
-        g = Multigraph()
-        for e, w in self.weights.items():
-            t, h = self.base.edge_endpoints(e)
-            g.add_edge(t, h, w)
-        return g
-
-    def is_connected(self) -> bool:
-        return self.to_multigraph().is_connected()
-
-    def to_dot(self) -> str:
-        """DOT text with vertex labels = words and edge labels = weights."""
-        l, p = self.base.l, self.base.p
-
-        def label(v: int) -> str:
-            digits = []
-            for _ in range(p):
-                digits.append(str(v % l))
-                v //= l
-            return "".join(reversed(digits)) if digits else "()"
-
-        lines = ["digraph debruijn {"]
-        for v in sorted(self.vertices()):
-            lines.append(f'  v{v} [label="{label(v)}"];')
-        for e in sorted(self.weights):
-            t, h = self.base.edge_endpoints(e)
-            lines.append(f'  v{t} -> v{h} [label="{self.weights[e]}"];')
-        lines.append("}")
-        return "\n".join(lines)
+# The old name of the type subgraph_from_frequency returns. Code that still
+# names it, such as the span wrappers in bench/spans.py, keeps working.
+WeightedSubgraph = Multigraph
 
 
-def subgraph_from_frequency(z: FrequencyVector) -> WeightedSubgraph:
-    """Weighted subgraph A[Z] of G_l(p) induced by a level-(p+1) vector."""
-    return WeightedSubgraph.from_frequency(z)
+def _windows(z: FrequencyVector) -> list[tuple[int, int, int]]:
+    """(tail, head, count) of every window of z, as an edge of G_l(p-1)."""
+    if z.p < 1:
+        raise DomainError("need a frequency vector at level >= 1")
+    l, vsize = z.l, z.l ** (z.p - 1)
+    return [(e // l, e % vsize, w) for e, w in z.items()]
 
 
-def full_graph(l: int, p: int) -> WeightedSubgraph:
+def subgraph_from_frequency(z: FrequencyVector) -> Multigraph:
+    """Weighted subgraph A[Z] of G_l(p) induced by a level-(p+1) vector:
+    edge weights are window counts. The l loops of G_l(0) share the key
+    (0, 0), so their weights add up."""
+    g = Multigraph()
+    for t, h, w in _windows(z):
+        g.add_edge(t, h, w)
+    return g
+
+
+def full_graph(l: int, p: int) -> Multigraph:
     """G_l(p) with unit weight on every edge."""
     base = DeBruijnGraph(l, p)
-    return WeightedSubgraph(base, {e: 1 for e in range(base.edge_count)})
+    g = Multigraph()
+    for e in range(base.edge_count):
+        g.add_edge(*base.edge_endpoints(e))
+    return g
+
+
+def subgraph_to_dot(z: FrequencyVector) -> str:
+    """DOT text of A[Z]: vertex labels = words, edge labels = weights."""
+    l, p = z.l, z.p - 1
+    windows = _windows(z)
+
+    def label(v: int) -> str:
+        digits = []
+        for _ in range(p):
+            digits.append(str(v % l))
+            v //= l
+        return "".join(reversed(digits)) if digits else "()"
+
+    lines = ["digraph debruijn {"]
+    for v in sorted({v for t, h, _ in windows for v in (t, h)}):
+        lines.append(f'  v{v} [label="{label(v)}"];')
+    for t, h, w in windows:
+        lines.append(f'  v{t} -> v{h} [label="{w}"];')
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def integer_determinant(mat: list[list[int]]) -> int:
@@ -205,22 +183,20 @@ def integer_determinant(mat: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def count_eulerian_cycles(g: Multigraph | WeightedSubgraph) -> int:
+def count_eulerian_cycles(g: Multigraph) -> int:
     """Eulerian cycles of a connected balanced directed multigraph with
     distinguishable edges, via the BEST theorem.
 
     Cofactor of the Laplacian (first row/column dropped) times the product
     of (out-degree - 1)! over vertices.
     """
-    if isinstance(g, WeightedSubgraph):
-        g = g.to_multigraph()
     if not g.edges:
         raise DomainError("graph has no edges")
     if not g.is_balanced():
         raise DomainError("graph is not balanced")
     if not g.is_connected():
         raise DomainError("graph is not connected")
-    active = sorted(v for v in g.vertices if any(m for (u, w), m in g.edges.items() if u == v or w == v))
+    active = sorted({v for edge in g.edges for v in edge})
     idx = {v: i for i, v in enumerate(active)}
     k = len(active)
     lap = [[0] * k for _ in range(k)]
@@ -256,25 +232,16 @@ def enumerate_sequences_with_frequency(
     with rotation dedup via canonicalization. Empty when the subgraph is
     disconnected.
     """
-    if z.p < 1:
-        raise DomainError("need a frequency vector at level >= 1")
+    g = subgraph_from_frequency(z)
     n, l = z.n, z.l
     if n > cap_n:
         raise ResourceCapError(f"n = {n} exceeds the enumeration cap {cap_n}")
-    vsize = l ** (z.p - 1)
-    # Flow balance at each vertex (precondition for realizability).
-    out: dict[int, int] = {}
-    inc: dict[int, int] = {}
-    for e, w in z.items():
-        t, h = e // l, e % vsize
-        out[t] = out.get(t, 0) + w
-        inc[h] = inc.get(h, 0) + w
-    for v in set(out) | set(inc):
-        if out.get(v, 0) != inc.get(v, 0):
-            raise DomainError("frequency vector is not flow-balanced")
-    sub = WeightedSubgraph.from_frequency(z)
-    if not sub.is_connected():
+    # Flow balance at each vertex is a precondition for realizability.
+    if not g.is_balanced():
+        raise DomainError("frequency vector is not flow-balanced")
+    if not g.is_connected():
         return []
+    vsize = l ** (z.p - 1)
 
     remaining = dict(z.items())
     start_edge = min(remaining)
@@ -305,34 +272,24 @@ def enumerate_sequences_with_frequency(
     return sorted(found, key=lambda s: s.index(), reverse=True)
 
 
-def contract_doubled_edges(sub: WeightedSubgraph) -> Multigraph:
-    """Minor obtained by contracting every weight-2 edge; weight-1 edges kept.
+def contract_doubled_edges(z: FrequencyVector) -> Multigraph:
+    """Minor of A[Z] obtained by contracting every weight-2 edge; weight-1
+    edges kept.
 
-    All weights must lie in {0, 1, 2}. The result is suitable for
-    count_eulerian_cycles (a weight-2 self-loop on a merged class vanishes).
+    All window counts must lie in {0, 1, 2}. The counts are read window by
+    window, since the parallel loops of G_l(0) share one graph edge. The
+    result is suitable for count_eulerian_cycles (a weight-2 self-loop on a
+    merged class vanishes).
     """
-    for w in sub.weights.values():
-        if w > 2:
-            raise DomainError("contraction requires edge weights in {0, 1, 2}")
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent.get(v, v) != v:
-            parent[v] = parent.get(parent[v], parent[v])
-            v = parent[v]
-        return v
-
-    for e, w in sub.weights.items():
-        t, h = sub.base.edge_endpoints(e)
-        parent.setdefault(t, t)
-        parent.setdefault(h, h)
-        if w == 2:
-            rt, rh = find(t), find(h)
-            if rt != rh:
-                parent[rt] = rh
-    minor = Multigraph(vertices={find(v) for v in parent})
-    for e, w in sub.weights.items():
+    windows = _windows(z)
+    if any(w > 2 for _, _, w in windows):
+        raise DomainError("contraction requires edge weights in {0, 1, 2}")
+    parent = _union_find(
+        {v for t, h, _ in windows for v in (t, h)},
+        [(t, h) for t, h, w in windows if w == 2],
+    )
+    minor = Multigraph(vertices={_find(parent, v) for v in parent})
+    for t, h, w in windows:
         if w == 1:
-            t, h = sub.base.edge_endpoints(e)
-            minor.add_edge(find(t), find(h), 1)
+            minor.add_edge(_find(parent, t), _find(parent, h), 1)
     return minor

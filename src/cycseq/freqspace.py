@@ -116,19 +116,26 @@ class FrequencyVector:
     @classmethod
     def from_obj(cls, obj: Mapping) -> "FrequencyVector":
         try:
-            p, n, l = int(obj["p"]), int(obj["n"]), int(obj["l"])
+            p, n, l = _as_int(obj["p"]), _as_int(obj["n"]), _as_int(obj["l"])
         except KeyError as exc:
             raise DomainError(f"missing field {exc} in frequency-vector object")
         if "dense" in obj:
-            return cls.from_dense(p, n, l, [int(c) for c in obj["dense"]])
+            return cls.from_dense(p, n, l, [_as_int(c) for c in obj["dense"]])
         if "sparse" in obj:
-            counts = {int(j) - 1: int(c) for j, c in obj["sparse"].items()}
+            counts = {_as_int(j) - 1: _as_int(c) for j, c in obj["sparse"].items()}
             return cls(p, n, l, counts)
         raise DomainError("frequency-vector object needs 'dense' or 'sparse'")
 
     @classmethod
     def from_json(cls, text: str) -> "FrequencyVector":
         return cls.from_obj(json.loads(text))
+
+
+def _as_int(value) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise DomainError(f"not an integer: {value!r}") from None
 
 
 def project(s: CyclicSequence, p: int) -> FrequencyVector:

@@ -7,8 +7,6 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
-import numpy as np
-
 from .debruijn import enumerate_sequences_with_frequency, subgraph_from_frequency
 from .errors import DomainError
 from .freqspace import FrequencyVector
@@ -126,6 +124,9 @@ class WaveletBasis:
     """
 
     def __init__(self, l: int, p: int):
+        # numpy is an optional extra; nothing else in the package needs it.
+        import numpy as np
+
         if l < 2 or p < 1:
             raise DomainError("need l >= 2 and p >= 1")
         self.l = l

@@ -230,12 +230,13 @@ def sequence_from_string(text: str, alphabet_size: int) -> CyclicSequence:
     text = text.strip()
     if not text:
         raise DomainError("empty sequence string")
-    if "," in text:
-        word = [int(tok) for tok in text.split(",")]
-    elif alphabet_size <= 10:
-        if not text.isdigit():
-            raise DomainError(f"invalid sequence string {text!r}")
-        word = [int(c) for c in text]
-    else:
-        word = [int(text)]
+    try:
+        if "," in text:
+            word = [int(tok) for tok in text.split(",")]
+        elif alphabet_size <= 10:
+            word = [int(c) for c in text]
+        else:
+            word = [int(text)]
+    except ValueError:
+        raise DomainError(f"invalid sequence string {text!r}") from None
     return canonicalize(word, alphabet_size)

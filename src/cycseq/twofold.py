@@ -57,8 +57,11 @@ def expand_configuration(config: tuple[BlockChoice, ...], p: int) -> FrequencyVe
     return FrequencyVector(p + 1, 2 ** (p + 1), 2, counts)
 
 
-def _configuration_connected(config: tuple[BlockChoice, ...], p: int) -> bool:
-    return subgraph_from_frequency(expand_configuration(config, p)).is_connected()
+def _check_p(p: int, max_p: int) -> None:
+    if p < 1:
+        raise DomainError("need p >= 1")
+    if p > max_p:
+        raise ResourceCapError(f"p = {p} exceeds the cap {max_p}")
 
 
 def permutation_count(p: int, k: int) -> int:
@@ -98,7 +101,7 @@ def phi(p: int, k: int, prune: bool = True) -> int:
                     continue
                 if config[-1] is BlockChoice.UPPER:
                     continue
-            if _configuration_connected(config, p):
+            if subgraph_from_frequency(expand_configuration(config, p)).is_connected():
                 total += 1
     return total
 
@@ -155,12 +158,7 @@ def count_twofold(p: int, max_p: int = 5) -> int:
     with k uniform blocks contributes the Eulerian-cycle count of its
     contracted minor.
     """
-    if p < 1:
-        raise DomainError("need p >= 1")
-    if p > max_p:
-        raise ResourceCapError(f"p = {p} exceeds the cap {max_p}")
-    blocks = 2 ** (p - 1)
-    return sum(minor_cofactor(k) * phi(p, k) for k in range(blocks + 1))
+    return sum(row["cofactor"] * row["phi"] for row in twofold_table(p, max_p))
 
 
 def count_twofold_exact(p: int, max_p: int = 5) -> int:
@@ -173,27 +171,25 @@ def count_twofold_exact(p: int, max_p: int = 5) -> int:
     Eulerian cycles. Counting BEST on each configuration's own contracted
     minor agrees with exhaustive sequence enumeration for p <= 3.
     """
-    if p < 1:
-        raise DomainError("need p >= 1")
-    if p > max_p:
-        raise ResourceCapError(f"p = {p} exceeds the cap {max_p}")
+    _check_p(p, max_p)
     blocks = 2 ** (p - 1)
     choices = list(BlockChoice)
     total = 0
     for config in product(choices, repeat=blocks):
         if config[0] is BlockChoice.UPPER or config[-1] is BlockChoice.UPPER:
             continue
-        sub = subgraph_from_frequency(expand_configuration(config, p))
-        if not sub.is_connected():
+        z = expand_configuration(config, p)
+        if not subgraph_from_frequency(z).is_connected():
             continue
-        minor = contract_doubled_edges(sub)
+        minor = contract_doubled_edges(z)
         total += count_eulerian_cycles(minor) if minor.edges else 1
     return total
 
 
-def twofold_table(p: int) -> list[dict]:
+def twofold_table(p: int, max_p: int = 5) -> list[dict]:
     """Per-k summary rows: k, PermNo, Phi, cofactor (matching the published
     tables for p = 3, 4)."""
+    _check_p(p, max_p)
     blocks = 2 ** (p - 1)
     return [
         {
@@ -208,9 +204,7 @@ def twofold_table(p: int) -> list[dict]:
 
 def configuration_minor(config: tuple[BlockChoice, ...], p: int) -> Multigraph:
     """Contracted minor of one expanded configuration."""
-    return contract_doubled_edges(
-        subgraph_from_frequency(expand_configuration(config, p))
-    )
+    return contract_doubled_edges(expand_configuration(config, p))
 
 
 def count_twofold_bruteforce(p: int, l: int = 2, f: int = 2, cap_bits: int = 17) -> int:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cycseq.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -147,6 +153,8 @@ def test_twofold_cap(capsys):
 def test_phi_table(capsys):
     obj = run_json(capsys, "phi-table", "--p", "3")
     assert [row["perm_no"] for row in obj["table"]] == ["16", "32", "24", "8", "1"]
+    assert run(capsys, "phi-table", "--p", "0")[0] == 3
+    assert run(capsys, "phi-table", "--p", "7")[0] == 4
 
 
 def test_usage_error_exit_code(capsys):
@@ -161,8 +169,21 @@ def test_unknown_subcommand(capsys):
     assert exc.value.code == 2
 
 
-def test_threads_validation(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--threads", "0", "necklaces", "--n", "3"])
-    assert exc.value.code == 2
-    assert run_json(capsys, "--threads", "4", "necklaces", "--n", "3") == {"count": "4"}
+def test_non_integer_input_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "distance", "--a", "1,a", "--b", "11", "--alphabet", "12")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+    vec = json.dumps({"p": "x", "n": 3, "l": 2, "dense": [2, 1]})
+    code, out, err = run(capsys, "raise", "--vector", vec)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, cycseq.cli; print('numpy' in sys.modules)"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -18,6 +19,7 @@ from cycseq import (
     integer_determinant,
     project,
     subgraph_from_frequency,
+    subgraph_to_dot,
 )
 
 from conftest import all_necklaces, naive_euler_circuits
@@ -108,8 +110,7 @@ def test_euler_count_matches_brute_force():
     ]
     for sub in cases:
         edges = []
-        for e, w in sorted(sub.weights.items()):
-            t, h = sub.base.edge_endpoints(e)
+        for (t, h), w in sorted(sub.edges.items()):
             edges.extend([(t, h)] * w)
         assert count_eulerian_cycles(sub) == naive_euler_circuits(edges)
 
@@ -181,17 +182,54 @@ def test_enumerate_cap():
 def test_contract_doubled_edges():
     # doubled 2-cycle contracts to a single vertex with no remaining edges
     z = FrequencyVector(2, 4, 2, {1: 2, 2: 2})
-    minor = contract_doubled_edges(subgraph_from_frequency(z))
+    minor = contract_doubled_edges(z)
     assert len(minor.vertices) == 1
     assert minor.edges == {}
     with pytest.raises(DomainError):
-        contract_doubled_edges(
-            subgraph_from_frequency(FrequencyVector(2, 6, 2, {0: 3, 1: 1, 2: 1, 3: 1}))
-        )
+        contract_doubled_edges(FrequencyVector(2, 6, 2, {0: 3, 1: 1, 2: 1, 3: 1}))
+    # G_2(0) has its two loops on one key (0, 0): the graph merges them into
+    # weight 3, but contraction sees a weight-1 loop and a weight-2 loop.
+    z = FrequencyVector(1, 3, 2, {0: 1, 1: 2})
+    assert subgraph_from_frequency(z).edges == {(0, 0): 3}
+    minor = contract_doubled_edges(z)
+    assert minor.vertices == {0}
+    assert minor.edges == {(0, 0): 1}
 
 
 def test_to_dot_mentions_weights():
-    sub = subgraph_from_frequency(FrequencyVector(2, 4, 2, {1: 2, 2: 2}))
-    text = sub.to_dot()
-    assert "digraph" in text
-    assert 'label="2"' in text
+    text = subgraph_to_dot(FrequencyVector(2, 4, 2, {1: 2, 2: 2}))
+    assert text == "\n".join([
+        "digraph debruijn {",
+        '  v0 [label="0"];',
+        '  v1 [label="1"];',
+        '  v0 -> v1 [label="2"];',
+        '  v1 -> v0 [label="2"];',
+        "}",
+    ])
+
+
+def _random_multigraphs(count: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.randrange(1, 6)
+        g = Multigraph(vertices=range(rng.randrange(0, 3)))
+        for _ in range(rng.randrange(0, 9)):
+            g.add_edge(rng.randrange(size), rng.randrange(size), rng.randrange(0, 3))
+        yield g
+
+
+def test_connectivity_and_balance_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in _random_multigraphs(400, seed=11):
+        ref = nx.MultiDiGraph()
+        ref.add_nodes_from(g.vertices)
+        for (u, v), m in g.edges.items():
+            ref.add_edges_from([(u, v)] * m)
+        # is_connected ignores isolated vertices; networkx does not.
+        support = ref.subgraph([v for v in ref if ref.degree(v) > 0])
+        assert g.is_connected() == (
+            support.number_of_nodes() > 0 and nx.is_weakly_connected(support)
+        )
+        assert g.is_balanced() == all(
+            ref.in_degree(v) == ref.out_degree(v) for v in ref
+        )
