@@ -24,6 +24,7 @@ from .debruijn import (
     contract_doubled_edges,
     count_debruijn_sequences,
     count_eulerian_cycles,
+    count_sequences_with_frequency,
     enumerate_sequences_with_frequency,
     full_graph,
     integer_determinant,

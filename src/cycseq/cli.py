@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import clustertree, debruijn, freqspace, lowering, seqcore, twofold
@@ -30,8 +31,24 @@ def _parse_sequence(text: str, l: int) -> seqcore.CyclicSequence:
     return seqcore.sequence_from_string(text, l)
 
 
+def _check_printable(log10_digits: float) -> None:
+    """Refuse a count whose decimal digits, estimated as 10^log10_digits
+    before computing it, exceed Python's integer-to-string limit (absent
+    before Python 3.10.7, and 0 when switched off)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and log10_digits > math.log10(limit):
+        raise ResourceCapError(
+            f"the count would have more than {limit} digits, "
+            "the limit for printing an integer (sys.set_int_max_str_digits)"
+        )
+
+
 def cmd_necklaces(args) -> None:
-    out = {"count": str(seqcore.necklace_count(args.n, args.alphabet))}
+    n, l = args.n, args.alphabet
+    if n >= 1 and l >= 2:
+        # About l^n / n necklaces: n log10(l) digits.
+        _check_printable(math.log10(n * math.log10(l)))
+    out = {"count": str(seqcore.necklace_count(n, l))}
     if args.list:
         seqs = seqcore.enumerate_necklaces(args.n, args.alphabet, cap_bits=args.max_bits)
         out["necklaces"] = [str(s) for s in seqs]
@@ -87,7 +104,11 @@ def cmd_tree(args) -> None:
 
 
 def cmd_debruijn_count(args) -> None:
-    _emit({"count": str(debruijn.count_debruijn_sequences(args.alphabet, args.p))})
+    l, p = args.alphabet, args.p
+    if p >= 1 and l >= 2:
+        # (l!)^(l^(p-1)) / l^p has about l^(p-1) log10(l!) digits.
+        _check_printable((p - 1) * math.log10(l) + math.log10(math.lgamma(l + 1) / math.log(10)))
+    _emit({"count": str(debruijn.count_debruijn_sequences(l, p))})
 
 
 def cmd_euler_count(args) -> None:

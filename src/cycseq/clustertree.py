@@ -38,7 +38,7 @@ def _node_count(y: FrequencyVector, cache: dict) -> int:
         elif y.p == 1:
             c = level1_cluster_size(y.dense())
         else:
-            c = count_members(y, cap_n=max(20, y.n))
+            c = count_members(y)
         cache[key] = c
     return cache[key]
 

@@ -9,7 +9,7 @@ from typing import Iterable
 
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector
-from .seqcore import CyclicSequence, canonicalize
+from .seqcore import CyclicSequence, canonicalize, divisors, euler_totient
 
 DEFAULT_SEQUENCE_CAP = 20
 
@@ -123,8 +123,11 @@ def subgraph_from_frequency(z: FrequencyVector) -> Multigraph:
     edge weights are window counts. The l loops of G_l(0) share the key
     (0, 0), so their weights add up."""
     g = Multigraph()
+    edges, vertices = g.edges, g.vertices
     for t, h, w in _windows(z):
-        g.add_edge(t, h, w)
+        edges[(t, h)] = edges.get((t, h), 0) + w
+        vertices.add(t)
+        vertices.add(h)
     return g
 
 
@@ -187,8 +190,8 @@ def count_eulerian_cycles(g: Multigraph) -> int:
     """Eulerian cycles of a connected balanced directed multigraph with
     distinguishable edges, via the BEST theorem.
 
-    Cofactor of the Laplacian (first row/column dropped) times the product
-    of (out-degree - 1)! over vertices.
+    Cofactor of the Laplacian times the product of (out-degree - 1)! over
+    vertices.
     """
     if not g.edges:
         raise DomainError("graph has no edges")
@@ -196,22 +199,83 @@ def count_eulerian_cycles(g: Multigraph) -> int:
         raise DomainError("graph is not balanced")
     if not g.is_connected():
         raise DomainError("graph is not connected")
-    active = sorted({v for edge in g.edges for v in edge})
-    idx = {v: i for i, v in enumerate(active)}
-    k = len(active)
-    lap = [[0] * k for _ in range(k)]
-    out = [0] * k
-    for (u, v), m in g.edges.items():
-        iu, iv = idx[u], idx[v]
-        out[iu] += m
-        lap[iu][iu] += m
-        lap[iu][iv] -= m
-    minor = [row[1:] for row in lap[1:]]
-    cof = integer_determinant(minor)
-    result = cof
-    for d in out:
+    return _best_count(g.edges)
+
+
+def _best_count(edges: dict[tuple, int]) -> int:
+    """BEST count of a connected balanced multigraph given by its edge
+    multiplicities.
+
+    A vertex with out-weight 1 uses its one out-edge in every arborescence,
+    so it is contracted into its successor, and the Laplacian cofactor is
+    taken over the branching vertices (out-weight >= 2) only. A graph with no
+    branching vertex is one cycle; its empty cofactor is 1.
+    """
+    out: dict = {}
+    succ: dict = {}
+    for (u, v), m in edges.items():
+        out[u] = out.get(u, 0) + m
+        succ[u] = v
+    branching = sorted(v for v, d in out.items() if d >= 2)
+    result = 1
+    for d in out.values():
         result *= math.factorial(d - 1)
-    return result
+    idx = {v: i for i, v in enumerate(branching)}
+    # Every chain of out-weight-1 vertices ends at a branching vertex: a
+    # closed chain would be a whole component without one.
+    rep = {v: v for v in branching}
+
+    def representative(v):
+        path = []
+        while v not in rep:
+            path.append(v)
+            v = succ[v]
+        for u in path:
+            rep[u] = rep[v]
+        return rep[v]
+
+    k = len(branching)
+    lap = [[0] * k for _ in range(k)]
+    for (u, v), m in edges.items():
+        if u in idx:
+            i = idx[u]
+            lap[i][i] += m
+            lap[i][idx[representative(v)]] -= m
+    return result * integer_determinant([row[1:] for row in lap[1:]])
+
+
+def count_sequences_with_frequency(z: FrequencyVector) -> int:
+    """Number of distinct cyclic sequences whose level-p window counts equal
+    z; 0 when the subgraph A[Z] is disconnected.
+
+    Burnside over rotations: the words fixed by a rotation of order d are
+    d-th powers, whose window counts are Z/d, so with g the gcd of the counts
+
+        N(Z) = (1/n) sum_{d | g} phi(d) W(Z/d),
+        W(Z') = (n/d) ec(A[Z']) / prod over windows of Z'_e!,
+
+    where W counts the words with window counts Z' and ec is the BEST count
+    with distinguishable edges. Z/d has the support of Z, so balance and
+    connectivity are checked once, on Z.
+    """
+    g = subgraph_from_frequency(z)
+    if not g.is_balanced():
+        raise DomainError("frequency vector is not flow-balanced")
+    if not g.is_connected():
+        return 0
+    counts = [c for _, c in z.items()]
+    total = 0
+    for d in divisors(math.gcd(*counts)):
+        labelled = (z.n // d) * _best_count({e: m // d for e, m in g.edges.items()})
+        orderings = math.prod(math.factorial(c // d) for c in counts)
+        words, rem = divmod(labelled, orderings)
+        if rem:
+            raise ArithmeticError(f"{labelled} labelled circuits do not split into words")
+        total += euler_totient(d) * words
+    necklaces, rem = divmod(total, z.n)
+    if rem:
+        raise ArithmeticError(f"Burnside sum {total} is not divisible by n = {z.n}")
+    return necklaces
 
 
 def count_debruijn_sequences(l: int, p: int) -> int:

@@ -115,15 +115,22 @@ class FrequencyVector:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "FrequencyVector":
+        if not isinstance(obj, Mapping):
+            raise DomainError("a frequency vector must be a JSON object")
         try:
             p, n, l = _as_int(obj["p"]), _as_int(obj["n"]), _as_int(obj["l"])
         except KeyError as exc:
             raise DomainError(f"missing field {exc} in frequency-vector object")
         if "dense" in obj:
-            return cls.from_dense(p, n, l, [_as_int(c) for c in obj["dense"]])
+            dense = obj["dense"]
+            if not isinstance(dense, list):
+                raise DomainError("'dense' must be a list of counts")
+            return cls.from_dense(p, n, l, [_as_int(c) for c in dense])
         if "sparse" in obj:
-            counts = {_as_int(j) - 1: _as_int(c) for j, c in obj["sparse"].items()}
-            return cls(p, n, l, counts)
+            sparse = obj["sparse"]
+            if not isinstance(sparse, dict):
+                raise DomainError("'sparse' must be an object of index: count")
+            return cls(p, n, l, {_as_int(j) - 1: _as_int(c) for j, c in sparse.items()})
         raise DomainError("frequency-vector object needs 'dense' or 'sparse'")
 
     @classmethod
@@ -132,10 +139,16 @@ class FrequencyVector:
 
 
 def _as_int(value) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise DomainError(f"not an integer: {value!r}") from None
+    """An int (not a bool) or an integer string; anything else, a float
+    included, is a DomainError rather than silently truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise DomainError(f"not an integer: {value!r}")
 
 
 def project(s: CyclicSequence, p: int) -> FrequencyVector:

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycseq.cli import main
+
+from conftest import naive_window_counts
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -187,3 +194,113 @@ def test_cli_import_leaves_numpy_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [
+        {"p": 1, "n": 2, "l": 2, "sparse": [1]},
+        {"p": 1, "n": 2, "l": 2, "sparse": None},
+        {"p": 1, "n": 2, "l": 2, "dense": {"1": 2}},
+        {"p": 1.5, "n": 2, "l": 2, "dense": [1, 1]},
+        {"p": 1, "n": 2, "l": 2, "dense": [True, 1]},
+        {"p": 1, "n": 2.0, "l": 2, "dense": [1, 1]},
+        {"p": 1, "n": 2, "l": 2, "sparse": {"1": "x"}},
+        [1, 1],
+    ],
+)
+def test_malformed_vector_is_a_domain_error(capsys, vec):
+    code, out, err = run(capsys, "raise", "--vector", json.dumps(vec))
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+
+
+def test_integer_strings_are_accepted_in_vectors(capsys):
+    vec = json.dumps({"p": "1", "n": 3, "l": 2, "sparse": {"1": "2", "2": 1}})
+    assert run_json(capsys, "raise", "--vector", vec)["dense"] == [3]
+
+
+def test_necklace_count_of_1000_prints(capsys):
+    count = run_json(capsys, "necklaces", "--n", "1000")["count"]
+    assert len(count) == 299
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("necklaces", "--n", "20000"),
+        ("necklaces", "--n", "1000000000"),
+        ("debruijn-count", "--p", "20"),
+    ],
+)
+def test_unprintable_counts_hit_the_cap_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err.startswith("error:")
+
+
+# Malformed values for a vector field; sizes stay small (l^p is not capped).
+BAD_VALUES = [None, True, False, 1.5, "x", "", [], {}, -1, 0, "2", [1], {"1": 1}]
+
+
+@st.composite
+def vector_texts(draw):
+    """Vector JSON: window counts of a random word, random counts, or one of
+    those with a field dropped or replaced, or text that is no vector."""
+    l, p, n = draw(st.integers(2, 3)), draw(st.integers(0, 5)), draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        word = draw(st.lists(st.integers(0, l - 1), min_size=n, max_size=n))
+        counts = naive_window_counts(word, p, l) if p else {0: n}
+    else:
+        counts = {}
+        for j in draw(st.lists(st.integers(0, l**p - 1), min_size=n, max_size=n)):
+            counts[j] = counts.get(j, 0) + 1
+    obj = {"p": p, "n": n, "l": l}
+    if draw(st.booleans()):
+        obj["dense"] = [counts.get(j, 0) for j in range(l**p)]
+    else:
+        obj["sparse"] = {str(j + 1): c for j, c in counts.items()}
+    kind = draw(st.sampled_from(["valid", "valid", "drop", "replace", "text"]))
+    if kind == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif kind == "replace":
+        obj[draw(st.sampled_from(sorted(obj)))] = draw(st.sampled_from(BAD_VALUES))
+    elif kind == "text":
+        return draw(st.one_of(st.text(max_size=12), st.sampled_from(["[]", "3", "null", '"p"'])))
+    return json.dumps(obj)
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(["raise", "lower", "project", "members"]))
+    if command == "project":
+        l = draw(st.integers(1, 4))
+        word = "".join(map(str, draw(st.lists(st.integers(0, max(l - 1, 0)), max_size=10))))
+        seq = draw(st.one_of(st.just(word), st.just(word), st.text(max_size=6)))
+        p = draw(st.one_of(
+            st.integers(0, len(word)).map(str),
+            st.integers(-1, 12).map(str),
+            st.sampled_from(["x", ""]),
+        ))
+        return ["project", "--seq", seq, "--p", p, "--alphabet", str(l)]
+    argv = [command, "--vector", draw(vector_texts())]
+    if command == "lower" and draw(st.booleans()):
+        argv.append("--raw")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cli_argvs())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())

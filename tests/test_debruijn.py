@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -10,10 +11,12 @@ from cycseq import (
     FrequencyVector,
     Multigraph,
     ResourceCapError,
+    build_tree,
     canonicalize,
     contract_doubled_edges,
     count_debruijn_sequences,
     count_eulerian_cycles,
+    count_sequences_with_frequency,
     enumerate_sequences_with_frequency,
     full_graph,
     integer_determinant,
@@ -81,6 +84,19 @@ def test_integer_determinant():
     assert integer_determinant([[1, 2], [2, 4]]) == 0
 
 
+def test_integer_determinant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    for _ in range(300):
+        k = rng.randrange(1, 8)
+        m = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(k)]
+        if k > 1 and rng.random() < 0.3:
+            m[0][0] = 0  # forces a pivot search
+        if k > 1 and rng.random() < 0.2:
+            m[-1] = [2 * x for x in m[0]]  # singular
+        assert integer_determinant(m) == sympy.Matrix(m).det()
+
+
 def test_determinant_matches_float_reference():
     import random
 
@@ -113,6 +129,50 @@ def test_euler_count_matches_brute_force():
         for (t, h), w in sorted(sub.edges.items()):
             edges.extend([(t, h)] * w)
         assert count_eulerian_cycles(sub) == naive_euler_circuits(edges)
+
+
+def _chained_eulerian_edges(rng):
+    """Edge list of a random balanced multigraph: closed walks through a few
+    hub vertices, with a chain of fresh out-weight-1 vertices on each step."""
+    while True:
+        hubs = rng.randrange(1, 4)
+        fresh = iter(range(hubs, 100))
+        edges = []
+        for _ in range(rng.randrange(1, 4)):
+            walk = [rng.randrange(hubs) for _ in range(rng.randrange(1, 4))]
+            for a, b in zip(walk, walk[1:] + walk[:1]):
+                chain = [a, *(next(fresh) for _ in range(rng.randrange(0, 5))), b]
+                edges.extend(zip(chain, chain[1:]))
+        if len(edges) <= 14:
+            return edges
+
+
+def test_contracted_euler_count_matches_brute_force_on_chains():
+    # count_eulerian_cycles contracts out-weight-1 vertices before the
+    # determinant; circuits of the uncontracted graph are the reference
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(300):
+        edges = _chained_eulerian_edges(rng)
+        g = Multigraph(edges=Counter(edges))
+        if not g.is_connected():
+            continue
+        assert count_eulerian_cycles(g) == naive_euler_circuits(edges), edges
+        checked += 1
+    assert checked > 100
+
+
+def test_sequence_count_matches_enumeration_on_tree_nodes():
+    # BEST + Burnside against listing the members, on every node below the
+    # root of the binary n <= 12 and ternary n <= 7 cluster trees
+    for l, max_n in ((2, 12), (3, 7)):
+        for n in range(1, max_n + 1):
+            stack = list(build_tree(n, l).root.children)
+            while stack:
+                node = stack.pop()
+                stack.extend(node.children)
+                members = len(enumerate_sequences_with_frequency(node.freq))
+                assert count_sequences_with_frequency(node.freq) == members, node.freq
 
 
 def test_euler_count_rejects_bad_graphs():
@@ -165,12 +225,15 @@ def test_enumerate_disconnected_gives_empty():
     # 00 twice and 11 twice: two separate self-loops
     z = FrequencyVector(2, 4, 2, {0: 2, 3: 2})
     assert enumerate_sequences_with_frequency(z) == []
+    assert count_sequences_with_frequency(z) == 0
 
 
 def test_enumerate_unbalanced_rejected():
     z = FrequencyVector(2, 3, 2, {1: 2, 2: 1})
     with pytest.raises(DomainError):
         enumerate_sequences_with_frequency(z)
+    with pytest.raises(DomainError):
+        count_sequences_with_frequency(z)
 
 
 def test_enumerate_cap():

@@ -10,6 +10,7 @@ from cycseq import (
     ResourceCapError,
     configuration_minor,
     count_eulerian_cycles,
+    count_sequences_with_frequency,
     count_twofold,
     count_twofold_bruteforce,
     count_twofold_exact,
@@ -171,11 +172,37 @@ def test_per_configuration_minors_count_the_fibers():
             assert best == members, config
 
 
+def _configuration_sum(p):
+    """BEST on each connected configuration's own contracted minor, summed
+    over all 3^(2^(p-1)) block configurations."""
+    total = 0
+    for config in product(list(BlockChoice), repeat=2 ** (p - 1)):
+        if config[0] is UP or config[-1] is UP:
+            continue  # weight 2 on the first or last window: disconnected
+        if not subgraph_from_frequency(expand_configuration(config, p)).is_connected():
+            continue
+        minor = configuration_minor(config, p)
+        total += count_eulerian_cycles(minor) if minor.edges else 1
+    return total
+
+
 def test_exact_count_matches_bruteforce():
     for p in (1, 2, 3):
         assert count_twofold_exact(p) == count_twofold_bruteforce(p)
-    assert count_twofold_exact(3) == 82
-    assert count_twofold_exact(4) == 52496
+    assert [count_twofold_exact(p) for p in (1, 2, 3, 4)] == [2, 5, 82, 52496]
+
+
+def test_exact_count_matches_configuration_sum():
+    for p in (1, 2, 3, 4):
+        assert count_twofold_exact(p) == _configuration_sum(p)
+
+
+def test_sequence_count_matches_ffold_bruteforce():
+    # f-fold l-ary de Bruijn sequences: every level-p window exactly f times
+    cases = [(2, 2, 2), (3, 2, 2), (1, 3, 2), (1, 2, 3), (2, 2, 3), (1, 3, 3), (2, 3, 1), (3, 2, 1)]
+    for p, l, f in cases:
+        z = FrequencyVector(p, f * l**p, l, {j: f for j in range(l**p)})
+        assert count_sequences_with_frequency(z) == count_twofold_bruteforce(p, l, f), (p, l, f)
 
 
 def test_members_of_exact_count_are_twofold():
