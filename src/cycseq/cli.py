@@ -106,13 +106,34 @@ def cmd_tree(args) -> None:
 def cmd_debruijn_count(args) -> None:
     l, p = args.alphabet, args.p
     if p >= 1 and l >= 2:
-        # (l!)^(l^(p-1)) / l^p has about l^(p-1) log10(l!) digits.
-        _check_printable((p - 1) * math.log10(l) + math.log10(math.lgamma(l + 1) / math.log(10)))
+        _check_debruijn_printable(l, p)
     _emit({"count": str(debruijn.count_debruijn_sequences(l, p))})
 
 
+def _check_debruijn_printable(l: int, p: int) -> None:
+    """The number of de Bruijn sequences of order p, (l!)^(l^(p-1)) / l^p,
+    has about l^(p-1) log10(l!) digits."""
+    _check_printable((p - 1) * math.log10(l) + math.log10(math.lgamma(l + 1) / math.log(10)))
+
+
+# Largest vertex count l^p of G_l(p) that euler-count admits: the dense
+# Bareiss determinant of its Laplacian takes about a second at (l, p) = (2, 8)
+# and (3, 5), but about eight at (2, 9).
+EULER_COUNT_MAX_VERTICES = 256
+
+
 def cmd_euler_count(args) -> None:
-    g = debruijn.full_graph(args.alphabet, args.p)
+    l, p = args.alphabet, args.p
+    if p >= 0 and l >= 2:
+        cap = EULER_COUNT_MAX_VERTICES
+        # l >= 2, so l^k > cap once k reaches the bit length of cap.
+        if l ** min(p, cap.bit_length()) > cap:
+            raise ResourceCapError(
+                f"G_{l}({p}) has more than {cap} vertices, the cap for euler-count"
+            )
+        # ec(G_l(p)) is the number of de Bruijn sequences of order p + 1.
+        _check_debruijn_printable(l, p + 1)
+    g = debruijn.full_graph(l, p)
     _emit({"count": str(debruijn.count_eulerian_cycles(g))})
 
 

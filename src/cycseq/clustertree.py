@@ -9,7 +9,11 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector
-from .lowering import count_members, lower
+from .lowering import _lower, count_members
+
+# Unused here, but bench/spans.py wraps this module attribute by name; it
+# goes with the next change to the benchmark.
+from .lowering import lower  # noqa: F401
 from .seqcore import level1_cluster_size, necklace_count
 
 DEFAULT_CAPS = {2: 16, 3: 9}
@@ -30,17 +34,12 @@ class ClusterTree:
     root: ClusterNode
 
 
-def _node_count(y: FrequencyVector, cache: dict) -> int:
-    key = y.key()
-    if key not in cache:
-        if y.p == 0:
-            c = necklace_count(y.n, y.l)
-        elif y.p == 1:
-            c = level1_cluster_size(y.dense())
-        else:
-            c = count_members(y)
-        cache[key] = c
-    return cache[key]
+def _node_count(y: FrequencyVector) -> int:
+    if y.p == 0:
+        return necklace_count(y.n, y.l)
+    if y.p == 1:
+        return level1_cluster_size(y.dense())
+    return count_members(y)
 
 
 def build_tree(
@@ -65,18 +64,19 @@ def build_tree(
     if max_p is None:
         max_p = n
 
-    cache: dict = {}
+    # Block solutions of step 1, by margins; shared by every node's lowering.
+    blocks: dict = {}
 
     def refine(node: ClusterNode):
         if node.count <= 1 or node.p >= max_p:
             return
-        children_vectors = lower(node.freq)
+        children_vectors = _lower(node.freq, blocks)
         if node.p == 0 and half_tree:
             children_vectors = [
                 z for z in children_vectors if z.entry(1) <= n // 2
             ]
         for z in children_vectors:
-            child = ClusterNode(node.p + 1, z, _node_count(z, cache))
+            child = ClusterNode(node.p + 1, z, _node_count(z))
             node.children.append(child)
             refine(child)
         if not (half_tree and node.p == 0):
@@ -86,7 +86,7 @@ def build_tree(
             )
 
     root_freq = FrequencyVector(0, n, l, {0: n})
-    root = ClusterNode(0, root_freq, _node_count(root_freq, cache))
+    root = ClusterNode(0, root_freq, _node_count(root_freq))
     refine(root)
     if half_tree:
         root.count = sum(c.count for c in root.children)

@@ -244,6 +244,36 @@ def _best_count(edges: dict[tuple, int]) -> int:
     return result * integer_determinant([row[1:] for row in lap[1:]])
 
 
+def _window_graph(
+    windows: Iterable[tuple[int, int]],
+    l: int,
+    vsize: int,
+    edges: dict | None = None,
+    flow: dict | None = None,
+) -> bool:
+    """Whether A[Z] is connected, from the (window index, count) pairs of a
+    level-(p+1) vector, by a union-find over the l^p vertex indices.
+
+    In the same pass, when given, `edges` collects the edge multiplicities
+    keyed by (tail, head) and `flow` the balance out - in of every vertex.
+    """
+    parent: dict[int, int] = {}
+    merges = 0
+    for e, w in windows:
+        t, h = e // l, e % vsize
+        if edges is not None:
+            edges[t, h] = edges.get((t, h), 0) + w
+            flow[t] = flow.get(t, 0) + w
+            flow[h] = flow.get(h, 0) - w
+        parent.setdefault(t, t)
+        parent.setdefault(h, h)
+        rt, rh = _find(parent, t), _find(parent, h)
+        if rt != rh:
+            parent[rt] = rh
+            merges += 1
+    return len(parent) - merges == 1
+
+
 def count_sequences_with_frequency(z: FrequencyVector) -> int:
     """Number of distinct cyclic sequences whose level-p window counts equal
     z; 0 when the subgraph A[Z] is disconnected.
@@ -258,15 +288,19 @@ def count_sequences_with_frequency(z: FrequencyVector) -> int:
     with distinguishable edges. Z/d has the support of Z, so balance and
     connectivity are checked once, on Z.
     """
-    g = subgraph_from_frequency(z)
-    if not g.is_balanced():
+    if z.p < 1:
+        raise DomainError("need a frequency vector at level >= 1")
+    edges: dict[tuple[int, int], int] = {}
+    flow: dict[int, int] = {}
+    connected = _window_graph(z.items(), z.l, z.l ** (z.p - 1), edges, flow)
+    if any(flow.values()):
         raise DomainError("frequency vector is not flow-balanced")
-    if not g.is_connected():
+    if not connected:
         return 0
     counts = [c for _, c in z.items()]
     total = 0
     for d in divisors(math.gcd(*counts)):
-        labelled = (z.n // d) * _best_count({e: m // d for e, m in g.edges.items()})
+        labelled = (z.n // d) * _best_count({e: m // d for e, m in edges.items()})
         orderings = math.prod(math.factorial(c // d) for c in counts)
         words, rem = divmod(labelled, orderings)
         if rem:

@@ -42,10 +42,11 @@ class FrequencyVector:
     """Counts of length-p cyclic windows of a length-n sequence.
 
     Stored sparsely as a map from 0-based window index to a positive count;
-    entries sum to n. Level p = 0 is the single-entry vector [n].
+    entries sum to n. Level p = 0 is the single-entry vector [n]. The sorted
+    items and the hash are computed once, since vectors are immutable.
     """
 
-    __slots__ = ("p", "n", "l", "_counts")
+    __slots__ = ("p", "n", "l", "_counts", "_items", "_hash")
 
     def __init__(self, p: int, n: int, l: int, counts: Mapping[int, int]):
         if p < 0 or n < 1 or l < 2:
@@ -66,6 +67,8 @@ class FrequencyVector:
         self.n = n
         self.l = l
         self._counts = cleaned
+        self._items = tuple(sorted(cleaned.items()))
+        self._hash = hash((p, n, l, self._items))
 
     @classmethod
     def from_dense(cls, p: int, n: int, l: int, entries: Iterable[int]) -> "FrequencyVector":
@@ -76,9 +79,9 @@ class FrequencyVector:
         """Count at 0-based index j."""
         return self._counts.get(j, 0)
 
-    def items(self):
+    def items(self) -> tuple[tuple[int, int], ...]:
         """Nonzero (0-based index, count) pairs in index order."""
-        return sorted(self._counts.items())
+        return self._items
 
     def dense(self) -> list[int]:
         out = [0] * (self.l**self.p)
@@ -87,13 +90,17 @@ class FrequencyVector:
         return out
 
     def key(self):
-        return (self.p, self.n, self.l, tuple(self.items()))
+        return (self.p, self.n, self.l, self._items)
 
     def __eq__(self, other):
-        return isinstance(other, FrequencyVector) and self.key() == other.key()
+        return (
+            isinstance(other, FrequencyVector)
+            and self._hash == other._hash
+            and self.key() == other.key()
+        )
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self):
         return f"FrequencyVector(p={self.p}, n={self.n}, l={self.l}, {dict(self.items())})"

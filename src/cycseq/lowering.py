@@ -4,16 +4,23 @@ filtering. The wavelet basis lives here as a numeric verification layer."""
 
 from __future__ import annotations
 
-from itertools import product
+import math
+from itertools import chain, islice, product
 from typing import Sequence
 
-from .debruijn import count_sequences_with_frequency, subgraph_from_frequency
+from .debruijn import _window_graph, count_sequences_with_frequency
 
 # Unused here, but bench/spans.py wraps this module attribute by name; it
 # goes with the next change to the benchmark.
 from .debruijn import enumerate_sequences_with_frequency  # noqa: F401
-from .errors import DomainError
+from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector
+
+# Work cap of step 1: the product of the per-block solution counts. No node
+# of the binary n <= 16 or ternary n <= 9 trees has more than 256 candidates;
+# lowering ternary [16, 16, 16] (11,781 candidates) takes about 0.5 s, and
+# reaching the cap on [100, 100, 100] about 0.15 s.
+STEP1_CAP = 1 << 14
 
 
 def _nonneg_matrices(row_sums: Sequence[int], col_sums: Sequence[int]):
@@ -46,6 +53,65 @@ def _nonneg_matrices(row_sums: Sequence[int], col_sums: Sequence[int]):
     yield from fill([], list(col_sums))
 
 
+def _check_work(candidates: int) -> None:
+    if candidates > STEP1_CAP:
+        raise ResourceCapError(
+            f"step 1 would enumerate more than {STEP1_CAP} candidates"
+        )
+
+
+def _block_solutions(rows: tuple, cols: tuple, blocks: dict) -> list:
+    """Solutions of one block as tuples of nonzero (b, a, count) entries,
+    memoized in `blocks` by margins; more than STEP1_CAP of them exceed the
+    work cap."""
+    sols = blocks.get((rows, cols))
+    if sols is None:
+        sols = [
+            tuple((b, a, v) for b, row in enumerate(mat) for a, v in enumerate(row) if v)
+            for mat in islice(_nonneg_matrices(rows, cols), STEP1_CAP + 1)
+        ]
+        _check_work(len(sols))
+        blocks[rows, cols] = sols
+    return sols
+
+
+def _step1(y: FrequencyVector, blocks: dict):
+    """Step-1 candidates of y as {window index: count} dicts, in block
+    product order; `blocks` memoizes the block solutions by margins.
+
+    Every block's solutions are counted, and their product checked against
+    STEP1_CAP, before the first candidate is built.
+    """
+    p, n, l = y.p, y.n, y.l
+    if p == 0:
+        # Level 0 -> 1: any composition of n into l parts.
+        _check_work(math.comb(n + l - 1, l - 1))
+        for comp in _compositions(n, l):
+            yield {j: c for j, c in enumerate(comp) if c}
+        return
+
+    top, mid_size = l**p, l ** (p - 1)
+    # Only blocks touched by nonzero Y entries can carry nonzero Z.
+    mids = set()
+    for w, _ in y.items():
+        mids.add(w % mid_size)  # w = b . mid
+        mids.add(w // l)  # w = mid . a
+    choices = []
+    work = 1
+    for mid in sorted(mids):
+        rows = tuple(y.entry(b * mid_size + mid) for b in range(l))
+        cols = tuple(y.entry(mid * l + a) for a in range(l))
+        sols = _block_solutions(rows, cols, blocks)
+        if not sols:
+            return
+        work *= len(sols)
+        _check_work(work)
+        base = mid * l
+        choices.append([tuple((b * top + base + a, v) for b, a, v in s) for s in sols])
+    for choice in product(*choices):
+        yield dict(chain.from_iterable(choice))
+
+
 def solve_step1(y: FrequencyVector) -> list[FrequencyVector]:
     """All non-negative integer level-(p+1) vectors Z with L Z = R Z = Y.
 
@@ -53,42 +119,11 @@ def solve_step1(y: FrequencyVector) -> list[FrequencyVector]:
     word: within a block the unknowns Z[b, mid, a] form an l x l matrix whose
     row sums are Y[b . mid] (outgoing flow) and column sums Y[mid . a]
     (incoming flow). Candidates are the Cartesian product of the per-block
-    solutions, in lexicographic order of Z.
+    solutions, in lexicographic order of Z. More than STEP1_CAP candidates
+    raise ResourceCapError before any is built.
     """
-    p, n, l = y.p, y.n, y.l
-    if p == 0:
-        # Level 0 -> 1: any composition of n into l parts.
-        out = []
-        for comp in _compositions(n, l):
-            out.append(FrequencyVector.from_dense(1, n, l, comp))
-        return sorted(out, key=lambda z: z.sort_key())
-
-    mid_size = l ** (p - 1)
-    # Only blocks touched by nonzero Y entries can carry nonzero Z.
-    mids = set()
-    for w, _ in y.items():
-        mids.add(w % mid_size)  # w = b . mid
-        mids.add(w // l)  # w = mid . a
-    block_solutions: list[tuple[int, list]] = []
-    for mid in sorted(mids):
-        rows = [y.entry(b * mid_size + mid) for b in range(l)]
-        cols = [y.entry(mid * l + a) for a in range(l)]
-        sols = list(_nonneg_matrices(rows, cols))
-        if not sols:
-            return []
-        block_solutions.append((mid, sols))
-
-    out = []
-    for choice in product(*(sols for _, sols in block_solutions)):
-        counts: dict[int, int] = {}
-        for (mid, _), mat in zip(block_solutions, choice):
-            for b in range(l):
-                for a in range(l):
-                    v = mat[b][a]
-                    if v:
-                        counts[b * l**p + mid * l + a] = v
-        out.append(FrequencyVector(p + 1, n, l, counts))
-    return sorted(out, key=lambda z: z.sort_key())
+    out = [FrequencyVector(y.p + 1, y.n, y.l, c) for c in _step1(y, {})]
+    return sorted(out, key=FrequencyVector.sort_key)
 
 
 def _compositions(n: int, parts: int):
@@ -102,15 +137,27 @@ def _compositions(n: int, parts: int):
 
 def lower(y: FrequencyVector) -> list[FrequencyVector]:
     """Step I candidates filtered by subgraph connectivity; equals the exact
-    preimage set {project(s, p+1) : project(s, p) = Y}."""
-    if y.p == 0:
-        # Level-1 subgraphs are self-loops on one vertex: always connected.
-        return solve_step1(y)
-    return [
-        z
-        for z in solve_step1(y)
-        if subgraph_from_frequency(z).is_connected()
+    preimage set {project(s, p+1) : project(s, p) = Y}.
+
+    It calls solve_step1 by name, so that a tracer wrapping both sees the
+    candidates of every lowering it is asked for; build_tree takes the
+    leaner _lower instead.
+    """
+    vsize = y.l**y.p
+    return [z for z in solve_step1(y) if _window_graph(z.items(), y.l, vsize)]
+
+
+def _lower(y: FrequencyVector, blocks: dict) -> list[FrequencyVector]:
+    """lower(y) with the block solutions memoized in `blocks`, which a whole
+    cluster tree shares; only connected candidates become vectors."""
+    p, n, l = y.p + 1, y.n, y.l
+    vsize = l**y.p
+    out = [
+        FrequencyVector(p, n, l, c)
+        for c in _step1(y, blocks)
+        if _window_graph(c.items(), l, vsize)
     ]
+    return sorted(out, key=FrequencyVector.sort_key)
 
 
 def count_members(z: FrequencyVector) -> int:

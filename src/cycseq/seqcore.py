@@ -192,6 +192,14 @@ def _is_canonical_binary(x: int, n: int) -> bool:
     return True
 
 
+def _binary_necklace_words(n: int):
+    """Words of the binary necklaces of length n, each its maximal rotation,
+    descending by index."""
+    for x in range((1 << n) - 1, -1, -1):
+        if _is_canonical_binary(x, n):
+            yield tuple((x >> (n - 1 - i)) & 1 for i in range(n))
+
+
 def enumerate_necklaces(
     n: int, l: int, cap_bits: int = DEFAULT_ENUM_CAP_BITS
 ) -> list[CyclicSequence]:
@@ -205,13 +213,9 @@ def enumerate_necklaces(
         raise ResourceCapError(
             f"enumeration of {l}^{n} words exceeds the {cap_bits}-bit cap"
         )
-    out: list[CyclicSequence] = []
     if l == 2:
-        for x in range((1 << n) - 1, -1, -1):
-            if _is_canonical_binary(x, n):
-                word = tuple((x >> (n - 1 - i)) & 1 for i in range(n))
-                out.append(CyclicSequence(word, 2))
-        return out
+        return [CyclicSequence(word, 2) for word in _binary_necklace_words(n)]
+    out: list[CyclicSequence] = []
     for word in product(range(l - 1, -1, -1), repeat=n):
         if _max_rotation_offset(word) == 0:
             out.append(CyclicSequence(word, l))

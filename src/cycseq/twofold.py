@@ -25,7 +25,7 @@ from .debruijn import (
 from .debruijn import count_eulerian_cycles  # noqa: F401
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector, project
-from .seqcore import CyclicSequence, _is_canonical_binary, canonicalize
+from .seqcore import CyclicSequence, _binary_necklace_words, canonicalize
 
 
 class BlockChoice(Enum):
@@ -214,10 +214,7 @@ def count_twofold_bruteforce(p: int, l: int = 2, f: int = 2, cap_bits: int = 17)
     target = FrequencyVector(p, n, l, {j: f for j in range(l**p)})
     total = 0
     if l == 2:
-        for x in range(1 << n):
-            if not _is_canonical_binary(x, n):
-                continue
-            word = tuple((x >> (n - 1 - i)) & 1 for i in range(n))
+        for word in _binary_necklace_words(n):
             if project(CyclicSequence(word, 2), p) == target:
                 total += 1
         return total
@@ -235,10 +232,7 @@ def list_twofold_bruteforce(p: int) -> list[CyclicSequence]:
         raise ResourceCapError("listing supported for p <= 3")
     target = FrequencyVector(p, n, 2, {j: 2 for j in range(2**p)})
     out = []
-    for x in range((1 << n) - 1, -1, -1):
-        if not _is_canonical_binary(x, n):
-            continue
-        word = tuple((x >> (n - 1 - i)) & 1 for i in range(n))
+    for word in _binary_necklace_words(n):
         s = CyclicSequence(word, 2)
         if project(s, p) == target:
             out.append(s)

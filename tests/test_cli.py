@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycseq.cli import main
+from cycseq.cli import EULER_COUNT_MAX_VERTICES, main
 
 from conftest import naive_window_counts
 
@@ -231,6 +231,7 @@ def test_necklace_count_of_1000_prints(capsys):
         ("necklaces", "--n", "20000"),
         ("necklaces", "--n", "1000000000"),
         ("debruijn-count", "--p", "20"),
+        ("euler-count", "--alphabet", "256", "--p", "1"),
     ],
 )
 def test_unprintable_counts_hit_the_cap_quickly(capsys, argv):
@@ -239,6 +240,32 @@ def test_unprintable_counts_hit_the_cap_quickly(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (4, "")
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("euler-count", "--p", "11"),
+        ("euler-count", "--p", "1000000000"),
+        ("lower", "--vector", json.dumps({"p": 1, "n": 300, "l": 3, "dense": [100, 100, 100]})),
+        ("lower", "--raw", "--vector", json.dumps({"p": 0, "n": 10**6, "l": 3, "dense": [10**6]})),
+    ],
+)
+def test_costly_requests_hit_the_cap_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("l, p", [(2, 7), (3, 4)])
+def test_euler_count_below_the_cap(capsys, l, p):
+    # ec(G_l(p)) is the number of de Bruijn sequences of order p + 1
+    euler = run_json(capsys, "euler-count", "--alphabet", str(l), "--p", str(p))
+    debruijn = run_json(capsys, "debruijn-count", "--alphabet", str(l), "--p", str(p + 1))
+    assert euler == debruijn
+    assert l**p <= EULER_COUNT_MAX_VERTICES
 
 
 # Malformed values for a vector field; sizes stay small (l^p is not capped).

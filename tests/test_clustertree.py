@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,9 @@ from cycseq import (
     tree_to_json,
     tree_to_newick,
 )
+
+from cycseq.cli import main
+from cycseq.lowering import lower
 
 from conftest import all_necklaces
 
@@ -168,3 +172,48 @@ def test_dot_and_newick():
     assert export_tree(tree, "newick") == newick
     with pytest.raises(DomainError):
         export_tree(tree, "svg")
+
+
+def _internal_nodes(node):
+    if node.children:
+        yield node
+        for c in node.children:
+            yield from _internal_nodes(c)
+
+
+@pytest.mark.parametrize("n, l", [(14, 2), (8, 3)])
+def test_shared_block_cache_gives_fresh_lower_children(n, l):
+    # build_tree shares one block-solution memo across all its lowerings
+    tree = build_tree(n, l)
+    for node in _internal_nodes(tree.root):
+        assert [c.freq for c in node.children] == lower(node.freq)
+
+
+# sha256 of the stdout of `cycseq tree --n N --alphabet L --format F [--half]`,
+# pinned so that a faster lowering or counting path cannot reorder or change
+# a single node.
+TREE_DIGESTS = [
+    (13, 2, False, "newick", "8d7e99587fa3781674b38f681a489311f12a70b543a999eb3bd83b707366944a"),
+    (14, 2, False, "dot", "ca68e400ca6ffb32d8566f2e15b9ebc72fb1371941eca26ea00995bd18d71a42"),
+    (15, 2, False, "json", "8896e649f495e240163261411e09e39dcf0a7f150eefbe17e9c324f01d655eba"),
+    (14, 2, True, "json", "b2a41d5d5e72205b0bb0731f8b1b65511bd607c302a0b2be68a55e98c2a4da2d"),
+    (15, 2, True, "newick", "b684129d510b9435ab7fd39983688518b528d9013a0f2dd9aa84f0bdcc900d7c"),
+    (16, 2, True, "dot", "89b02e90c791c9196513320b5fd1e5ca31184e7e0840496ff6ac406f143f1d64"),
+    (7, 3, False, "dot", "ea65231aff2f79bbd3092414db2ab42db48dbee6d5310d482170845070976772"),
+    (8, 3, False, "json", "d566ef206b8aadaf938e60316fbcdf99c67ce990f0083f039a1c0c66f037b7b2"),
+    (9, 3, False, "newick", "96078931bf89fb2d57834ba1f4c8cde0dce68d57a19c4ccbc35658e9f0a719f0"),
+    (12, 2, False, "json", "880fd74733bd6a6a3b929afc3868514c72244a5bb6ab1de0530362d5f7a4fd21"),
+    (16, 2, False, "json", "97597ad677d5bf8760e15eda7488c721603b4286143fac3fcbdf20e52ce48902"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, l, half, fmt, digest",
+    TREE_DIGESTS,
+    ids=[f"{n}-{l}-{fmt}{'-half' * half}" for n, l, half, fmt, _ in TREE_DIGESTS],
+)
+def test_tree_output_is_pinned(capsys, n, l, half, fmt, digest):
+    argv = ["tree", "--n", str(n), "--alphabet", str(l), "--format", fmt]
+    assert main(argv + ["--half"] * half) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

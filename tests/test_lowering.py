@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from cycseq import (
     DomainError,
     FrequencyVector,
+    ResourceCapError,
     canonicalize,
     count_members,
     lower,
@@ -15,8 +17,10 @@ from cycseq import (
     raise_level,
     raising_matrix_action,
     solve_step1,
+    subgraph_from_frequency,
     wavelet_basis,
 )
+from cycseq.lowering import STEP1_CAP, _lower
 
 from conftest import all_necklaces
 
@@ -80,6 +84,33 @@ def test_lower_equals_brute_force_ternary():
             realized = {project(s, p) for s in necklaces}
             for y in realized:
                 assert set(lower(y)) == brute_preimages(necklaces, y)
+
+
+def test_lower_is_connected_step1_in_order():
+    # the union-find filter against Multigraph connectivity, order included
+    cases = [(n, 2) for n in range(2, 11)] + [(n, 3) for n in range(2, 7)]
+    for n, l in cases:
+        necklaces = all_necklaces(n, l)
+        for y in {project(s, p) for s in necklaces for p in range(n)}:
+            expected = [
+                z for z in solve_step1(y) if subgraph_from_frequency(z).is_connected()
+            ]
+            assert lower(y) == expected, (n, l, y)
+            assert _lower(y, {}) == expected, (n, l, y)
+
+
+def test_step1_work_cap():
+    y = FrequencyVector.from_dense(1, 300, 3, [100, 100, 100])
+    for f in (solve_step1, lower):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError):
+            f(y)
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(ResourceCapError):
+        lower(FrequencyVector(0, 10**6, 3, {0: 10**6}))
+    # just under the cap: 11,781 candidates
+    y = FrequencyVector.from_dense(1, 48, 3, [16, 16, 16])
+    assert len(solve_step1(y)) == 11781 <= STEP1_CAP
 
 
 def test_level1_branch_count():
