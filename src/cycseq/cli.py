@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("twofold", help="count two-fold de Bruijn sequences")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--table", action="store_true")
-    sp.add_argument("--max-p", type=int, default=5)
+    sp.add_argument("--max-p", type=int, default=4)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(func=cmd_twofold)
 

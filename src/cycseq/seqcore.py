@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ResourceCapError
@@ -184,20 +183,30 @@ def level1_cluster_size(counts: Sequence[int]) -> int:
     return total // n
 
 
-def _is_canonical_binary(x: int, n: int) -> bool:
-    mask = (1 << n) - 1
-    for k in range(1, n):
-        if ((x << k) | (x >> (n - k))) & mask > x:
-            return False
-    return True
+def _necklace_words(n: int, l: int):
+    """Each necklace of length n over l letters as its maximal rotation,
+    strictly descending by index.
 
-
-def _binary_necklace_words(n: int):
-    """Words of the binary necklaces of length n, each its maximal rotation,
-    descending by index."""
-    for x in range((1 << n) - 1, -1, -1):
-        if _is_canonical_binary(x, n):
-            yield tuple((x >> (n - 1 - i)) & 1 for i in range(n))
+    The FKM algorithm (Fredricksen, Kessler, Maiorana; in the form of
+    Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 37, 2000) on
+    complemented letters a -> l-1-a: it visits the prenecklaces in
+    lexicographic order and keeps those whose period p divides n, in
+    constant amortized time per necklace.
+    """
+    a = [l - 1] * n
+    p = 1
+    while True:
+        if n % p == 0:
+            yield tuple(a)
+        j = n - 1
+        while j >= 0 and a[j] == 0:
+            j -= 1
+        if j < 0:
+            return
+        a[j] -= 1
+        p = j + 1
+        for i in range(p, n):
+            a[i] = a[i - p]
 
 
 def enumerate_necklaces(
@@ -205,7 +214,8 @@ def enumerate_necklaces(
 ) -> list[CyclicSequence]:
     """All canonical representatives, sorted descending by index.
 
-    Brute force over the l^n word space; guarded by n*log2(l) <= cap_bits.
+    Generated by FKM, at a cost proportional to the output; guarded by
+    n*log2(l) <= cap_bits.
     """
     if n < 1 or l < 2:
         raise DomainError("need n >= 1 and l >= 2")
@@ -213,13 +223,7 @@ def enumerate_necklaces(
         raise ResourceCapError(
             f"enumeration of {l}^{n} words exceeds the {cap_bits}-bit cap"
         )
-    if l == 2:
-        return [CyclicSequence(word, 2) for word in _binary_necklace_words(n)]
-    out: list[CyclicSequence] = []
-    for word in product(range(l - 1, -1, -1), repeat=n):
-        if _max_rotation_offset(word) == 0:
-            out.append(CyclicSequence(word, l))
-    return out
+    return [CyclicSequence(word, l) for word in _necklace_words(n, l)]
 
 
 def sequence_to_string(s: CyclicSequence) -> str:

@@ -25,7 +25,7 @@ from .debruijn import (
 from .debruijn import count_eulerian_cycles  # noqa: F401
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector, project
-from .seqcore import CyclicSequence, _binary_necklace_words, canonicalize
+from .seqcore import CyclicSequence, enumerate_necklaces
 
 
 class BlockChoice(Enum):
@@ -155,7 +155,7 @@ def minor_cofactor_closed_form(k: int) -> float:
     return value
 
 
-def count_twofold(p: int, max_p: int = 5) -> int:
+def count_twofold(p: int, max_p: int = 4) -> int:
     """Number of p-ary binary two-fold de Bruijn sequences.
 
     Sum over k of minor_cofactor(k) * phi(p, k): each connected configuration
@@ -182,9 +182,13 @@ def count_twofold_exact(p: int, max_p: int = 5) -> int:
     )
 
 
-def twofold_table(p: int, max_p: int = 5) -> list[dict]:
+def twofold_table(p: int, max_p: int = 4) -> list[dict]:
     """Per-k summary rows: k, PermNo, Phi, cofactor (matching the published
-    tables for p = 3, 4)."""
+    tables for p = 3, 4).
+
+    The cap max_p defaults to 4: phi at p = 5 walks 3^16 configurations and
+    runs for more than ten minutes.
+    """
     _check_p(p, max_p)
     blocks = 2 ** (p - 1)
     return [
@@ -203,37 +207,23 @@ def configuration_minor(config: tuple[BlockChoice, ...], p: int) -> Multigraph:
     return contract_doubled_edges(expand_configuration(config, p))
 
 
-def count_twofold_bruteforce(p: int, l: int = 2, f: int = 2, cap_bits: int = 17) -> int:
-    """Count of cyclic sequences of length f*l^p whose level-p window counts
-    are uniformly f, by exhaustive enumeration."""
+def _uniform_window_scan(p: int, l: int, f: int, cap_bits: int) -> list[CyclicSequence]:
+    """The necklaces of length f*l^p whose level-p window counts are all f,
+    found by scanning every necklace of that length."""
     if p < 1 or l < 2 or f < 1:
         raise DomainError("need p >= 1, l >= 2, f >= 1")
     n = f * l**p
-    if n * math.log2(l) > cap_bits:
-        raise ResourceCapError(f"{l}^{n} words exceed the {cap_bits}-bit cap")
+    necklaces = enumerate_necklaces(n, l, cap_bits)
     target = FrequencyVector(p, n, l, {j: f for j in range(l**p)})
-    total = 0
-    if l == 2:
-        for word in _binary_necklace_words(n):
-            if project(CyclicSequence(word, 2), p) == target:
-                total += 1
-        return total
-    for word in product(range(l), repeat=n):
-        s = canonicalize(word, l)
-        if tuple(word) == s.symbols and project(s, p) == target:
-            total += 1
-    return total
+    return [s for s in necklaces if project(s, p) == target]
+
+
+def count_twofold_bruteforce(p: int, l: int = 2, f: int = 2, cap_bits: int = 17) -> int:
+    """Count of cyclic sequences of length f*l^p whose level-p window counts
+    are uniformly f, by scanning every necklace."""
+    return len(_uniform_window_scan(p, l, f, cap_bits))
 
 
 def list_twofold_bruteforce(p: int) -> list[CyclicSequence]:
-    """The binary two-fold sequences themselves (small p)."""
-    n = 2 ** (p + 1)
-    if n > 16:
-        raise ResourceCapError("listing supported for p <= 3")
-    target = FrequencyVector(p, n, 2, {j: 2 for j in range(2**p)})
-    out = []
-    for word in _binary_necklace_words(n):
-        s = CyclicSequence(word, 2)
-        if project(s, p) == target:
-            out.append(s)
-    return out
+    """The binary two-fold sequences themselves (p <= 3)."""
+    return _uniform_window_scan(p, 2, 2, cap_bits=16)

@@ -249,6 +249,8 @@ def test_unprintable_counts_hit_the_cap_quickly(capsys, argv):
         ("euler-count", "--p", "1000000000"),
         ("lower", "--vector", json.dumps({"p": 1, "n": 300, "l": 3, "dense": [100, 100, 100]})),
         ("lower", "--raw", "--vector", json.dumps({"p": 0, "n": 10**6, "l": 3, "dense": [10**6]})),
+        ("twofold", "--p", "5"),
+        ("phi-table", "--p", "5"),
     ],
 )
 def test_costly_requests_hit_the_cap_quickly(capsys, argv):

@@ -96,12 +96,18 @@ def test_necklace_count_matches_enumeration():
             assert necklace_count(n, l) == len(all_necklaces(n, l))
 
 
-def test_enumerate_necklaces_sorted_and_complete():
-    got = enumerate_necklaces(6, 2)
-    assert len(got) == necklace_count(6, 2)
-    idx = [s.index() for s in got]
-    assert idx == sorted(idx, reverse=True)
-    assert set(got) == set(all_necklaces(6, 2))
+@pytest.mark.parametrize(
+    "l, n",
+    [(2, n) for n in range(1, 13)]
+    + [(3, n) for n in range(1, 8)]
+    + [(4, n) for n in range(1, 6)]
+    + [(5, n) for n in range(1, 5)],
+)
+def test_enumerate_necklaces_sorted_and_complete(l, n):
+    # the generator's order, not just its set: descending by index
+    got = enumerate_necklaces(n, l)
+    assert got == sorted(all_necklaces(n, l), key=CyclicSequence.index, reverse=True)
+    assert len(got) == necklace_count(n, l)
 
 
 def test_enumerate_necklaces_ternary():
