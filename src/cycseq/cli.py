@@ -31,12 +31,16 @@ def _parse_sequence(text: str, l: int) -> seqcore.CyclicSequence:
     return seqcore.sequence_from_string(text, l)
 
 
-def _check_printable(log10_digits: float) -> None:
-    """Refuse a count whose decimal digits, estimated as 10^log10_digits
-    before computing it, exceed Python's integer-to-string limit (absent
-    before Python 3.10.7, and 0 when switched off)."""
+def _check_printable(exceeds) -> None:
+    """Refuse a count, before computing it, when exceeds(limit) says its
+    decimal digits would pass Python's integer-to-string limit (absent
+    before Python 3.10.7, 0 when switched off, else at least 640).
+
+    The estimates compare an int argument with a float threshold, which
+    Python does exactly and without converting the int, so no size of the
+    argument overflows a float."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and log10_digits > math.log10(limit):
+    if limit and exceeds(limit):
         raise ResourceCapError(
             f"the count would have more than {limit} digits, "
             "the limit for printing an integer (sys.set_int_max_str_digits)"
@@ -47,7 +51,7 @@ def cmd_necklaces(args) -> None:
     n, l = args.n, args.alphabet
     if n >= 1 and l >= 2:
         # About l^n / n necklaces: n log10(l) digits.
-        _check_printable(math.log10(n * math.log10(l)))
+        _check_printable(lambda limit: n > limit / math.log10(l))
     out = {"count": str(seqcore.necklace_count(n, l))}
     if args.list:
         seqs = seqcore.enumerate_necklaces(args.n, args.alphabet, cap_bits=args.max_bits)
@@ -112,13 +116,19 @@ def cmd_debruijn_count(args) -> None:
 
 def _check_debruijn_printable(l: int, p: int) -> None:
     """The number of de Bruijn sequences of order p, (l!)^(l^(p-1)) / l^p,
-    has about l^(p-1) log10(l!) digits."""
-    _check_printable((p - 1) * math.log10(l) + math.log10(math.lgamma(l + 1) / math.log(10)))
+    has about l^(p-1) log10(l!) digits. log10(l!) > l once l > 27, so an
+    alphabet larger than the limit exceeds it at every p (and l! is then
+    never taken as a float)."""
+    _check_printable(
+        lambda limit: l > limit
+        or p - 1 > math.log(limit * math.log(10) / math.lgamma(l + 1), l)
+    )
 
 
-# Largest vertex count l^p of G_l(p) that euler-count admits: the dense
-# Bareiss determinant of its Laplacian takes about a second at (l, p) = (2, 8)
-# and (3, 5), but about eight at (2, 9).
+# Largest vertex count l^p of G_l(p) that euler-count admits. The sparse
+# cofactor takes at most 0.3 s below it, at (16, 2), but its fill-in grows
+# with the alphabet: about 1 s at (2, 10), (3, 6) and (5, 4), 2 s at (8, 3),
+# 24 s at (10, 3) and 32 s at (32, 2), so a plain vertex cap cannot go up.
 EULER_COUNT_MAX_VERTICES = 256
 
 

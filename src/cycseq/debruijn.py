@@ -220,7 +220,8 @@ def _best_count(edges: dict[tuple, int]) -> int:
     result = 1
     for d in out.values():
         result *= math.factorial(d - 1)
-    idx = {v: i for i, v in enumerate(branching)}
+    if not branching:
+        return result
     # Every chain of out-weight-1 vertices ends at a branching vertex: a
     # closed chain would be a whole component without one.
     rep = {v: v for v in branching}
@@ -234,14 +235,76 @@ def _best_count(edges: dict[tuple, int]) -> int:
             rep[u] = rep[v]
         return rep[v]
 
-    k = len(branching)
-    lap = [[0] * k for _ in range(k)]
+    # The Laplacian with the row and column of the first branching vertex
+    # removed, as sparse rows; a self-loop on a representative cancels.
+    root = branching[0]
+    rows: dict = {v: {} for v in branching[1:]}
     for (u, v), m in edges.items():
-        if u in idx:
-            i = idx[u]
-            lap[i][i] += m
-            lap[i][idx[representative(v)]] -= m
-    return result * integer_determinant([row[1:] for row in lap[1:]])
+        row = rows.get(u)
+        if row is None:
+            continue
+        r = representative(v)
+        if r != u:
+            row[u] = row.get(u, 0) + m
+            if r != root:
+                row[r] = row.get(r, 0) - m
+    return result * _laplacian_cofactor(rows)
+
+
+def _laplacian_cofactor(rows: dict) -> int:
+    """Determinant of a reduced Laplacian given as sparse rows
+    {i: {j: entry}} with no zero entries; the rows are consumed.
+
+    One vertex is eliminated at a time (a Schur complement), always on the
+    diagonal, choosing the vertex of least Markowitz count
+    (row nnz - 1)(column nnz - 1), the first in `rows` order on a tie. The
+    matrix is a nonsingular M-matrix (a balanced connected graph is strongly
+    connected), and Schur complements and positive row scalings keep it one,
+    so every pivot is positive and no row exchange is needed.
+
+    Each row r with a nonzero a in the pivot column v becomes
+    s row_r - t row_v, with g = gcd(pivot, a), s = pivot / g, t = a / g. That
+    scales the determinant by s, so det = (product of pivots) / (product of
+    the s), divided out exactly at the end.
+    """
+    cols: dict = {i: set() for i in rows}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+    num = den = 1
+    while rows:
+        v = min(rows, key=lambda i: (len(rows[i]) - 1) * (len(cols[i]) - 1))
+        pivot_row = rows.pop(v)
+        pivot = pivot_row.pop(v, 0)
+        if pivot <= 0:
+            raise ArithmeticError("non-positive pivot in a reduced Laplacian")
+        num *= pivot
+        below = cols.pop(v)
+        below.discard(v)
+        for j in pivot_row:
+            cols[j].discard(v)
+        for r in below:
+            row = rows[r]
+            a = row.pop(v)
+            g = math.gcd(pivot, a)
+            s, t = pivot // g, a // g
+            if s != 1:
+                den *= s
+                for j in row:
+                    row[j] *= s
+            for j, b in pivot_row.items():
+                x = row.get(j, 0) - t * b
+                if x:
+                    if j not in row:
+                        cols[j].add(r)
+                    row[j] = x
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(r)
+    det, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("the pivot product is not divisible by the row scalings")
+    return det
 
 
 def _window_graph(

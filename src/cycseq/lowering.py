@@ -24,33 +24,63 @@ STEP1_CAP = 1 << 14
 
 
 def _nonneg_matrices(row_sums: Sequence[int], col_sums: Sequence[int]):
-    """All non-negative integer matrices with the given margins."""
+    """All non-negative integer matrices with the given margins, in
+    lexicographic order of their rows, each as a tuple of its nonzero
+    (row, column, entry) cells.
+
+    The rows above the last are stepped like an odometer, in place: each
+    takes only what its columns have left, and the next row in order
+    raises the rightmost entry that can still grow and refills the entries
+    after it as far right as possible. With equal totals every such partial
+    matrix completes (the last row takes what is left), so no branch is dead.
+    """
     if sum(row_sums) != sum(col_sums):
         return
     l = len(row_sums)
-
-    def fill(rows_done: list[list[int]], cols_left: list[int]):
-        r = len(rows_done)
-        if r == l - 1:
-            last = cols_left
-            if all(c >= 0 for c in last) and sum(last) == row_sums[r]:
-                yield rows_done + [list(last)]
-            return
-
-        def row_options(remaining: int, j: int, prefix: list[int]):
-            if j == l - 1:
-                if 0 <= remaining <= cols_left[j]:
-                    yield prefix + [remaining]
-                return
-            for v in range(min(remaining, cols_left[j]) + 1):
-                yield from row_options(remaining - v, j + 1, prefix + [v])
-
-        for row in row_options(row_sums[r], 0, []):
-            yield from fill(
-                rows_done + [row], [c - v for c, v in zip(cols_left, row)]
-            )
-
-    yield from fill([], list(col_sums))
+    last = l - 1
+    cols = list(col_sums)  # what each column has left below the rows placed
+    cells: list[tuple[int, int, int]] = []  # nonzero cells of the rows placed
+    rows: list = [None] * l
+    r = 0
+    while r >= 0:
+        if r == last:
+            yield tuple(cells + [(r, a, c) for a, c in enumerate(cols) if c])
+            r -= 1
+            continue
+        row = rows[r]
+        if row is None:
+            row = rows[r] = [0] * l
+            j, rem = -1, row_sums[r]
+        else:
+            # Entry j can grow when its column has some left and a later
+            # entry of the row can give one up; entries j.. are taken back.
+            tail, j = row[last], last - 1
+            while j >= 0 and not (tail and cols[j]):
+                tail += row[j]
+                j -= 1
+            start = max(j, 0)
+            while cells and cells[-1][0] == r and cells[-1][1] >= start:
+                cells.pop()
+            for a in range(start, l):
+                cols[a] += row[a]
+            if j < 0:
+                rows[r] = None
+                r -= 1
+                continue
+            row[j] += 1
+            rem = tail - 1
+        k = last
+        while rem:
+            row[k] = v = cols[k] if cols[k] < rem else rem
+            rem -= v
+            k -= 1
+        row[j + 1 : k + 1] = [0] * (k - j)
+        for a in range(max(j, 0), l):
+            v = row[a]
+            if v:
+                cols[a] -= v
+                cells.append((r, a, v))
+        r += 1
 
 
 def _check_work(candidates: int) -> None:
@@ -66,10 +96,7 @@ def _block_solutions(rows: tuple, cols: tuple, blocks: dict) -> list:
     work cap."""
     sols = blocks.get((rows, cols))
     if sols is None:
-        sols = [
-            tuple((b, a, v) for b, row in enumerate(mat) for a, v in enumerate(row) if v)
-            for mat in islice(_nonneg_matrices(rows, cols), STEP1_CAP + 1)
-        ]
+        sols = list(islice(_nonneg_matrices(rows, cols), STEP1_CAP + 1))
         _check_work(len(sols))
         blocks[rows, cols] = sols
     return sols

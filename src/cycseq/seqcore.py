@@ -219,7 +219,10 @@ def enumerate_necklaces(
     """
     if n < 1 or l < 2:
         raise DomainError("need n >= 1 and l >= 2")
-    if n * math.log2(l) > cap_bits:
+    # n log2(l) > cap_bits in integers (log2(l) as the exact ratio of its
+    # float), so no size of n or cap_bits overflows a float.
+    num, den = math.log2(l).as_integer_ratio()
+    if n * num > cap_bits * den:
         raise ResourceCapError(
             f"enumeration of {l}^{n} words exceeds the {cap_bits}-bit cap"
         )

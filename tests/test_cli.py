@@ -232,6 +232,8 @@ def test_necklace_count_of_1000_prints(capsys):
         ("necklaces", "--n", "1000000000"),
         ("debruijn-count", "--p", "20"),
         ("euler-count", "--alphabet", "256", "--p", "1"),
+        ("necklaces", "--n", str(10**400)),
+        ("debruijn-count", "--p", str(10**400)),
     ],
 )
 def test_unprintable_counts_hit_the_cap_quickly(capsys, argv):
@@ -251,6 +253,8 @@ def test_unprintable_counts_hit_the_cap_quickly(capsys, argv):
         ("lower", "--raw", "--vector", json.dumps({"p": 0, "n": 10**6, "l": 3, "dense": [10**6]})),
         ("twofold", "--p", "5"),
         ("phi-table", "--p", "5"),
+        ("lower", "--vector", json.dumps({"p": 1, "n": 80, "l": 40, "dense": [2] * 40})),
+        ("lower", "--vector", json.dumps({"p": 1, "n": 160, "l": 80, "dense": [2] * 80})),
     ],
 )
 def test_costly_requests_hit_the_cap_quickly(capsys, argv):
@@ -261,7 +265,7 @@ def test_costly_requests_hit_the_cap_quickly(capsys, argv):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("l, p", [(2, 7), (3, 4)])
+@pytest.mark.parametrize("l, p", [(2, 7), (3, 4), (2, 8), (16, 2)])
 def test_euler_count_below_the_cap(capsys, l, p):
     # ec(G_l(p)) is the number of de Bruijn sequences of order p + 1
     euler = run_json(capsys, "euler-count", "--alphabet", str(l), "--p", str(p))

@@ -24,6 +24,7 @@ from cycseq import (
     subgraph_from_frequency,
     subgraph_to_dot,
 )
+from cycseq.debruijn import _laplacian_cofactor
 
 from conftest import all_necklaces, naive_euler_circuits
 
@@ -160,6 +161,73 @@ def test_contracted_euler_count_matches_brute_force_on_chains():
         assert count_eulerian_cycles(g) == naive_euler_circuits(edges), edges
         checked += 1
     assert checked > 100
+
+
+def _random_balanced_edges(rng, hubs, chain, reach):
+    """Edge multiplicities of a random balanced, strongly connected
+    multigraph on hubs + chain vertices: one Hamiltonian cycle 0 -> 1 -> ...,
+    and from every hub a closed walk through up to three more hubs (a
+    self-loop when there are none), each at most `reach` places away along
+    the hub order (anywhere when reach is None). The hubs are the branching
+    vertices; the other `chain` vertices keep out-weight 1."""
+    size = hubs + chain
+    hub = sorted(rng.sample(range(size), hubs))
+    edges = Counter(zip(range(size), [*range(1, size), 0]))
+    for i, v in enumerate(hub):
+        if reach is None:
+            walk = [v, *rng.sample(hub, rng.randrange(0, 4))]
+        else:
+            steps = [rng.randrange(-reach, reach + 1) for _ in range(rng.randrange(0, 4))]
+            walk = [v, *(hub[(i + d) % hubs] for d in steps)]
+        edges.update(zip(walk, walk[1:] + walk[:1]))
+    return dict(edges)
+
+
+def _dense_best_count(edges):
+    """prod (d - 1)! times the Bareiss determinant of the dense Laplacian
+    with the first vertex's row and column removed; no contraction."""
+    vertices = sorted({v for edge in edges for v in edge})
+    idx = {v: i for i, v in enumerate(vertices)}
+    lap = [[0] * len(vertices) for _ in vertices]
+    out = Counter()
+    for (u, v), m in edges.items():
+        lap[idx[u]][idx[u]] += m
+        lap[idx[u]][idx[v]] -= m
+        out[u] += m
+    factorials = math.prod(math.factorial(d - 1) for d in out.values())
+    return factorials * integer_determinant([row[1:] for row in lap[1:]])
+
+
+@pytest.mark.parametrize(
+    "hubs, chain, reach", [(50, 30, None), (100, 0, None), (200, 50, 8), (400, 0, 4)]
+)
+def test_sparse_cofactor_matches_dense_bareiss(hubs, chain, reach):
+    # the sparse Markowitz-order elimination against dense Bareiss on the
+    # whole uncontracted Laplacian
+    edges = _random_balanced_edges(random.Random(hubs), hubs, chain, reach)
+    g = Multigraph(edges=edges)
+    assert g.is_balanced() and g.is_connected()
+    assert count_eulerian_cycles(g) == _dense_best_count(edges)
+
+
+def test_sparse_cofactor_refuses_non_positive_pivots():
+    # a matrix that is no reduced Laplacian: [[1, 2], [3, 4]] leaves the
+    # pivot -2, and [[0, -1], [0, 1]] starts on a zero diagonal
+    with pytest.raises(ArithmeticError):
+        _laplacian_cofactor({0: {0: 1, 1: 2}, 1: {0: 3, 1: 4}})
+    with pytest.raises(ArithmeticError):
+        _laplacian_cofactor({0: {1: -1}, 1: {1: 1}})
+
+
+@pytest.mark.parametrize(
+    "l, p",
+    [(2, p) for p in range(1, 9)]
+    + [(3, p) for p in range(1, 6)]
+    + [(4, p) for p in range(1, 5)]
+    + [(6, 3), (16, 2)],
+)
+def test_euler_count_of_full_graph_is_debruijn_count(l, p):
+    assert count_eulerian_cycles(full_graph(l, p)) == count_debruijn_sequences(l, p + 1)
 
 
 def test_sequence_count_matches_enumeration_on_tree_nodes():

@@ -123,6 +123,13 @@ def test_enumerate_cap():
         enumerate_necklaces(20, 3, cap_bits=24)
 
 
+def test_enumerate_cap_on_huge_sizes():
+    # sizes past any float: the bit cap is compared in integers
+    with pytest.raises(ResourceCapError):
+        enumerate_necklaces(10**400, 3, cap_bits=10**399)
+    assert len(enumerate_necklaces(5, 2, cap_bits=10**400)) == 8
+
+
 def test_level1_cluster_sizes():
     assert level1_cluster_size([9, 2]) == 5
     assert level1_cluster_size([8, 3]) == 15

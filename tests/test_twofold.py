@@ -152,6 +152,12 @@ def test_bruteforce_cap():
         list_twofold_bruteforce(4)
 
 
+def test_bruteforce_cap_on_a_huge_length():
+    # n = 2^1101 is far past any float; the bit cap still refuses it
+    with pytest.raises(ResourceCapError):
+        count_twofold_bruteforce(1100)
+
+
 def test_assembly_matches_bruteforce_up_to_p2():
     for p in (1, 2):
         assert count_twofold(p) == count_twofold_bruteforce(p)
