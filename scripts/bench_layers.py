@@ -6,9 +6,11 @@ the median in seconds:
 - count_eulerian_cycles(full_graph(l, p)) at (l, p) = (2, 7), (2, 8), (3, 4)
   and (16, 2): one BEST count, whose cost is the Laplacian cofactor;
 - count_sequences_with_frequency over every node of the binary n = 16 half
-  tree (levels p >= 1): thousands of small BEST + Burnside counts.
+  tree (levels p >= 1): thousands of small BEST + Burnside counts;
+- build_tree(16, 2) and build_tree(16, 2, half_tree=True): lowering and
+  counting together, as the tree command runs them.
 
-The tree is built once, outside the timed region. Only public entry points
+For the counting case the tree is built once, outside the timed region. Only public entry points
 are called, so the script runs on any version of the package that has them.
 
 Usage: python3 scripts/bench_layers.py [--label NAME --into FILE]
@@ -38,6 +40,7 @@ from cycseq.debruijn import (  # noqa: E402
 )
 
 EULER_CASES = [(2, 7), (2, 8), (3, 4), (16, 2)]
+TREE_CASES = [(16, 2, False), (16, 2, True)]
 RUNS = 5
 
 
@@ -80,6 +83,9 @@ def measure() -> dict:
     vectors = _tree_vectors(16, 2, half_tree=True)
     name = f"count_sequences_with_frequency x {len(vectors)} (build_tree(16, 2, half_tree=True))"
     cases[name] = _median_s(lambda: [count_sequences_with_frequency(z) for z in vectors])
+    for n, l, half in TREE_CASES:
+        name = f"build_tree({n}, {l}{', half_tree=True' if half else ''})"
+        cases[name] = _median_s(lambda: build_tree(n, l, half_tree=half))
     return {
         "runs": RUNS,
         "statistic": "median seconds",

@@ -7,13 +7,14 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .debruijn import _count_from_edges
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector
-from .lowering import _lower, count_members
+from .lowering import _children
 
-# Unused here, but bench/spans.py wraps this module attribute by name; it
-# goes with the next change to the benchmark.
-from .lowering import lower  # noqa: F401
+# Unused here, but bench/spans.py wraps these module attributes by name;
+# they go with the next change to the benchmark.
+from .lowering import count_members, lower  # noqa: F401
 from .seqcore import level1_cluster_size, necklace_count
 
 DEFAULT_CAPS = {2: 16, 3: 9}
@@ -34,12 +35,10 @@ class ClusterTree:
     root: ClusterNode
 
 
-def _node_count(y: FrequencyVector) -> int:
-    if y.p == 0:
-        return necklace_count(y.n, y.l)
-    if y.p == 1:
-        return level1_cluster_size(y.dense())
-    return count_members(y)
+def _child_count(z: FrequencyVector, edges: dict) -> int:
+    if z.p == 1:
+        return level1_cluster_size(z.dense())
+    return _count_from_edges(z, edges)
 
 
 def build_tree(
@@ -70,14 +69,14 @@ def build_tree(
     def refine(node: ClusterNode):
         if node.count <= 1 or node.p >= max_p:
             return
-        children_vectors = _lower(node.freq, blocks)
-        if node.p == 0 and half_tree:
-            children_vectors = [
-                z for z in children_vectors if z.entry(1) <= n // 2
-            ]
-        for z in children_vectors:
-            child = ClusterNode(node.p + 1, z, _node_count(z))
-            node.children.append(child)
+        # Each child is counted from the edge map its lowering built; the
+        # edge maps are dropped before the children are refined.
+        node.children = [
+            ClusterNode(z.p, z, _child_count(z, edges))
+            for z, edges in _children(node.freq, blocks)
+            if not (half_tree and z.p == 1 and z.entry(1) > n // 2)
+        ]
+        for child in node.children:
             refine(child)
         if not (half_tree and node.p == 0):
             total = sum(c.count for c in node.children)
@@ -86,7 +85,7 @@ def build_tree(
             )
 
     root_freq = FrequencyVector(0, n, l, {0: n})
-    root = ClusterNode(0, root_freq, _node_count(root_freq))
+    root = ClusterNode(0, root_freq, necklace_count(n, l))
     refine(root)
     if half_tree:
         root.count = sum(c.count for c in root.children)

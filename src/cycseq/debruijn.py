@@ -13,6 +13,14 @@ from .seqcore import CyclicSequence, canonicalize, divisors, euler_totient
 
 DEFAULT_SEQUENCE_CAP = 20
 
+# Size cap of one BEST count: the branching vertices (out-weight >= 2) left
+# after the out-weight-1 contraction, checked before the Laplacian is built.
+# Measured in-process: G_2(9) (512 of them) 0.1 s, G_8(3) 1.8 s, G_22(2)
+# 2.4 s; past the cap G_2(10) 0.6 s, G_10(3) 24 s. The cofactor's fill-in,
+# not the vertex count, sets the cost: 512 hubs joined by random long
+# cycles take 28 s.
+BEST_MAX_BRANCHING = 512
+
 
 @dataclass(frozen=True)
 class DeBruijnGraph:
@@ -217,6 +225,10 @@ def _best_count(edges: dict[tuple, int]) -> int:
         out[u] = out.get(u, 0) + m
         succ[u] = v
     branching = sorted(v for v, d in out.items() if d >= 2)
+    if len(branching) > BEST_MAX_BRANCHING:
+        raise ResourceCapError(
+            f"{len(branching)} branching vertices exceed the BEST cap {BEST_MAX_BRANCHING}"
+        )
     result = 1
     for d in out.values():
         result *= math.factorial(d - 1)
@@ -312,13 +324,12 @@ def _window_graph(
     l: int,
     vsize: int,
     edges: dict | None = None,
-    flow: dict | None = None,
 ) -> bool:
     """Whether A[Z] is connected, from the (window index, count) pairs of a
     level-(p+1) vector, by a union-find over the l^p vertex indices.
 
     In the same pass, when given, `edges` collects the edge multiplicities
-    keyed by (tail, head) and `flow` the balance out - in of every vertex.
+    keyed by (tail, head).
     """
     parent: dict[int, int] = {}
     merges = 0
@@ -326,8 +337,6 @@ def _window_graph(
         t, h = e // l, e % vsize
         if edges is not None:
             edges[t, h] = edges.get((t, h), 0) + w
-            flow[t] = flow.get(t, 0) + w
-            flow[h] = flow.get(h, 0) - w
         parent.setdefault(t, t)
         parent.setdefault(h, h)
         rt, rh = _find(parent, t), _find(parent, h)
@@ -354,8 +363,17 @@ def count_sequences_with_frequency(z: FrequencyVector) -> int:
     if z.p < 1:
         raise DomainError("need a frequency vector at level >= 1")
     edges: dict[tuple[int, int], int] = {}
+    connected = _window_graph(z.items(), z.l, z.l ** (z.p - 1), edges)
+    return _count_from_edges(z, edges, connected)
+
+
+def _count_from_edges(z: FrequencyVector, edges: dict, connected: bool = True) -> int:
+    """count_sequences_with_frequency(z) from the edge multiplicities of
+    A[Z], keyed by (tail, head) as _window_graph collects them."""
     flow: dict[int, int] = {}
-    connected = _window_graph(z.items(), z.l, z.l ** (z.p - 1), edges, flow)
+    for (t, h), m in edges.items():
+        flow[t] = flow.get(t, 0) + m
+        flow[h] = flow.get(h, 0) - m
     if any(flow.values()):
         raise DomainError("frequency vector is not flow-balanced")
     if not connected:

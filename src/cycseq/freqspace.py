@@ -51,24 +51,27 @@ class FrequencyVector:
     def __init__(self, p: int, n: int, l: int, counts: Mapping[int, int]):
         if p < 0 or n < 1 or l < 2:
             raise DomainError("need p >= 0, n >= 1, l >= 2")
-        size = l**p
         cleaned: dict[int, int] = {}
         for j, c in counts.items():
             if c < 0:
                 raise DomainError(f"negative count {c} at index {j}")
-            if c == 0:
-                continue
-            if not (0 <= j < size):
-                raise DomainError(f"index {j} out of range for l^p = {size}")
-            cleaned[int(j)] = int(c)
+            if c:
+                cleaned[int(j)] = int(c)
         if sum(cleaned.values()) != n:
             raise DomainError(f"entries must sum to n = {n}")
+        items = tuple(sorted(cleaned.items()))
+        # l >= 2, so j < 2^p <= l^p whenever j has at most p bits; l^p is
+        # built only for an index longer than that, so a huge p costs nothing.
+        lo, hi = items[0][0], items[-1][0]
+        if lo < 0 or (hi.bit_length() > p and hi >= l**p):
+            bad = lo if lo < 0 else hi
+            raise DomainError(f"index {bad} out of range for l^p with l = {l}, p = {p}")
         self.p = p
         self.n = n
         self.l = l
         self._counts = cleaned
-        self._items = tuple(sorted(cleaned.items()))
-        self._hash = hash((p, n, l, self._items))
+        self._items = items
+        self._hash = hash((p, n, l, items))
 
     @classmethod
     def from_dense(cls, p: int, n: int, l: int, entries: Iterable[int]) -> "FrequencyVector":
@@ -114,7 +117,11 @@ class FrequencyVector:
 
     def to_obj(self) -> dict:
         obj: dict = {"p": self.p, "n": self.n, "l": self.l}
-        if self.l**self.p <= DENSE_SERIALIZATION_LIMIT:
+        # l >= 2, so l^p <= the limit only when 2^p is.
+        if (
+            self.p < DENSE_SERIALIZATION_LIMIT.bit_length()
+            and self.l**self.p <= DENSE_SERIALIZATION_LIMIT
+        ):
             obj["dense"] = self.dense()
         else:
             obj["sparse"] = {str(j + 1): c for j, c in self.items()}

@@ -8,7 +8,7 @@ import math
 from itertools import chain, islice, product
 from typing import Sequence
 
-from .debruijn import _window_graph, count_sequences_with_frequency
+from .debruijn import _find, _union_find, _window_graph, count_sequences_with_frequency
 
 # Unused here, but bench/spans.py wraps this module attribute by name; it
 # goes with the next change to the benchmark.
@@ -102,13 +102,41 @@ def _block_solutions(rows: tuple, cols: tuple, blocks: dict) -> list:
     return sols
 
 
+def _node_blocks(y: FrequencyVector, blocks: dict) -> list | None:
+    """(mid, solutions) of every step-1 block of y (p >= 1) that its nonzero
+    entries touch, in order of mid; None when some block has no solution.
+
+    The margins come from one pass over y's entries. Every block's solutions
+    are counted, and their product checked against STEP1_CAP, before the
+    caller builds the first candidate.
+    """
+    l, mid_size = y.l, y.l ** (y.p - 1)
+    margins: dict[int, tuple[list, list]] = {}
+    for w, c in y.items():
+        b, mid = divmod(w, mid_size)  # w = b . mid
+        if mid not in margins:
+            margins[mid] = ([0] * l, [0] * l)
+        margins[mid][0][b] = c
+        mid, a = divmod(w, l)  # w = mid . a
+        if mid not in margins:
+            margins[mid] = ([0] * l, [0] * l)
+        margins[mid][1][a] = c
+    out = []
+    work = 1
+    for mid in sorted(margins):
+        rows, cols = margins[mid]
+        sols = _block_solutions(tuple(rows), tuple(cols), blocks)
+        if not sols:
+            return None
+        work *= len(sols)
+        _check_work(work)
+        out.append((mid, sols))
+    return out
+
+
 def _step1(y: FrequencyVector, blocks: dict):
     """Step-1 candidates of y as {window index: count} dicts, in block
-    product order; `blocks` memoizes the block solutions by margins.
-
-    Every block's solutions are counted, and their product checked against
-    STEP1_CAP, before the first candidate is built.
-    """
+    product order; `blocks` memoizes the block solutions by margins."""
     p, n, l = y.p, y.n, y.l
     if p == 0:
         # Level 0 -> 1: any composition of n into l parts.
@@ -116,25 +144,14 @@ def _step1(y: FrequencyVector, blocks: dict):
         for comp in _compositions(n, l):
             yield {j: c for j, c in enumerate(comp) if c}
         return
-
-    top, mid_size = l**p, l ** (p - 1)
-    # Only blocks touched by nonzero Y entries can carry nonzero Z.
-    mids = set()
-    for w, _ in y.items():
-        mids.add(w % mid_size)  # w = b . mid
-        mids.add(w // l)  # w = mid . a
-    choices = []
-    work = 1
-    for mid in sorted(mids):
-        rows = tuple(y.entry(b * mid_size + mid) for b in range(l))
-        cols = tuple(y.entry(mid * l + a) for a in range(l))
-        sols = _block_solutions(rows, cols, blocks)
-        if not sols:
-            return
-        work *= len(sols)
-        _check_work(work)
-        base = mid * l
-        choices.append([tuple((b * top + base + a, v) for b, a, v in s) for s in sols])
+    node_blocks = _node_blocks(y, blocks)
+    if node_blocks is None:
+        return
+    top = l**p
+    choices = [
+        [tuple((b * top + mid * l + a, v) for b, a, v in s) for s in sols]
+        for mid, sols in node_blocks
+    ]
     for choice in product(*choices):
         yield dict(chain.from_iterable(choice))
 
@@ -176,15 +193,88 @@ def lower(y: FrequencyVector) -> list[FrequencyVector]:
 
 def _lower(y: FrequencyVector, blocks: dict) -> list[FrequencyVector]:
     """lower(y) with the block solutions memoized in `blocks`, which a whole
-    cluster tree shares; only connected candidates become vectors."""
+    cluster tree shares."""
+    return [z for z, _ in _children(y, blocks)]
+
+
+def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, dict]]:
+    """(z, edges) for every z of lower(y), in that order, where `edges` maps
+    each edge (tail, head) of A[Z] to its multiplicity, as _window_graph
+    collects it.
+
+    A[Z] has the support of y as its vertex set whatever the candidate. A
+    block with one solution is forced: all forced blocks are merged once
+    into a union-find over that support, and their windows and edges are
+    shared by every candidate. Each solution of the other blocks is
+    translated once into its windows, its edges and the merges it makes
+    between the forced components; a candidate is connected iff its merges
+    join those components into one, and only then does it become a vector.
+    """
     p, n, l = y.p + 1, y.n, y.l
-    vsize = l**y.p
-    out = [
-        FrequencyVector(p, n, l, c)
-        for c in _step1(y, blocks)
-        if _window_graph(c.items(), l, vsize)
-    ]
-    return sorted(out, key=FrequencyVector.sort_key)
+    if y.p == 0:
+        # A[Z] is G_l(0): one vertex whose l loops share the key (0, 0);
+        # _compositions gives the vectors in order.
+        return [(FrequencyVector(p, n, l, c), {(0, 0): n}) for c in _step1(y, blocks)]
+    node_blocks = _node_blocks(y, blocks)
+    if node_blocks is None:
+        return []
+    mid_size = l ** (y.p - 1)
+    base_windows: dict[int, int] = {}
+    base_edges: dict[tuple[int, int], int] = {}
+    free = []
+    for mid, sols in node_blocks:
+        if len(sols) > 1:
+            free.append((mid, sols))
+            continue
+        for b, a, v in sols[0]:
+            t, h = b * mid_size + mid, mid * l + a
+            base_windows[t * l + a] = v
+            base_edges[t, h] = v
+    parent = _union_find((w for w, _ in y.items()), base_edges)
+    label: dict[int, int] = {}  # forced component root -> 0..k-1
+    comp = {w: label.setdefault(_find(parent, w), len(label)) for w in parent}
+    k = len(label)
+
+    choices = []
+    for mid, sols in free:
+        options = []
+        for s in sols:
+            windows, edges, merges = [], [], set()
+            for b, a, v in s:
+                t, h = b * mid_size + mid, mid * l + a
+                windows.append((t * l + a, v))
+                edges.append(((t, h), v))
+                if comp[t] != comp[h]:
+                    merges.add((comp[t], comp[h]))
+            options.append((windows, edges, merges))
+        choices.append(options)
+
+    out = []
+    for choice in product(*choices):
+        if k > 1:
+            # A union-find over the forced components, inlined: this runs
+            # once per step-1 candidate.
+            link = list(range(k))
+            left = k
+            for _, _, merges in choice:
+                for u, v in merges:
+                    while link[u] != u:
+                        link[u] = u = link[link[u]]
+                    while link[v] != v:
+                        link[v] = v = link[link[v]]
+                    if u != v:
+                        link[u] = v
+                        left -= 1
+            if left != 1:
+                continue
+        counts = dict(base_windows)
+        edges = dict(base_edges)
+        for windows, edge_list, _ in choice:
+            counts.update(windows)
+            edges.update(edge_list)
+        out.append((FrequencyVector(p, n, l, counts), edges))
+    out.sort(key=lambda pair: pair[0].sort_key())
+    return out
 
 
 def count_members(z: FrequencyVector) -> int:

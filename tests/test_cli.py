@@ -64,6 +64,16 @@ def test_raise(capsys):
     assert obj["dense"] == [2, 1]
 
 
+def test_raise_at_a_huge_level(capsys):
+    # neither parsing nor printing builds l^p
+    vec = json.dumps({"p": 10**9, "n": 2, "l": 3, "sparse": {"1": 2}})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "raise", "--vector", vec)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out) == {"p": 10**9 - 1, "n": 2, "l": 3, "sparse": {"1": 2}}
+
+
 def test_raise_invalid_json(capsys):
     code, _, _ = run(capsys, "raise", "--vector", "{broken")
     assert code == 3

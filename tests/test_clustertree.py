@@ -7,12 +7,14 @@ from cycseq import (
     DomainError,
     ResourceCapError,
     build_tree,
+    count_sequences_with_frequency,
     export_tree,
     gamma_max,
     max_branching_level,
     necklace_count,
     predicted_max_branching_level,
     project,
+    subgraph_from_frequency,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
@@ -20,7 +22,8 @@ from cycseq import (
 )
 
 from cycseq.cli import main
-from cycseq.lowering import lower
+from cycseq.debruijn import _count_from_edges
+from cycseq.lowering import _children, lower
 
 from conftest import all_necklaces
 
@@ -187,6 +190,22 @@ def test_shared_block_cache_gives_fresh_lower_children(n, l):
     tree = build_tree(n, l)
     for node in _internal_nodes(tree.root):
         assert [c.freq for c in node.children] == lower(node.freq)
+
+
+@pytest.mark.parametrize("l, max_n, half", [(2, 14, False), (2, 14, True), (3, 8, False)])
+def test_children_edge_maps_and_counts(l, max_n, half):
+    # every child of every internal node: the edge map built while lowering
+    # is A[Z]'s, and the count taken from it is the primitive's and the tree's
+    blocks = {}
+    for n in range(2, max_n + 1):
+        for node in _internal_nodes(build_tree(n, l, half_tree=half).root):
+            pairs = _children(node.freq, blocks)
+            assert [z for z, _ in pairs] == lower(node.freq)
+            kids = {c.freq: c.count for c in node.children}
+            for z, edges in pairs:
+                assert edges == subgraph_from_frequency(z).edges
+                count = _count_from_edges(z, edges)
+                assert count == count_sequences_with_frequency(z) == kids.get(z, count), (n, z)
 
 
 # sha256 of the stdout of `cycseq tree --n N --alphabet L --format F [--half]`,

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from itertools import product
 
@@ -24,7 +25,7 @@ from cycseq import (
     subgraph_from_frequency,
     subgraph_to_dot,
 )
-from cycseq.debruijn import _laplacian_cofactor
+from cycseq.debruijn import BEST_MAX_BRANCHING, _laplacian_cofactor
 
 from conftest import all_necklaces, naive_euler_circuits
 
@@ -228,6 +229,24 @@ def test_sparse_cofactor_refuses_non_positive_pivots():
 )
 def test_euler_count_of_full_graph_is_debruijn_count(l, p):
     assert count_eulerian_cycles(full_graph(l, p)) == count_debruijn_sequences(l, p + 1)
+
+
+def test_best_cap_admits_g2_9():
+    # 512 branching vertices, the most the cap admits
+    g = full_graph(2, 9)
+    assert len(g.vertices) == BEST_MAX_BRANCHING
+    assert count_eulerian_cycles(g) == count_debruijn_sequences(2, 10)
+
+
+@pytest.mark.parametrize("l, p", [(2, 10), (10, 3)])
+def test_best_cap_refuses_large_graphs_quickly(l, p):
+    g = full_graph(l, p)
+    uniform = FrequencyVector(p + 1, l ** (p + 1), l, {j: 1 for j in range(l ** (p + 1))})
+    for count in (lambda: count_eulerian_cycles(g), lambda: count_sequences_with_frequency(uniform)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError):
+            count()
+        assert time.perf_counter() - start < 0.5
 
 
 def test_sequence_count_matches_enumeration_on_tree_nodes():

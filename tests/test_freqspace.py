@@ -190,3 +190,21 @@ def test_vector_validation():
         FrequencyVector(1, 3, 2, {2: 3})  # index out of range
     with pytest.raises(DomainError):
         FrequencyVector(1, 3, 2, {0: 4, 1: -1})
+
+
+def test_index_range_and_serialization_are_exact():
+    # the range check and the dense/sparse choice never build l^p, yet agree
+    # with it on either side of every boundary
+    for l in (2, 3, 5, 16, 64, 4096, 4097):
+        for p in range(0, 14):
+            size = l**p
+            if size > 10**7:
+                break
+            assert FrequencyVector(p, 1, l, {size - 1: 1}).entry(size - 1) == 1
+            with pytest.raises(DomainError):
+                FrequencyVector(p, 1, l, {size: 1})
+            with pytest.raises(DomainError):
+                FrequencyVector(p, 1, l, {-1: 1})
+            obj = FrequencyVector(p, 1, l, {0: 1}).to_obj()
+            assert ("dense" in obj) == (size <= 4096), (l, p)
+

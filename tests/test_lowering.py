@@ -20,7 +20,7 @@ from cycseq import (
     subgraph_from_frequency,
     wavelet_basis,
 )
-from cycseq.lowering import STEP1_CAP, _lower
+from cycseq.lowering import STEP1_CAP, _children, _lower
 
 from conftest import all_necklaces
 
@@ -97,6 +97,15 @@ def test_lower_is_connected_step1_in_order():
             ]
             assert lower(y) == expected, (n, l, y)
             assert _lower(y, {}) == expected, (n, l, y)
+
+
+def test_children_of_a_forced_disconnected_node():
+    # 00 and 11 twice each: both blocks have one solution, the two self-loops
+    # 000 and 111, which leave A[Z] in two pieces
+    y = FrequencyVector(2, 4, 2, {0: 2, 3: 2})
+    assert [z.dense() for z in solve_step1(y)] == [[2, 0, 0, 0, 0, 0, 0, 2]]
+    assert _children(y, {}) == []
+    assert lower(y) == []
 
 
 def test_step1_work_cap():
