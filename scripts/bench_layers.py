@@ -8,7 +8,11 @@ the median in seconds:
 - count_sequences_with_frequency over every node of the binary n = 16 half
   tree (levels p >= 1): thousands of small BEST + Burnside counts;
 - build_tree(16, 2) and build_tree(16, 2, half_tree=True): lowering and
-  counting together, as the tree command runs them.
+  counting together, as the tree command runs them;
+- twofold_table(4): the per-k Phi, PermNo and cofactor rows that
+  `twofold --p 4 --table` prints, nearly all of it Phi;
+- count_twofold_exact(8, max_p=8): one BEST + Burnside count on the doubled
+  graph G_2(8).
 
 For the counting case the tree is built once, outside the timed region. Only public entry points
 are called, so the script runs on any version of the package that has them.
@@ -38,6 +42,7 @@ from cycseq.debruijn import (  # noqa: E402
     count_sequences_with_frequency,
     full_graph,
 )
+from cycseq.twofold import count_twofold_exact, twofold_table  # noqa: E402
 
 EULER_CASES = [(2, 7), (2, 8), (3, 4), (16, 2)]
 TREE_CASES = [(16, 2, False), (16, 2, True)]
@@ -86,6 +91,8 @@ def measure() -> dict:
     for n, l, half in TREE_CASES:
         name = f"build_tree({n}, {l}{', half_tree=True' if half else ''})"
         cases[name] = _median_s(lambda: build_tree(n, l, half_tree=half))
+    cases["twofold_table(4)"] = _median_s(lambda: twofold_table(4))
+    cases["count_twofold_exact(8, max_p=8)"] = _median_s(lambda: count_twofold_exact(8, max_p=8))
     return {
         "runs": RUNS,
         "statistic": "median seconds",

@@ -58,7 +58,7 @@ class DeBruijnGraph:
         return mat
 
 
-def _find(parent: dict, v):
+def _find(parent: dict | list, v):
     """Root of v's class; halves the path on the way up."""
     while parent[v] != v:
         parent[v] = parent[parent[v]]
@@ -393,13 +393,35 @@ def _count_from_edges(z: FrequencyVector, edges: dict, connected: bool = True) -
     return necklaces
 
 
-def count_debruijn_sequences(l: int, p: int) -> int:
-    """(l!)^(l^(p-1)) / l^p, exact."""
+def count_multi_debruijn(l: int, p: int, f: int) -> int:
+    """Number of cyclic sequences of length f * l^p in which every p-window
+    occurs exactly f times (f-fold de Bruijn sequences), exact:
+
+        (1/(f l^p)) sum_{d | f} phi(d) ((f l/d)!)^(l^(p-1)) / ((f/d)!)^(l^p).
+
+    BEST on G_l(p-1) with every edge f times over, whose arborescences number
+    l^(l^(p-1) - p), then Burnside over rotations; Tesler, "Multi de Bruijn
+    sequences" (J. Comb. 2017). Each summand is a power of the multinomial
+    (f l/d)! / ((f/d)!)^l.
+    """
     if p < 1 or l < 2:
         raise DomainError("need p >= 1 and l >= 2")
-    num = math.factorial(l) ** (l ** (p - 1))
-    assert num % l**p == 0
-    return num // l**p
+    if f < 1:
+        raise DomainError("need f >= 1")
+    vertices = l ** (p - 1)
+    total = 0
+    for d in divisors(f):
+        multinomial = math.factorial(f * l // d) // math.factorial(f // d) ** l
+        total += euler_totient(d) * multinomial**vertices
+    count, rem = divmod(total, f * l**p)
+    if rem:
+        raise ArithmeticError(f"Burnside sum {total} is not divisible by f l^p = {f * l**p}")
+    return count
+
+
+def count_debruijn_sequences(l: int, p: int) -> int:
+    """(l!)^(l^(p-1)) / l^p, exact: the f = 1 case of count_multi_debruijn."""
+    return count_multi_debruijn(l, p, 1)
 
 
 def enumerate_sequences_with_frequency(

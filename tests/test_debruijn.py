@@ -17,6 +17,7 @@ from cycseq import (
     contract_doubled_edges,
     count_debruijn_sequences,
     count_eulerian_cycles,
+    count_multi_debruijn,
     count_sequences_with_frequency,
     enumerate_sequences_with_frequency,
     full_graph,
@@ -283,6 +284,25 @@ def test_debruijn_count_closed_form():
         assert count_debruijn_sequences(l, p) == count_eulerian_cycles(
             full_graph(l, p - 1)
         )
+
+
+def test_multi_debruijn_matches_the_uniform_vector_count():
+    checked = 0
+    for l in (2, 3, 4):
+        for p in (1, 2, 3, 4):
+            for f in (1, 2, 3, 4, 6):
+                if f * l**p > 400:
+                    continue
+                z = FrequencyVector(p, f * l**p, l, {j: f for j in range(l**p)})
+                assert count_multi_debruijn(l, p, f) == count_sequences_with_frequency(z), (l, p, f)
+                checked += 1
+    assert checked == 55
+
+
+def test_multi_debruijn_refuses_bad_arguments():
+    for l, p, f in ((1, 2, 1), (2, 0, 1), (2, 2, 0), (2, 2, -1)):
+        with pytest.raises(DomainError):
+            count_multi_debruijn(l, p, f)
 
 
 def test_enumerate_debruijn_order3():

@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -10,6 +10,7 @@ from cycseq import (
     ResourceCapError,
     configuration_minor,
     count_eulerian_cycles,
+    count_multi_debruijn,
     count_sequences_with_frequency,
     count_twofold,
     count_twofold_bruteforce,
@@ -27,6 +28,7 @@ from cycseq import (
     subgraph_from_frequency,
     twofold_table,
 )
+from cycseq.twofold import _block_edges
 
 U, UP, LO = BlockChoice.UNIFORM, BlockChoice.UPPER, BlockChoice.LOWER
 
@@ -95,6 +97,46 @@ def test_phi_closed_forms():
         assert phi(p, blocks - 1) == 2**p - 2
         assert phi(p, blocks - 2) == 2 * (blocks - 1) * (blocks - 2) - (1 if p == 3 else 0)
         assert phi(p, 1) == 2 ** (blocks - 1)
+
+
+def _phi_scan(p, k, prune):
+    """Phi by scanning every configuration with k uniform blocks and
+    testing the connectivity of its expanded subgraph."""
+    blocks = 2 ** (p - 1)
+    total = 0
+    for uniform_at in combinations(range(blocks), k):
+        rest = [m for m in range(blocks) if m not in uniform_at]
+        for assignment in product((UP, LO), repeat=len(rest)):
+            config = [U] * blocks
+            for m, choice in zip(rest, assignment):
+                config[m] = choice
+            if prune and UP in (config[0], config[-1]):
+                continue  # weight 2 on the first or last window: disconnected
+            if subgraph_from_frequency(expand_configuration(tuple(config), p)).is_connected():
+                total += 1
+    return total
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_phi_matches_configuration_scan(p):
+    for k in range(2 ** (p - 1) + 1):
+        for prune in (True, False):
+            assert phi(p, k, prune=prune) == _phi_scan(p, k, prune), (p, k, prune)
+
+
+def test_block_edges_are_the_windows_each_block_sets():
+    # block m's windows are exactly the edges with tail m or m + 2^(p-1)
+    for p in (1, 2, 3, 4):
+        blocks = 2 ** (p - 1)
+        table = _block_edges(p)
+        assert len(table) == blocks
+        for m, options in enumerate(table):
+            assert [choice for choice, _ in options] == [U, UP, LO]
+            for choice, pairs in options:
+                config = tuple(choice if j == m else U for j in range(blocks))
+                edges = subgraph_from_frequency(expand_configuration(config, p)).edges
+                own = {e for e in edges if e[0] in (m, m + blocks)}
+                assert sorted(pairs) == sorted(own), (p, m, choice)
 
 
 def test_minor_adjacency_and_cofactors():
@@ -208,7 +250,15 @@ def test_sequence_count_matches_ffold_bruteforce():
     cases = [(2, 2, 2), (3, 2, 2), (1, 3, 2), (1, 2, 3), (2, 2, 3), (1, 3, 3), (2, 3, 1), (3, 2, 1)]
     for p, l, f in cases:
         z = FrequencyVector(p, f * l**p, l, {j: f for j in range(l**p)})
-        assert count_sequences_with_frequency(z) == count_twofold_bruteforce(p, l, f), (p, l, f)
+        brute = count_twofold_bruteforce(p, l, f)
+        assert count_sequences_with_frequency(z) == brute, (p, l, f)
+        assert count_multi_debruijn(l, p, f) == brute, (p, l, f)
+
+
+def test_multi_debruijn_matches_exact_twofold_count():
+    for p in range(1, 9):
+        assert count_multi_debruijn(2, p, 2) == count_twofold_exact(p, max_p=8), p
+    assert count_multi_debruijn(2, 5, 2) == 44079843328
 
 
 def test_members_of_exact_count_are_twofold():
@@ -229,3 +279,7 @@ def test_caps_and_domains():
         phi(3, 5)
     with pytest.raises(DomainError):
         permutation_count(3, -1)
+    # p < 1 has no blocks; 2 ** (p - 1) would be a float
+    for call in (lambda: phi(0, 0), lambda: phi(-1, 0), lambda: permutation_count(0, 0)):
+        with pytest.raises(DomainError):
+            call()
