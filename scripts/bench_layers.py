@@ -13,6 +13,9 @@ the median in seconds:
   `twofold --p 4 --table` prints, nearly all of it Phi;
 - count_twofold_exact(8, max_p=8): one BEST + Burnside count on the doubled
   graph G_2(8).
+- enumerate_necklaces(20, 2) and [str(s) for s in enumerate_necklaces(11, 3)]:
+  FKM generation with the canonical check of every necklace, and printing,
+  as `necklaces --list` runs them.
 
 For the counting case the tree is built once, outside the timed region. Only public entry points
 are called, so the script runs on any version of the package that has them.
@@ -42,6 +45,7 @@ from cycseq.debruijn import (  # noqa: E402
     count_sequences_with_frequency,
     full_graph,
 )
+from cycseq.seqcore import enumerate_necklaces  # noqa: E402
 from cycseq.twofold import count_twofold_exact, twofold_table  # noqa: E402
 
 EULER_CASES = [(2, 7), (2, 8), (3, 4), (16, 2)]
@@ -93,6 +97,10 @@ def measure() -> dict:
         cases[name] = _median_s(lambda: build_tree(n, l, half_tree=half))
     cases["twofold_table(4)"] = _median_s(lambda: twofold_table(4))
     cases["count_twofold_exact(8, max_p=8)"] = _median_s(lambda: count_twofold_exact(8, max_p=8))
+    cases["enumerate_necklaces(20, 2)"] = _median_s(lambda: enumerate_necklaces(20, 2))
+    cases["[str(s) for s in enumerate_necklaces(11, 3)]"] = _median_s(
+        lambda: [str(s) for s in enumerate_necklaces(11, 3)]
+    )
     return {
         "runs": RUNS,
         "statistic": "median seconds",

@@ -73,6 +73,25 @@ def _max_rotation_offset(word: Sequence[int]) -> int:
     return k
 
 
+def _is_max_rotation(word: Sequence[int]) -> bool:
+    """True when word is its own maximal rotation, in one forward pass.
+
+    The prenecklace test of FKM (Cattell et al., 2000; Duval, 1983) with
+    the letter order reversed: p is the period of the longest prenecklace
+    prefix, and the word is a necklace's maximal rotation iff it is a
+    prenecklace whose period divides its length. O(n).
+    """
+    p = 1
+    for i in range(1, len(word)):
+        a = word[i]
+        b = word[i - p]
+        if a != b:
+            if a > b:
+                return False
+            p = i + 1
+    return len(word) % p == 0
+
+
 @dataclass(frozen=True)
 class CyclicSequence:
     """A length-n word over letters 0..l-1, stored as its canonical rotation.
@@ -90,12 +109,13 @@ class CyclicSequence:
             raise DomainError("alphabet size must be >= 2")
         if len(self.symbols) < 1:
             raise DomainError("sequence must be non-empty")
-        for a in self.symbols:
-            if not (0 <= a < self.alphabet_size):
-                raise DomainError(
-                    f"symbol {a} out of range for alphabet of size {self.alphabet_size}"
-                )
-        if _max_rotation_offset(self.symbols) != 0:
+        if min(self.symbols) < 0 or max(self.symbols) >= self.alphabet_size:
+            for a in self.symbols:
+                if not (0 <= a < self.alphabet_size):
+                    raise DomainError(
+                        f"symbol {a} out of range for alphabet of size {self.alphabet_size}"
+                    )
+        if not _is_max_rotation(self.symbols):
             raise DomainError("symbols are not in canonical rotation; use canonicalize()")
 
     @property
@@ -229,11 +249,14 @@ def enumerate_necklaces(
     return [CyclicSequence(word, l) for word in _necklace_words(n, l)]
 
 
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def sequence_to_string(s: CyclicSequence) -> str:
     """Digit string for l <= 10, comma-separated integers otherwise."""
     if s.alphabet_size <= 10:
-        return "".join(str(a) for a in s.symbols)
-    return ",".join(str(a) for a in s.symbols)
+        return bytes(s.symbols).translate(_DIGITS).decode()
+    return ",".join(map(str, s.symbols))
 
 
 def sequence_from_string(text: str, alphabet_size: int) -> CyclicSequence:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -39,6 +40,30 @@ def test_necklaces_list(capsys):
     obj = run_json(capsys, "necklaces", "--n", "3", "--list")
     assert obj["count"] == "4"
     assert obj["necklaces"] == ["111", "110", "100", "000"]
+
+
+# sha256 of the stdout of `cycseq necklaces --n N --alphabet L --list`, pinned
+# so that a faster generator, check or printer cannot reorder or reformat a
+# single necklace; (3, 12) covers the comma form of alphabets past 10.
+NECKLACE_DIGESTS = [
+    (18, 2, "0d88335d523a1e5aa30c134fc29ea0c1e86aab9477787557a717d9492bd1bc0a"),
+    (19, 2, "e030fa55e81fd4d82ebb054b53180c384cd043b24a71e30e51baea9a5911debe"),
+    (20, 2, "b3c4a873f6f2fc6f6a22299308b8217f4b6b6483c103aff7b3118f21f3b8d3f1"),
+    (10, 3, "33ae378083589f0a79a5a31303bb015e7ca6be8d6b60682a61a5363263eaf290"),
+    (11, 3, "92c4405d2175fef42ce9ec9ebb1d4936462229ff0630901a1dff09d4b3481984"),
+    (6, 4, "7072e192b71dc94c238fc01e68e67300112abf7b1e04098733428386dceb7924"),
+    (5, 5, "a537adf381f53234ba462d6c8c29030e284145a2fd6f39cb10e6f15722d70132"),
+    (3, 11, "34d763d99320aaa47048c2e24a7097bf39748245641d6bd06d498d4639ad91d3"),
+    (1, 2, "f56058a5da5e30081da90fc99e55d1264080a9477a719e31c137a14e9b18fd2b"),
+    (3, 12, "a44a0881e3a8804d385eb4795ee242409ecd75e0184444522019eb5e1ae3a752"),
+]
+
+
+@pytest.mark.parametrize("n, l, digest", NECKLACE_DIGESTS, ids=[f"{n}-{l}" for n, l, _ in NECKLACE_DIGESTS])
+def test_necklaces_list_output_is_pinned(capsys, n, l, digest):
+    code, out, _ = run(capsys, "necklaces", "--n", str(n), "--alphabet", str(l), "--list")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_necklaces_cap_exit_code(capsys):

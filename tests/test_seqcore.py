@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from itertools import product
 
@@ -20,6 +21,7 @@ from cycseq import (
     sequence_to_string,
     shift,
 )
+from cycseq.seqcore import _is_max_rotation, _max_rotation_offset
 
 from conftest import all_necklaces, naive_canonical
 
@@ -62,6 +64,46 @@ def test_canonical_form_is_validated():
         CyclicSequence((0, 0, 1), 2)
     # the maximal rotation is accepted
     assert CyclicSequence((1, 0, 0), 2).index() == 5
+
+
+def test_canonical_form_is_validated_on_every_rotation():
+    for n in range(1, 7):
+        for word in product(range(3), repeat=n):
+            if naive_canonical(word) == word:
+                assert CyclicSequence(word, 3).symbols == word
+            else:
+                with pytest.raises(DomainError, match="canonical rotation"):
+                    CyclicSequence(word, 3)
+
+
+def test_range_error_names_first_bad_symbol():
+    with pytest.raises(DomainError, match="symbol 3 out of range"):
+        CyclicSequence((2, 3, 5), 3)
+    with pytest.raises(DomainError, match="symbol -1 out of range"):
+        CyclicSequence((1, -1, 4), 3)
+
+
+@pytest.mark.parametrize("l, max_n", [(2, 14), (3, 9), (4, 7)])
+def test_is_max_rotation_matches_booth_on_every_word(l, max_n):
+    for n in range(1, max_n + 1):
+        for word in product(range(l), repeat=n):
+            assert _is_max_rotation(word) == (_max_rotation_offset(word) == 0), word
+
+
+def test_is_max_rotation_matches_booth_on_random_words():
+    # maximal rotations, their powers (periodic words), prefixes of those
+    # powers (prenecklaces that need not be necklaces) and other rotations
+    rng = random.Random(20000)
+    for _ in range(300):
+        l = rng.randint(2, 5)
+        w = [rng.randrange(l) for _ in range(rng.randint(1, rng.choice((12, 200))))]
+        k = _max_rotation_offset(w)
+        top = w[k:] + w[:k]
+        power = top * rng.randint(1, 200 // len(top))
+        cases = [w, top, power, power[: rng.randint(1, len(power))]]
+        cases += [power[r:] + power[:r] for r in rng.sample(range(len(power)), min(5, len(power)))]
+        for word in cases:
+            assert _is_max_rotation(word) == (_max_rotation_offset(word) == 0), word
 
 
 def test_index_examples():
@@ -161,6 +203,13 @@ def test_string_round_trip():
     big = canonicalize([11, 0, 3], 12)
     assert "," in sequence_to_string(big)
     assert sequence_from_string(sequence_to_string(big), 12) == big
+
+
+@pytest.mark.parametrize("l", [2, 3, 9, 10, 11, 12])
+def test_string_is_one_token_per_symbol(l):
+    sep = "" if l <= 10 else ","
+    for s in enumerate_necklaces(3, l):
+        assert sequence_to_string(s) == sep.join(str(a) for a in s.symbols)
 
 
 def test_string_rejects_garbage():

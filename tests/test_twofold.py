@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations, product
 
 import pytest
@@ -259,6 +260,15 @@ def test_multi_debruijn_matches_exact_twofold_count():
     for p in range(1, 9):
         assert count_multi_debruijn(2, p, 2) == count_twofold_exact(p, max_p=8), p
     assert count_multi_debruijn(2, 5, 2) == 44079843328
+
+
+def test_exact_count_default_cap():
+    # the default cap admits p = 8 (about 12 ms) and refuses p = 11 at once
+    assert count_twofold_exact(8) == count_multi_debruijn(2, 8, 2)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        count_twofold_exact(11)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_members_of_exact_count_are_twofold():
