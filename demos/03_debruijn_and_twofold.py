@@ -43,3 +43,4 @@ for p in (1, 2, 3):
         f"brute force {count_twofold_bruteforce(p)}"
     )
 print("\norder 4: assembly", count_twofold(4), "per-configuration", count_twofold_exact(4))
+print("order 5: assembly", count_twofold(5), "per-configuration", count_twofold_exact(5))

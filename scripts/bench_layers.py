@@ -9,8 +9,11 @@ the median in seconds:
   tree (levels p >= 1): thousands of small BEST + Burnside counts;
 - build_tree(16, 2) and build_tree(16, 2, half_tree=True): lowering and
   counting together, as the tree command runs them;
-- twofold_table(4): the per-k Phi, PermNo and cofactor rows that
-  `twofold --p 4 --table` prints, nearly all of it Phi;
+- twofold_table(4) and twofold_table(5, max_p=5): the per-k Phi, PermNo and
+  cofactor rows that `twofold --p 4 --table` and `--p 5 --table` print.
+  Where the package caches the Phi row (twofold._phi_row), the cache is
+  cleared before every run, outside the timed region, so the Phi
+  computation is timed and not a cache lookup;
 - count_twofold_exact(8, max_p=8): one BEST + Burnside count on the doubled
   graph G_2(8).
 - enumerate_necklaces(20, 2) and [str(s) for s in enumerate_necklaces(11, 3)]:
@@ -18,7 +21,8 @@ the median in seconds:
   as `necklaces --list` runs them.
 
 For the counting case the tree is built once, outside the timed region. Only public entry points
-are called, so the script runs on any version of the package that has them.
+are called (and the Phi cache cleared when there is one), so the script runs
+on any version of the package that has them.
 
 Usage: python3 scripts/bench_layers.py [--label NAME --into FILE]
 
@@ -39,6 +43,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from cycseq import twofold  # noqa: E402
 from cycseq.clustertree import build_tree  # noqa: E402
 from cycseq.debruijn import (  # noqa: E402
     count_eulerian_cycles,
@@ -53,9 +58,13 @@ TREE_CASES = [(16, 2, False), (16, 2, True)]
 RUNS = 5
 
 
-def _median_s(fn) -> float:
+def _median_s(fn, before=None) -> float:
+    """Median of RUNS timed calls of fn; `before`, when given, runs ahead of
+    each call, outside the timed region."""
     times = []
     for _ in range(RUNS):
+        if before is not None:
+            before()
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
@@ -95,7 +104,10 @@ def measure() -> dict:
     for n, l, half in TREE_CASES:
         name = f"build_tree({n}, {l}{', half_tree=True' if half else ''})"
         cases[name] = _median_s(lambda: build_tree(n, l, half_tree=half))
-    cases["twofold_table(4)"] = _median_s(lambda: twofold_table(4))
+    phi_cache = getattr(twofold, "_phi_row", None)
+    clear = phi_cache.cache_clear if phi_cache is not None else None
+    cases["twofold_table(4)"] = _median_s(lambda: twofold_table(4), clear)
+    cases["twofold_table(5, max_p=5)"] = _median_s(lambda: twofold_table(5, max_p=5), clear)
     cases["count_twofold_exact(8, max_p=8)"] = _median_s(lambda: count_twofold_exact(8, max_p=8))
     cases["enumerate_necklaces(20, 2)"] = _median_s(lambda: enumerate_necklaces(20, 2))
     cases["[str(s) for s in enumerate_necklaces(11, 3)]"] = _median_s(

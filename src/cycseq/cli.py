@@ -1,7 +1,9 @@
 """Command-line interface: every subcommand writes one JSON document to
 stdout (or DOT/Newick/CSV text when --format asks for it).
 
-Exit codes: 0 success, 2 usage error, 3 domain error, 4 resource cap.
+Exit codes: 0 success, 2 usage error, 3 domain error, 4 resource cap,
+5 output error. A reader that closes the pipe early (`| head`) is not an
+error: the command stops quietly and exits 0.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import clustertree, debruijn, freqspace, lowering, seqcore, twofold
@@ -108,20 +111,28 @@ def cmd_tree(args) -> None:
 
 
 def cmd_debruijn_count(args) -> None:
-    l, p = args.alphabet, args.p
-    if p >= 1 and l >= 2:
-        _check_debruijn_printable(l, p)
-    _emit({"count": str(debruijn.count_debruijn_sequences(l, p))})
+    l, p, f = args.alphabet, args.p, args.fold
+    if p >= 1 and l >= 2 and f >= 1:
+        _check_debruijn_printable(l, p, f)
+    _emit({"count": str(debruijn.count_multi_debruijn(l, p, f))})
 
 
-def _check_debruijn_printable(l: int, p: int) -> None:
-    """The number of de Bruijn sequences of order p, (l!)^(l^(p-1)) / l^p,
-    has about l^(p-1) log10(l!) digits. log10(l!) > l once l > 27, so an
-    alphabet larger than the limit exceeds it at every p (and l! is then
-    never taken as a float)."""
+def _check_debruijn_printable(l: int, p: int, f: int = 1) -> None:
+    """The number of f-fold de Bruijn sequences of order p is about
+    M^(l^(p-1)) for the multinomial M = (f l)! / (f!)^l (count_multi_debruijn),
+    so it has about l^(p-1) log10(M) digits; at f = 1, M = l!.
+
+    M is at least l! and at least C(2f, f). log10(l!) > l once l > 27, and
+    log10 C(2f, f) > f / 2 once f > 6, so an alphabet larger than the
+    limit, or a fold more than twice the limit, exceeds it at every p (and
+    lgamma is then never asked for a number past a float)."""
     _check_printable(
         lambda limit: l > limit
-        or p - 1 > math.log(limit * math.log(10) / math.lgamma(l + 1), l)
+        or f > 2 * limit
+        or p - 1
+        > math.log(
+            limit * math.log(10) / (math.lgamma(f * l + 1) - l * math.lgamma(f + 1)), l
+        )
     )
 
 
@@ -224,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("debruijn-count", help="closed-form de Bruijn sequence count")
     sp.add_argument("--alphabet", type=int, default=2)
     sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--fold", type=int, default=1, help="count f-fold sequences")
     sp.set_defaults(func=cmd_debruijn_count)
 
     sp = sub.add_parser("euler-count", help="Eulerian cycles of the full graph G_l(p)")
@@ -234,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("twofold", help="count two-fold de Bruijn sequences")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--table", action="store_true")
-    sp.add_argument("--max-p", type=int, default=4)
+    sp.add_argument("--max-p", type=int, default=5)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(func=cmd_twofold)
 
@@ -246,17 +258,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point the file descriptor under stdout at os.devnull, so that the
+    flush at interpreter exit does not hit the closed pipe again. A stdout
+    with no descriptor (captured in memory) is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        _silence_stdout()
+        return 0
+    except OSError as exc:
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 5
     return 0
 
 

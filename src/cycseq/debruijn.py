@@ -66,15 +66,25 @@ def _find(parent: dict | list, v):
     return v
 
 
-def _union_find(vertices: Iterable, pairs: Iterable[tuple]) -> dict:
-    """Parent map over `vertices` with the two ends of every pair merged;
-    a vertex is a class root exactly when it is its own parent."""
+def _union_find(pairs: Iterable[tuple], vertices: Iterable = ()) -> tuple[dict, int]:
+    """Parent map over `vertices` and the ends of every pair, with the two
+    ends of every pair merged, and the number of merges made. A vertex is a
+    class root exactly when it is its own parent, so the classes number
+    len(parent) - merges."""
     parent = {v: v for v in vertices}
+    merges = 0
     for u, v in pairs:
-        ru, rv = _find(parent, u), _find(parent, v)
+        # Most ends are roots already; only the others climb.
+        ru = parent.setdefault(u, u)
+        if ru != u:
+            ru = _find(parent, ru)
+        rv = parent.setdefault(v, v)
+        if rv != v:
+            rv = _find(parent, rv)
         if ru != rv:
             parent[ru] = rv
-    return parent
+            merges += 1
+    return parent, merges
 
 
 class Multigraph:
@@ -109,8 +119,8 @@ class Multigraph:
         at least one edge; an edgeless graph is not connected."""
         if not self.edges:
             return False
-        parent = _union_find({v for edge in self.edges for v in edge}, self.edges)
-        return sum(1 for v, r in parent.items() if v == r) == 1
+        parent, merges = _union_find(self.edges)
+        return len(parent) - merges == 1
 
 
 # The old name of the type subgraph_from_frequency returns. Code that still
@@ -331,18 +341,15 @@ def _window_graph(
     In the same pass, when given, `edges` collects the edge multiplicities
     keyed by (tail, head).
     """
-    parent: dict[int, int] = {}
-    merges = 0
-    for e, w in windows:
-        t, h = e // l, e % vsize
-        if edges is not None:
-            edges[t, h] = edges.get((t, h), 0) + w
-        parent.setdefault(t, t)
-        parent.setdefault(h, h)
-        rt, rh = _find(parent, t), _find(parent, h)
-        if rt != rh:
-            parent[rt] = rh
-            merges += 1
+
+    def pairs():
+        for e, w in windows:
+            t, h = e // l, e % vsize
+            if edges is not None:
+                edges[t, h] = edges.get((t, h), 0) + w
+            yield t, h
+
+    parent, merges = _union_find(pairs())
     return len(parent) - merges == 1
 
 
@@ -485,9 +492,9 @@ def contract_doubled_edges(z: FrequencyVector) -> Multigraph:
     windows = _windows(z)
     if any(w > 2 for _, _, w in windows):
         raise DomainError("contraction requires edge weights in {0, 1, 2}")
-    parent = _union_find(
-        {v for t, h, _ in windows for v in (t, h)},
+    parent, _ = _union_find(
         [(t, h) for t, h, w in windows if w == 2],
+        {v for t, h, _ in windows for v in (t, h)},
     )
     minor = Multigraph(vertices={_find(parent, v) for v in parent})
     for t, h, w in windows:

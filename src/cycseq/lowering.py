@@ -230,7 +230,7 @@ def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, d
             t, h = b * mid_size + mid, mid * l + a
             base_windows[t * l + a] = v
             base_edges[t, h] = v
-    parent = _union_find((w for w, _ in y.items()), base_edges)
+    parent, _ = _union_find(base_edges, (w for w, _ in y.items()))
     label: dict[int, int] = {}  # forced component root -> 0..k-1
     comp = {w: label.setdefault(_find(parent, w), len(label)) for w in parent}
     k = len(label)

@@ -8,12 +8,12 @@ connected-configuration counts Phi, and is cross-checked by brute force.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
 from .debruijn import (
     Multigraph,
-    _find,
     contract_doubled_edges,
     count_sequences_with_frequency,
     integer_determinant,
@@ -105,51 +105,91 @@ def _block_edges(p: int) -> list[tuple[tuple[BlockChoice, tuple], ...]]:
     return out
 
 
+# Most frontier states _phi_row keeps after a block. Measured on a 2-core
+# Intel Xeon VM (Python 3.11): the peak is 9 states at p = 4 and 657 at
+# p = 5, whose whole row takes 35 ms; p = 6 passes the cap after 0.07 s.
+PHI_MAX_STATES = 4096
+
+
 def phi(p: int, k: int, prune: bool = True) -> int:
     """Number of connected configurations with exactly k uniform blocks
-    (the remaining blocks carry doubled edges).
-
-    A depth-first walk over the blocks carries a union-find parent list over
-    the 2^p vertices of G_2(p) and its component count; a branch ends once
-    the blocks left cannot give exactly k uniform blocks. Every vertex is a
-    tail of some block, so a configuration is connected exactly when one
-    component is left.
+    (the remaining blocks carry doubled edges); an entry of _phi_row.
 
     With prune=True, UPPER is never tried in the first or last block: it
     puts weight 2 on the first or last window, a self-loop on a vertex with
     no other edge, so those configurations are always disconnected and the
     count is unchanged.
     """
-    blocks = _blocks(p, k)
-    # Per block, (is uniform, edges) for each choice the walk may take.
-    options = [
-        [
-            (choice is BlockChoice.UNIFORM, pairs)
-            for choice, pairs in block
+    _blocks(p, k)
+    return _phi_row(p, prune)[k]
+
+
+@functools.lru_cache(maxsize=None)
+def _phi_row(p: int, prune: bool) -> tuple[int, ...]:
+    """(Phi(p, 0), ..., Phi(p, 2^(p-1))) by one frontier DP over the blocks.
+
+    Vertex v of G_2(p) is touched by two blocks, its tail block v mod 2^(p-1)
+    and its head block v >> 1, and is live from the first of them to the
+    last. The blocks run in the order m, m + 2^(p-2), which keeps the live
+    set small. A state is the partition of the live vertices into the
+    classes their edges have joined so far, labelled in order of first
+    appearance; its value counts the configurations that reach it, by their
+    number of uniform blocks. Every vertex is a tail of some block, so a
+    configuration is connected exactly when it ends with one class. A class
+    whose vertices have all retired is a finished component: it ends its
+    branch, unless it is the last block and no other class remains.
+
+    Raises ResourceCapError when more than PHI_MAX_STATES states are live
+    after a block.
+    """
+    blocks = 2 ** (p - 1)
+    order = sorted(range(blocks), key=lambda m: m % max(blocks // 2, 1))
+    position = {m: t for t, m in enumerate(order)}
+    # The positions of the first and the last block touching each vertex.
+    spans = [sorted((position[v % blocks], position[v >> 1])) for v in range(2 * blocks)]
+    table = _block_edges(p)
+    states: dict[tuple[int, ...], list[int]] = {(): [1]}
+    live: list[int] = []
+    row = [0] * (blocks + 1)
+    for t, m in enumerate(order):
+        frontier = live + [v for v, (first, _) in enumerate(spans) if first == t]
+        index = {v: i for i, v in enumerate(frontier)}
+        keep = [i for i, v in enumerate(frontier) if spans[v][1] > t]
+        retire = [i for i, v in enumerate(frontier) if spans[v][1] == t]
+        options = [
+            (choice is BlockChoice.UNIFORM, [(index[u], index[v]) for u, v in pairs])
+            for choice, pairs in table[m]
             if not (prune and choice is BlockChoice.UPPER and m in (0, blocks - 1))
         ]
-        for m, block in enumerate(_block_edges(p))
-    ]
-
-    def walk(m: int, uniform: int, parent: list[int], components: int) -> int:
-        if m == blocks:
-            return 1 if components == 1 else 0
-        doubled_left = blocks - m - 1 - (k - uniform)
-        total = 0
-        for is_uniform, pairs in options[m]:
-            if (uniform == k) if is_uniform else (doubled_left < 0):
-                continue  # no room for one more block of this kind
-            child = parent[:]
-            merges = 0
-            for u, v in pairs:
-                ru, rv = _find(child, u), _find(child, v)
-                if ru != rv:
-                    child[ru] = rv
-                    merges += 1
-            total += walk(m + 1, uniform + is_uniform, child, components - merges)
-        return total
-
-    return walk(0, 0, list(range(2 * blocks)), 2 * blocks)
+        # Canonical labels of the live vertices lie below len(live), so the
+        # entering vertices take fresh ones.
+        fresh = list(range(len(live), len(frontier)))
+        following: dict[tuple[int, ...], list[int]] = {}
+        for labels, counts in states.items():
+            start = [*labels, *fresh]
+            for uniform, pairs in options:
+                cls = start
+                for i, j in pairs:
+                    a, b = cls[i], cls[j]
+                    if a != b:
+                        cls = [a if c == b else c for c in cls]
+                kept = [cls[i] for i in keep]
+                reached = [0, *counts] if uniform else [*counts, 0]
+                if any(cls[i] not in kept for i in retire):
+                    # At the last block nothing is kept and every class closes.
+                    if t == blocks - 1 and len(set(cls)) == 1:
+                        row = [x + y for x, y in zip(row, reached)]
+                    continue
+                seen: dict[int, int] = {}
+                key = tuple([seen.setdefault(c, len(seen)) for c in kept])
+                old = following.get(key)
+                following[key] = reached if old is None else [x + y for x, y in zip(old, reached)]
+        if len(following) > PHI_MAX_STATES:
+            raise ResourceCapError(
+                f"Phi at p = {p} keeps more than {PHI_MAX_STATES} frontier states"
+            )
+        states, live = following, [frontier[i] for i in keep]
+    return tuple(row)
 
 
 def minor_adjacency(k: int) -> list[list[int]]:
@@ -197,7 +237,7 @@ def minor_cofactor_closed_form(k: int) -> float:
     return value
 
 
-def count_twofold(p: int, max_p: int = 4) -> int:
+def count_twofold(p: int, max_p: int = 5) -> int:
     """Number of p-ary binary two-fold de Bruijn sequences.
 
     Sum over k of minor_cofactor(k) * phi(p, k): each connected configuration
@@ -228,13 +268,13 @@ def count_twofold_exact(p: int, max_p: int = 10) -> int:
     )
 
 
-def twofold_table(p: int, max_p: int = 4) -> list[dict]:
+def twofold_table(p: int, max_p: int = 5) -> list[dict]:
     """Per-k summary rows: k, PermNo, Phi, cofactor (matching the published
     tables for p = 3, 4).
 
-    The cap max_p defaults to 4: phi at p = 5 walks up to 3^16
-    configurations. On a 2-core Intel Xeon VM (Python 3.11) phi(5, 12) takes
-    0.17 s, but the whole p = 5 table about 74 s.
+    The cap max_p defaults to 5, the largest p whose Phi row fits under
+    PHI_MAX_STATES; past it, phi raises ResourceCapError at p = 6 after
+    about 0.07 s.
     """
     _check_p(p, max_p)
     blocks = 2 ** (p - 1)

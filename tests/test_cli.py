@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycseq import count_twofold_exact
 from cycseq.cli import EULER_COUNT_MAX_VERTICES, main
 
 from conftest import naive_window_counts
@@ -192,11 +193,131 @@ def test_twofold_cap(capsys):
     assert code == 4
 
 
+def test_twofold_p5_table_is_a_request(capsys):
+    start = time.perf_counter()
+    obj = run_json(capsys, "twofold", "--p", "5", "--table")
+    assert time.perf_counter() - start < 1.0
+    assert obj["count"] == "38745443488"
+    assert [row["k"] for row in obj["table"]] == list(range(17))
+    assert obj["table"][15] == {"k": 15, "perm_no": "32", "phi": "30", "cofactor": "11059200"}
+
+
 def test_phi_table(capsys):
     obj = run_json(capsys, "phi-table", "--p", "3")
     assert [row["perm_no"] for row in obj["table"]] == ["16", "32", "24", "8", "1"]
     assert run(capsys, "phi-table", "--p", "0")[0] == 3
     assert run(capsys, "phi-table", "--p", "7")[0] == 4
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_debruijn_count_fold_2_is_the_twofold_count(capsys, p):
+    exact = str(count_twofold_exact(p))
+    argv = ("debruijn-count", "--fold", "2", "--alphabet", "2", "--p", str(p))
+    assert run_json(capsys, *argv) == {"count": exact}
+
+
+# sha256 of exit code, stdout and stderr of `debruijn-count --alphabet L --p P`
+# over this grid (counts, domain errors and digit-cap refusals), pinned
+# before --fold existed.
+DEBRUIJN_GRID = [(l, p) for l in (1, 2, 3, 5, 30) for p in (-1, 0, 1, 2, 3, 12, 13, 20)]
+DEBRUIJN_GRID.append((2, 10**400))
+DEBRUIJN_GRID_DIGEST = "96e7f0ceea28f41c3c0907976b7a43478a7ea70daeff62b8b6d5eb4f97f5c940"
+
+
+@pytest.mark.parametrize("fold", [(), ("--fold", "1")])
+def test_debruijn_count_fold_1_output_is_pinned(capsys, fold):
+    digest = hashlib.sha256()
+    for l, p in DEBRUIJN_GRID:
+        code, out, err = run(capsys, "debruijn-count", *fold, "--alphabet", str(l), "--p", str(p))
+        digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == DEBRUIJN_GRID_DIGEST
+
+
+def test_debruijn_count_fold_values_and_domain(capsys):
+    # l = 3, p = 2, f = 2: (1/18) (6!^3 / 2!^9 + 3!^3) = (729000 + 216) / 18
+    obj = run_json(capsys, "debruijn-count", "--fold", "2", "--alphabet", "3", "--p", "2")
+    assert obj == {"count": "40512"}
+    for fold in ("0", "-3"):
+        code, out, err = run(capsys, "debruijn-count", "--fold", fold, "--p", "2")
+        assert (code, out) == (3, "")
+        assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "fold", ["5000", "1000000000", str(10**400)], ids=["5000", "10^9", "10^400"]
+)
+def test_debruijn_count_huge_fold_hits_the_cap_quickly(capsys, fold):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "debruijn-count", "--fold", fold, "--p", "3")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err.startswith("error:")
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose every write raises the given OSError."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+# One command per printer: _emit, _print_table's CSV and cmd_tree.
+WRITING_ARGVS = [
+    ("necklaces", "--n", "12", "--list"),
+    ("twofold", "--p", "3", "--table", "--format", "csv"),
+    ("tree", "--n", "6"),
+]
+
+
+@pytest.mark.parametrize("argv", WRITING_ARGVS)
+def test_closed_pipe_exits_quietly(argv):
+    err = io.StringIO()
+    stdout = _FailingStdout(BrokenPipeError(32, "Broken pipe"))
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code == 0
+    assert "error" not in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", WRITING_ARGVS)
+def test_write_error_exits_5(argv):
+    err = io.StringIO()
+    stdout = _FailingStdout(OSError(28, "No space left on device"))
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code == 5
+    lines = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and "No space left on device" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        # `cycseq necklaces --n 18 --list | head -c 20`: about 280 kB of
+        # JSON, more than a pipe holds, so a write meets the closed pipe.
+        (("necklaces", "--n", "18", "--list"), b'{"count": "14602", "'),
+        # The reader is gone before anything is written; the few bytes sit
+        # in the buffer until the final flush.
+        (("necklaces", "--n", "3"), b""),
+    ],
+)
+def test_reader_closing_early_is_not_an_error(argv, head):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cycseq.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(len(head)) == head
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_usage_error_exit_code(capsys):
@@ -286,10 +407,11 @@ def test_unprintable_counts_hit_the_cap_quickly(capsys, argv):
         ("euler-count", "--p", "1000000000"),
         ("lower", "--vector", json.dumps({"p": 1, "n": 300, "l": 3, "dense": [100, 100, 100]})),
         ("lower", "--raw", "--vector", json.dumps({"p": 0, "n": 10**6, "l": 3, "dense": [10**6]})),
-        ("twofold", "--p", "5"),
-        ("phi-table", "--p", "5"),
+        ("twofold", "--p", "6"),
+        ("phi-table", "--p", "6"),
         ("lower", "--vector", json.dumps({"p": 1, "n": 80, "l": 40, "dense": [2] * 40})),
         ("lower", "--vector", json.dumps({"p": 1, "n": 160, "l": 80, "dense": [2] * 80})),
+        ("twofold", "--p", "6", "--max-p", "6"),
     ],
 )
 def test_costly_requests_hit_the_cap_quickly(capsys, argv):

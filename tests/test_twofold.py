@@ -29,7 +29,7 @@ from cycseq import (
     subgraph_from_frequency,
     twofold_table,
 )
-from cycseq.twofold import _block_edges
+from cycseq.twofold import _block_edges, _phi_row
 
 U, UP, LO = BlockChoice.UNIFORM, BlockChoice.UPPER, BlockChoice.LOWER
 
@@ -44,6 +44,11 @@ TABLE_P4 = {
     "phi": [16, 128, 380, 584, 519, 274, 84, 14, 1],
     "cofactor": [1, 1, 2, 4, 16, 48, 128, 448, 2048],
 }
+# The p = 5 Phi row, as the per-k depth-first walk computed it (74 s).
+PHI_P5 = [
+    2048, 32768, 207056, 728032, 1643156, 2571724, 2926028, 2495192, 1626420,
+    819236, 319699, 96044, 21838, 3640, 420, 30, 1,
+]
 
 
 def test_expand_configuration_blocks():
@@ -93,7 +98,7 @@ def test_phi_closed_forms():
     # Phi(2) = 2^p - 2, Phi(4) = 2(2^(p-1)-1)(2^(p-1)-2) - [p == 3],
     # Phi(2^p - 2) = 2^(2^(p-1)-1); arguments are doubled-edge counts 2m,
     # i.e. k = 2^(p-1) - m uniform blocks
-    for p in (3, 4):
+    for p in (3, 4, 5):
         blocks = 2 ** (p - 1)
         assert phi(p, blocks - 1) == 2**p - 2
         assert phi(p, blocks - 2) == 2 * (blocks - 1) * (blocks - 2) - (1 if p == 3 else 0)
@@ -123,6 +128,38 @@ def test_phi_matches_configuration_scan(p):
     for k in range(2 ** (p - 1) + 1):
         for prune in (True, False):
             assert phi(p, k, prune=prune) == _phi_scan(p, k, prune), (p, k, prune)
+
+
+def test_phi_row_at_p5():
+    assert [phi(5, k) for k in range(17)] == PHI_P5
+    assert [phi(5, k, prune=False) for k in range(17)] == PHI_P5
+    # The scan takes about 1.4 s at k = 0. At k = 1 and 2 it takes 11 s and
+    # 54 s, too long for every run: k = 1 has its closed form, and both
+    # matched the pinned row when the frontier DP replaced the walk.
+    for k in (0, 15, 16):
+        assert PHI_P5[k] == _phi_scan(5, k, True), k
+
+
+def test_phi_row_is_one_cached_pass():
+    _phi_row.cache_clear()
+    rows = [phi(4, k) for k in range(9)]
+    info = _phi_row.cache_info()
+    assert (info.misses, info.hits) == (1, 8)
+    assert tuple(rows) == _phi_row(4, True)
+
+
+def test_phi_refuses_p6_quickly():
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        phi(6, 0)
+    with pytest.raises(ResourceCapError):
+        twofold_table(6, max_p=6)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_assembly_at_p5_is_under_the_default_cap():
+    # against the exact 44,079,843,328 of count_twofold_exact(5)
+    assert count_twofold(5) == 38745443488
 
 
 def test_block_edges_are_the_windows_each_block_sets():
