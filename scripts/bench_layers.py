@@ -19,6 +19,9 @@ the median in seconds:
 - enumerate_necklaces(20, 2) and [str(s) for s in enumerate_necklaces(11, 3)]:
   FKM generation with the canonical check of every necklace, and printing,
   as `necklaces --list` runs them.
+- build_tree and export_tree over the nine TREE_SHAPES of the benchmark's
+  `tree` workload (bench/workloads.py), each in its export format: one
+  round of that workload without the CLI around it.
 
 For the counting case the tree is built once, outside the timed region. Only public entry points
 are called (and the Phi cache cleared when there is one), so the script runs
@@ -43,8 +46,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import TREE_SHAPES  # noqa: E402
+
 from cycseq import twofold  # noqa: E402
-from cycseq.clustertree import build_tree  # noqa: E402
+from cycseq.clustertree import build_tree, export_tree  # noqa: E402
 from cycseq.debruijn import (  # noqa: E402
     count_eulerian_cycles,
     count_sequences_with_frequency,
@@ -112,6 +119,12 @@ def measure() -> dict:
     cases["enumerate_necklaces(20, 2)"] = _median_s(lambda: enumerate_necklaces(20, 2))
     cases["[str(s) for s in enumerate_necklaces(11, 3)]"] = _median_s(
         lambda: [str(s) for s in enumerate_necklaces(11, 3)]
+    )
+    cases[f"build_tree + export_tree x {len(TREE_SHAPES)} (TREE_SHAPES)"] = _median_s(
+        lambda: [
+            export_tree(build_tree(n, l, half_tree=half), fmt)
+            for n, l, half, fmt in TREE_SHAPES
+        ]
     )
     return {
         "runs": RUNS,

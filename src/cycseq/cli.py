@@ -77,8 +77,9 @@ def cmd_distance(args) -> None:
     if a == b:
         _emit({"gamma": None, "distance": 0.0})
         return
+    # ultrametric_distance(a, b) is exp(-gamma_max(a, b)); gamma is found once.
     g = freqspace.gamma_max(a, b)
-    _emit({"gamma": g, "distance": freqspace.ultrametric_distance(a, b)})
+    _emit({"gamma": g, "distance": math.exp(-g)})
 
 
 def cmd_lower(args) -> None:

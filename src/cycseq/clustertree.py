@@ -7,7 +7,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .debruijn import _count_from_edges
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector
 from .lowering import _children
@@ -15,7 +14,8 @@ from .lowering import _children
 # Unused here, but bench/spans.py wraps these module attributes by name;
 # they go with the next change to the benchmark.
 from .lowering import count_members, lower  # noqa: F401
-from .seqcore import level1_cluster_size, necklace_count
+from .seqcore import level1_cluster_size  # noqa: F401
+from .seqcore import necklace_count
 
 DEFAULT_CAPS = {2: 16, 3: 9}
 
@@ -33,12 +33,6 @@ class ClusterTree:
     n: int
     l: int
     root: ClusterNode
-
-
-def _child_count(z: FrequencyVector, edges: dict) -> int:
-    if z.p == 1:
-        return level1_cluster_size(z.dense())
-    return _count_from_edges(z, edges)
 
 
 def build_tree(
@@ -69,20 +63,20 @@ def build_tree(
     def refine(node: ClusterNode):
         if node.count <= 1 or node.p >= max_p:
             return
-        # Each child is counted from the edge map its lowering built; the
-        # edge maps are dropped before the children are refined.
+        # The lowering pass counts each child as it makes it.
         node.children = [
-            ClusterNode(z.p, z, _child_count(z, edges))
-            for z, edges in _children(node.freq, blocks)
+            ClusterNode(z.p, z, count)
+            for z, count in _children(node.freq, blocks)
             if not (half_tree and z.p == 1 and z.entry(1) > n // 2)
         ]
         for child in node.children:
             refine(child)
         if not (half_tree and node.p == 0):
             total = sum(c.count for c in node.children)
-            assert total == node.count, (
-                f"partition violated at p={node.p}: {total} != {node.count}"
-            )
+            if total != node.count:
+                raise ArithmeticError(
+                    f"partition violated at p={node.p}: {total} != {node.count}"
+                )
 
     root_freq = FrequencyVector(0, n, l, {0: n})
     root = ClusterNode(0, root_freq, necklace_count(n, l))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, ResourceCapError
-from .freqspace import FrequencyVector
+from .freqspace import FrequencyVector, check_index_width
 from .seqcore import CyclicSequence, canonicalize, divisors, euler_totient
 
 DEFAULT_SEQUENCE_CAP = 20
@@ -132,6 +132,7 @@ def _windows(z: FrequencyVector) -> list[tuple[int, int, int]]:
     """(tail, head, count) of every window of z, as an edge of G_l(p-1)."""
     if z.p < 1:
         raise DomainError("need a frequency vector at level >= 1")
+    check_index_width(z.p - 1, z.l)
     l, vsize = z.l, z.l ** (z.p - 1)
     return [(e // l, e % vsize, w) for e, w in z.items()]
 
@@ -222,55 +223,73 @@ def count_eulerian_cycles(g: Multigraph) -> int:
 
 def _best_count(edges: dict[tuple, int]) -> int:
     """BEST count of a connected balanced multigraph given by its edge
-    multiplicities.
-
-    A vertex with out-weight 1 uses its one out-edge in every arborescence,
-    so it is contracted into its successor, and the Laplacian cofactor is
-    taken over the branching vertices (out-weight >= 2) only. A graph with no
-    branching vertex is one cycle; its empty cofactor is 1.
-    """
+    multiplicities: the half its out-weights fix (_best_frame) times the
+    half its edges fix (_best_cofactor)."""
     out: dict = {}
     succ: dict = {}
     for (u, v), m in edges.items():
         out[u] = out.get(u, 0) + m
         succ[u] = v
-    branching = sorted(v for v, d in out.items() if d >= 2)
+    factor, branching = _best_frame(out)
+    return factor * _best_cofactor(branching, succ, edges.items())
+
+
+def _best_frame(out: dict) -> tuple[int, list]:
+    """The half of a BEST count that the out-weights {vertex: weight} fix:
+    the product of (weight - 1)! and the branching vertices (weight >= 2),
+    sorted, so that the first is the root of the arborescences. More than
+    BEST_MAX_BRANCHING of them raise ResourceCapError."""
+    branching = sorted([v for v, d in out.items() if d > 1])
     if len(branching) > BEST_MAX_BRANCHING:
         raise ResourceCapError(
             f"{len(branching)} branching vertices exceed the BEST cap {BEST_MAX_BRANCHING}"
         )
-    result = 1
-    for d in out.values():
-        result *= math.factorial(d - 1)
-    if not branching:
-        return result
-    # Every chain of out-weight-1 vertices ends at a branching vertex: a
-    # closed chain would be a whole component without one.
+    # Out-weight 1 contributes 0! = 1.
+    factor = math.prod([math.factorial(out[v] - 1) for v in branching])
+    return factor, branching
+
+
+def _best_cofactor(branching: list, succ: dict, arcs: Iterable) -> int:
+    """The half of a BEST count that the edges fix: the Laplacian cofactor
+    over the branching vertices of _best_frame, rooted at the first.
+
+    `succ` maps each out-weight-1 vertex to the head of its one out-edge;
+    `arcs` gives ((tail, head), multiplicity) of every edge out of a
+    branching vertex other than the root, and may give others, which are
+    skipped. A vertex with out-weight 1 uses its one out-edge in every
+    arborescence, so it is contracted into its successor. With at most one
+    branching vertex the cofactor is empty, so 1.
+    """
+    if len(branching) < 2:
+        return 1
+    # Every chain of out-weight-1 vertices ends at a branching vertex, its
+    # representative: a closed chain would be a whole component without one.
     rep = {v: v for v in branching}
-
-    def representative(v):
-        path = []
-        while v not in rep:
-            path.append(v)
-            v = succ[v]
-        for u in path:
-            rep[u] = rep[v]
-        return rep[v]
-
-    # The Laplacian with the row and column of the first branching vertex
-    # removed, as sparse rows; a self-loop on a representative cancels.
+    # The Laplacian with the row and column of the root removed, as sparse
+    # rows; a self-loop on a representative cancels.
     root = branching[0]
     rows: dict = {v: {} for v in branching[1:]}
-    for (u, v), m in edges.items():
+    for (u, v), m in arcs:
         row = rows.get(u)
         if row is None:
             continue
-        r = representative(v)
+        r = rep.get(v)
+        if r is None:
+            path = []
+            while v not in rep:
+                path.append(v)
+                rep[v] = None  # on the path: meeting it again closes a chain
+                v = succ[v]
+            r = rep[v]
+            if r is None:
+                raise ArithmeticError("a chain of out-weight-1 vertices closes on itself")
+            for w in path:
+                rep[w] = r
         if r != u:
             row[u] = row.get(u, 0) + m
             if r != root:
                 row[r] = row.get(r, 0) - m
-    return result * _laplacian_cofactor(rows)
+    return _laplacian_cofactor(rows)
 
 
 def _laplacian_cofactor(rows: dict) -> int:
@@ -308,6 +327,9 @@ def _laplacian_cofactor(rows: dict) -> int:
         for r in below:
             row = rows[r]
             a = row.pop(v)
+            if not pivot_row:
+                # Nothing else to subtract: the row just loses column v.
+                continue
             g = math.gcd(pivot, a)
             s, t = pivot // g, a // g
             if s != 1:
@@ -369,14 +391,9 @@ def count_sequences_with_frequency(z: FrequencyVector) -> int:
     """
     if z.p < 1:
         raise DomainError("need a frequency vector at level >= 1")
+    check_index_width(z.p - 1, z.l)
     edges: dict[tuple[int, int], int] = {}
     connected = _window_graph(z.items(), z.l, z.l ** (z.p - 1), edges)
-    return _count_from_edges(z, edges, connected)
-
-
-def _count_from_edges(z: FrequencyVector, edges: dict, connected: bool = True) -> int:
-    """count_sequences_with_frequency(z) from the edge multiplicities of
-    A[Z], keyed by (tail, head) as _window_graph collects them."""
     flow: dict[int, int] = {}
     for (t, h), m in edges.items():
         flow[t] = flow.get(t, 0) + m
@@ -386,17 +403,28 @@ def _count_from_edges(z: FrequencyVector, edges: dict, connected: bool = True) -
     if not connected:
         return 0
     counts = [c for _, c in z.items()]
-    total = 0
+    terms = []
     for d in divisors(math.gcd(*counts)):
         labelled = (z.n // d) * _best_count({e: m // d for e, m in edges.items()})
         orderings = math.prod(math.factorial(c // d) for c in counts)
+        terms.append((euler_totient(d), labelled, orderings))
+    return _burnside(z.n, terms)
+
+
+def _burnside(n: int, terms: Iterable[tuple[int, int, int]]) -> int:
+    """(1/n) sum of phi(d) labelled_d / orderings_d over the terms
+    (phi(d), labelled_d, orderings_d) of count_sequences_with_frequency,
+    where labelled_d = (n/d) ec(A[Z/d]) and orderings_d = prod (Z_e/d)!;
+    both divisions are checked exact."""
+    total = 0
+    for phi, labelled, orderings in terms:
         words, rem = divmod(labelled, orderings)
         if rem:
             raise ArithmeticError(f"{labelled} labelled circuits do not split into words")
-        total += euler_totient(d) * words
-    necklaces, rem = divmod(total, z.n)
+        total += phi * words
+    necklaces, rem = divmod(total, n)
     if rem:
-        raise ArithmeticError(f"Burnside sum {total} is not divisible by n = {z.n}")
+        raise ArithmeticError(f"Burnside sum {total} is not divisible by n = {n}")
     return necklaces
 
 
@@ -440,10 +468,10 @@ def enumerate_sequences_with_frequency(
     with rotation dedup via canonicalization. Empty when the subgraph is
     disconnected.
     """
-    g = subgraph_from_frequency(z)
     n, l = z.n, z.l
     if n > cap_n:
         raise ResourceCapError(f"n = {n} exceeds the enumeration cap {cap_n}")
+    g = subgraph_from_frequency(z)
     # Flow balance at each vertex is a precondition for realizability.
     if not g.is_balanced():
         raise DomainError("frequency vector is not flow-balanced")

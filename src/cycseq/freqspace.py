@@ -7,11 +7,27 @@ import json
 import math
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, ResourceCapError
 from .seqcore import CyclicSequence
 
 # Below this size a serialized vector is written densely.
 DENSE_SERIALIZATION_LIMIT = 4096
+
+# Widest window index, p log2(l) bits, for which lowering and the graph
+# A[Z] are built; a vector past it is refused before l^p is built, which at
+# p = 10^8 took longer than 8 s. At the cap a 12-window vector over 2, 3 or
+# 5 letters is counted, lowered and listed in under 10 ms each.
+MAX_INDEX_BITS = 1 << 16
+
+
+def check_index_width(p: int, l: int) -> None:
+    """ResourceCapError when the indices of length-p windows over l letters
+    are wider than MAX_INDEX_BITS bits. An int compares exactly with the
+    float bound, so no size of p overflows it."""
+    if p > MAX_INDEX_BITS / math.log2(l):
+        raise ResourceCapError(
+            f"level {p} windows over {l} letters exceed the {MAX_INDEX_BITS}-bit index cap"
+        )
 
 
 def word_index(window: Sequence[int], l: int) -> int:
@@ -43,7 +59,8 @@ class FrequencyVector:
 
     Stored sparsely as a map from 0-based window index to a positive count;
     entries sum to n. Level p = 0 is the single-entry vector [n]. The sorted
-    items and the hash are computed once, since vectors are immutable.
+    items are computed once and the hash on first use, since vectors are
+    immutable.
     """
 
     __slots__ = ("p", "n", "l", "_counts", "_items", "_hash")
@@ -56,7 +73,11 @@ class FrequencyVector:
             if c < 0:
                 raise DomainError(f"negative count {c} at index {j}")
             if c:
-                cleaned[int(j)] = int(c)
+                # int() only for what is not a plain int already (a bool, a
+                # numpy integer): the calls were most of this loop's time.
+                if type(j) is not int or type(c) is not int:
+                    j, c = int(j), int(c)
+                cleaned[j] = c
         if sum(cleaned.values()) != n:
             raise DomainError(f"entries must sum to n = {n}")
         items = tuple(sorted(cleaned.items()))
@@ -71,7 +92,7 @@ class FrequencyVector:
         self.l = l
         self._counts = cleaned
         self._items = items
-        self._hash = hash((p, n, l, items))
+        self._hash = None
 
     @classmethod
     def from_dense(cls, p: int, n: int, l: int, entries: Iterable[int]) -> "FrequencyVector":
@@ -96,21 +117,23 @@ class FrequencyVector:
         return (self.p, self.n, self.l, self._items)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FrequencyVector)
-            and self._hash == other._hash
-            and self.key() == other.key()
-        )
+        return isinstance(other, FrequencyVector) and self.key() == other.key()
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.key())
         return self._hash
 
     def __repr__(self):
         return f"FrequencyVector(p={self.p}, n={self.n}, l={self.l}, {dict(self.items())})"
 
     def sort_key(self) -> tuple:
-        """Deterministic ordering key: dense lexicographic."""
-        return tuple(self.dense())
+        """Deterministic ordering key: vectors of one level sort as their
+        dense entry lists do, lexicographically. It is taken from the
+        nonzero entries, so l^p is never built: the first entry at which
+        two dense lists differ is where their (-index, count) pairs first
+        differ, and the list with a nonzero entry there is the larger."""
+        return tuple([(-j, c) for j, c in self._items])
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj())

@@ -8,13 +8,21 @@ import math
 from itertools import chain, islice, product
 from typing import Sequence
 
-from .debruijn import _find, _union_find, _window_graph, count_sequences_with_frequency
+from .debruijn import (
+    _best_cofactor,
+    _best_frame,
+    _burnside,
+    _union_find,
+    _window_graph,
+    count_sequences_with_frequency,
+)
 
 # Unused here, but bench/spans.py wraps this module attribute by name; it
 # goes with the next change to the benchmark.
 from .debruijn import enumerate_sequences_with_frequency  # noqa: F401
 from .errors import DomainError, ResourceCapError
-from .freqspace import FrequencyVector
+from .freqspace import FrequencyVector, check_index_width
+from .seqcore import divisors, euler_totient, level1_cluster_size
 
 # Work cap of step 1: the product of the per-block solution counts. No node
 # of the binary n <= 16 or ternary n <= 9 trees has more than 256 candidates;
@@ -110,6 +118,7 @@ def _node_blocks(y: FrequencyVector, blocks: dict) -> list | None:
     are counted, and their product checked against STEP1_CAP, before the
     caller builds the first candidate.
     """
+    check_index_width(y.p + 1, y.l)
     l, mid_size = y.l, y.l ** (y.p - 1)
     margins: dict[int, tuple[list, list]] = {}
     for w, c in y.items():
@@ -184,11 +193,12 @@ def lower(y: FrequencyVector) -> list[FrequencyVector]:
     preimage set {project(s, p+1) : project(s, p) = Y}.
 
     It calls solve_step1 by name, so that a tracer wrapping both sees the
-    candidates of every lowering it is asked for; build_tree takes the
-    leaner _lower instead.
+    candidates of every lowering it is asked for; build_tree takes
+    _children instead, which lowers and counts in one pass.
     """
+    candidates = solve_step1(y)
     vsize = y.l**y.p
-    return [z for z in solve_step1(y) if _window_graph(z.items(), y.l, vsize)]
+    return [z for z in candidates if _window_graph(z.items(), y.l, vsize)]
 
 
 def _lower(y: FrequencyVector, blocks: dict) -> list[FrequencyVector]:
@@ -197,30 +207,74 @@ def _lower(y: FrequencyVector, blocks: dict) -> list[FrequencyVector]:
     return [z for z, _ in _children(y, blocks)]
 
 
-def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, dict]]:
-    """(z, edges) for every z of lower(y), in that order, where `edges` maps
-    each edge (tail, head) of A[Z] to its multiplicity, as _window_graph
-    collects it.
+def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, int]]:
+    """(z, count) for every z of lower(y), in that order, where count is
+    count_sequences_with_frequency(z) (level1_cluster_size at level 1).
 
     A[Z] has the support of y as its vertex set whatever the candidate. A
     block with one solution is forced: all forced blocks are merged once
-    into a union-find over that support, and their windows and edges are
-    shared by every candidate. Each solution of the other blocks is
-    translated once into its windows, its edges and the merges it makes
-    between the forced components; a candidate is connected iff its merges
-    join those components into one, and only then does it become a vector.
+    into a union-find over that support, and their windows and share of the
+    count are taken once. Each solution of the other blocks is translated
+    once into its windows, the merges it makes between the forced
+    components and its share of the count; a candidate is connected iff its
+    merges join those components into one, and only then is it counted and
+    made a vector.
+
+    Every candidate z has out- and in-weight y_w at each vertex w of A[Z]
+    (R z = L z = y), and gcd(z) divides gcd(y). So the Burnside divisors d
+    of gcd(y), and for each the half of the BEST count of A[Z/d] that the
+    out-weights fix (_best_frame), are found once per node. The share of a
+    set of edges (tail, head, multiplicity v) is its flow delta and, for
+    each d that divides every v, the factor prod (v/d)!, the successors of
+    its out-weight-1 tails and its edges out of branching tails. d = 1
+    divides every v, so its share is taken in the same pass as the windows.
     """
     p, n, l = y.p + 1, y.n, y.l
     if y.p == 0:
-        # A[Z] is G_l(0): one vertex whose l loops share the key (0, 0);
         # _compositions gives the vectors in order.
-        return [(FrequencyVector(p, n, l, c), {(0, 0): n}) for c in _step1(y, blocks)]
+        out = []
+        for c in _step1(y, blocks):
+            z = FrequencyVector(p, n, l, c)
+            out.append((z, level1_cluster_size(z.dense())))
+        return out
     node_blocks = _node_blocks(y, blocks)
     if node_blocks is None:
         return []
     mid_size = l ** (y.p - 1)
+    weight = dict(y.items())
+    frames = []  # (d, phi(d), factor, branching) for each d | gcd(y)
+    for d in divisors(math.gcd(*weight.values())):
+        factor, branching = _best_frame(
+            {w: c // d for w, c in weight.items()} if d > 1 else weight
+        )
+        frames.append((d, euler_totient(d), factor, branching))
+    # Flow deltas are packed into one integer each, vertex w's net flow x_w
+    # at bit offset shift[w]. A candidate's vector sums to n, so each
+    # |x_w| <= n < 2^(width - 1), and a sum of deltas is 0 iff every x_w is.
+    width = (2 * n).bit_length()
+    shift = dict(zip(weight, range(0, width * len(weight), width)))
+
+    def shares(cells):
+        """The share of edges (tail, head, multiplicity) for each d > 1,
+        or None where d does not divide every multiplicity."""
+        out = []
+        for d, *_ in frames[1:]:
+            if any(v % d for _, _, v in cells):
+                out.append(None)
+                continue
+            orderings = 1
+            for _, _, v in cells:
+                orderings *= math.factorial(v // d)
+            out.append((
+                orderings,
+                [(t, h) for t, h, v in cells if weight[t] == d],
+                [((t, h), v // d) for t, h, v in cells if weight[t] > d],
+            ))
+        return out
+
+    forced = []  # edges of the forced blocks
     base_windows: dict[int, int] = {}
-    base_edges: dict[tuple[int, int], int] = {}
+    base_flow, base_orderings, base_succ, base_arcs = 0, 1, {}, []
     free = []
     for mid, sols in node_blocks:
         if len(sols) > 1:
@@ -228,25 +282,54 @@ def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, d
             continue
         for b, a, v in sols[0]:
             t, h = b * mid_size + mid, mid * l + a
+            forced.append((t, h, v))
             base_windows[t * l + a] = v
-            base_edges[t, h] = v
-    parent, _ = _union_find(base_edges, (w for w, _ in y.items()))
+            base_flow += (v << shift[t]) - (v << shift[h])
+            base_orderings *= math.factorial(v)
+            if weight[t] == 1:
+                base_succ[t] = h
+            else:
+                base_arcs.append(((t, h), v))
+    parent, _ = _union_find([(t, h) for t, h, _ in forced], weight)
     label: dict[int, int] = {}  # forced component root -> 0..k-1
-    comp = {w: label.setdefault(_find(parent, w), len(label)) for w in parent}
+    comp = {}
+    for w in parent:
+        r = w
+        while parent[r] != r:
+            r = parent[r]
+        comp[w] = label.setdefault(r, len(label))
     k = len(label)
+    # For each frame whose d divides the forced blocks: the forced share,
+    # with a successor map that candidates update in place. Every solution
+    # of a free block names the successor of each out-weight-1 tail in it,
+    # so a candidate overwrites every entry it does not share.
+    divs = [(0, *frames[0], base_orderings, base_arcs, base_succ)] + [
+        (i, *frame, part[0], part[2], dict(part[1]))
+        for i, (frame, part) in enumerate(zip(frames[1:], shares(forced)), 1)
+        if part is not None
+    ]
 
     choices = []
     for mid, sols in free:
         options = []
         for s in sols:
-            windows, edges, merges = [], [], set()
+            windows, merges, succ, arcs = [], set(), [], []
+            flow, orderings = 0, 1
             for b, a, v in s:
                 t, h = b * mid_size + mid, mid * l + a
                 windows.append((t * l + a, v))
-                edges.append(((t, h), v))
                 if comp[t] != comp[h]:
                     merges.add((comp[t], comp[h]))
-            options.append((windows, edges, merges))
+                flow += (v << shift[t]) - (v << shift[h])
+                orderings *= math.factorial(v)
+                if weight[t] == 1:
+                    succ.append((t, h))
+                else:
+                    arcs.append(((t, h), v))
+            parts = [(orderings, succ, arcs)]
+            if len(frames) > 1:
+                parts += shares([(b * mid_size + mid, mid * l + a, v) for b, a, v in s])
+            options.append((windows, merges, flow, parts))
         choices.append(options)
 
     out = []
@@ -256,7 +339,7 @@ def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, d
             # once per step-1 candidate.
             link = list(range(k))
             left = k
-            for _, _, merges in choice:
+            for _, merges, _, _ in choice:
                 for u, v in merges:
                     while link[u] != u:
                         link[u] = u = link[link[u]]
@@ -268,12 +351,31 @@ def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, d
             if left != 1:
                 continue
         counts = dict(base_windows)
-        edges = dict(base_edges)
-        for windows, edge_list, _ in choice:
+        flow = base_flow
+        for windows, _, delta, _ in choice:
             counts.update(windows)
-            edges.update(edge_list)
-        out.append((FrequencyVector(p, n, l, counts), edges))
-    out.sort(key=lambda pair: pair[0].sort_key())
+            flow += delta
+        z = FrequencyVector(p, n, l, counts)
+        if flow:
+            raise DomainError("frequency vector is not flow-balanced")
+        terms = []
+        for i, d, phi, factor, branching, orderings, arcs, succ in divs:
+            arcs = list(arcs)
+            for _, _, _, parts in choice:
+                part = parts[i]
+                if part is None:
+                    break
+                orderings *= part[0]
+                succ.update(part[1])
+                arcs += part[2]
+            else:
+                cofactor = _best_cofactor(branching, succ, arcs)
+                terms.append((phi, (n // d) * factor * cofactor, orderings))
+        out.append((z, _burnside(n, terms)))
+    if len(free) > 1:
+        # With one free block the candidates come in the order of its
+        # solutions, which is the order of their dense entries.
+        out.sort(key=lambda pair: pair[0].sort_key())
     return out
 
 

@@ -175,8 +175,10 @@ def necklace_count(n: int, l: int) -> int:
     if l < 1:
         raise DomainError("alphabet size must be >= 1")
     total = sum(euler_totient(d) * l ** (n // d) for d in divisors(n))
-    assert total % n == 0
-    return total // n
+    count, rem = divmod(total, n)
+    if rem:
+        raise ArithmeticError(f"Burnside sum {total} is not divisible by n = {n}")
+    return count
 
 
 def level1_cluster_size(counts: Sequence[int]) -> int:
@@ -199,8 +201,10 @@ def level1_cluster_size(counts: Sequence[int]) -> int:
         for a in counts:
             term //= math.factorial(a // d)
         total += euler_totient(d) * term
-    assert total % n == 0
-    return total // n
+    count, rem = divmod(total, n)
+    if rem:
+        raise ArithmeticError(f"Burnside sum {total} is not divisible by n = {n}")
+    return count
 
 
 def _necklace_words(n: int, l: int):

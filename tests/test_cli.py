@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycseq import count_twofold_exact
+from cycseq import count_twofold_exact, enumerate_necklaces, gamma_max, ultrametric_distance
 from cycseq.cli import EULER_COUNT_MAX_VERTICES, main
 
 from conftest import naive_window_counts
@@ -109,6 +109,17 @@ def test_distance(capsys):
     obj = run_json(capsys, "distance", "--a", "11101000", "--b", "11100010")
     assert obj["gamma"] == 3
     assert obj["distance"] == pytest.approx(2.718281828 ** -3)
+
+
+def test_distance_matches_the_library_on_all_small_pairs(capsys):
+    # every pair of distinct binary necklaces with n <= 8: the CLI's gamma
+    # and distance are the library's, bit for bit
+    for n in range(1, 9):
+        necklaces = enumerate_necklaces(n, 2)
+        for i, a in enumerate(necklaces):
+            for b in necklaces[i + 1 :]:
+                obj = run_json(capsys, "distance", "--a", str(a), "--b", str(b))
+                assert obj == {"gamma": gamma_max(a, b), "distance": ultrametric_distance(a, b)}
 
 
 def test_distance_equal_sequences(capsys):
@@ -342,6 +353,20 @@ def test_non_integer_input_is_a_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_optimized_interpreter_prints_the_same_tree():
+    # `python -O` strips assert statements; the exactness checks are raises
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = ["-m", "cycseq.cli", "tree", "--n", "10"]
+    outs = [
+        subprocess.run(
+            [sys.executable, *flags, *argv], env=env, capture_output=True, check=True
+        ).stdout
+        for flags in ([], ["-O"])
+    ]
+    assert outs[0] and outs[0] == outs[1]
+
+
 def test_cli_import_leaves_numpy_out():
     code = "import sys, cycseq.cli; print('numpy' in sys.modules)"
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -412,6 +437,10 @@ def test_unprintable_counts_hit_the_cap_quickly(capsys, argv):
         ("lower", "--vector", json.dumps({"p": 1, "n": 80, "l": 40, "dense": [2] * 40})),
         ("lower", "--vector", json.dumps({"p": 1, "n": 160, "l": 80, "dense": [2] * 80})),
         ("twofold", "--p", "6", "--max-p", "6"),
+        ("lower", "--vector", json.dumps({"p": 10**8, "n": 2, "l": 3, "sparse": {"1": 2}})),
+        ("lower", "--raw", "--vector", json.dumps({"p": 10**8, "n": 2, "l": 3, "sparse": {"1": 2}})),
+        ("members", "--vector", json.dumps({"p": 10**8, "n": 2, "l": 3, "sparse": {"1": 2}})),
+        ("lower", "--vector", json.dumps({"p": 70000, "n": 70000, "l": 2, "sparse": {"1": 70000}})),
     ],
 )
 def test_costly_requests_hit_the_cap_quickly(capsys, argv):

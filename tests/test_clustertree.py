@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -22,7 +23,6 @@ from cycseq import (
 )
 
 from cycseq.cli import main
-from cycseq.debruijn import _count_from_edges
 from cycseq.lowering import _children, lower
 
 from conftest import all_necklaces
@@ -194,18 +194,35 @@ def test_shared_block_cache_gives_fresh_lower_children(n, l):
 
 @pytest.mark.parametrize("l, max_n, half", [(2, 14, False), (2, 14, True), (3, 8, False)])
 def test_children_edge_maps_and_counts(l, max_n, half):
-    # every child of every internal node: the edge map built while lowering
-    # is A[Z]'s, and the count taken from it is the primitive's and the tree's
+    # every child of every internal node: the count taken in the lowering
+    # pass is the primitive's and the tree's
     blocks = {}
     for n in range(2, max_n + 1):
         for node in _internal_nodes(build_tree(n, l, half_tree=half).root):
             pairs = _children(node.freq, blocks)
             assert [z for z, _ in pairs] == lower(node.freq)
             kids = {c.freq: c.count for c in node.children}
-            for z, edges in pairs:
-                assert edges == subgraph_from_frequency(z).edges
-                count = _count_from_edges(z, edges)
+            for z, count in pairs:
                 assert count == count_sequences_with_frequency(z) == kids.get(z, count), (n, z)
+
+
+@pytest.mark.parametrize("l, max_n, half", [(2, 14, False), (2, 14, True), (3, 8, False)])
+def test_children_share_their_parents_invariants(l, max_n, half):
+    # what _children computes once per node holds for every child z of y:
+    # A[Z] has out-weight y_w at each vertex w, gcd(z) divides gcd(y), and
+    # the count the tree took for z is the primitive's
+    for n in range(2, max_n + 1):
+        for node in _internal_nodes(build_tree(n, l, half_tree=half).root):
+            y = node.freq
+            g = math.gcd(*(c for _, c in y.items()))
+            for child in node.children:
+                z = child.freq
+                out = {}
+                for (t, _), m in subgraph_from_frequency(z).edges.items():
+                    out[t] = out.get(t, 0) + m
+                assert out == dict(y.items()), (n, z)
+                assert g % math.gcd(*(c for _, c in z.items())) == 0, (n, z)
+                assert child.count == count_sequences_with_frequency(z), (n, z)
 
 
 # sha256 of the stdout of `cycseq tree --n N --alphabet L --format F [--half]`,

@@ -11,6 +11,8 @@ from cycseq import (
     ResourceCapError,
     canonicalize,
     count_members,
+    count_sequences_with_frequency,
+    enumerate_sequences_with_frequency,
     lower,
     lowering_incidence_action,
     project,
@@ -108,6 +110,16 @@ def test_children_of_a_forced_disconnected_node():
     assert lower(y) == []
 
 
+def test_children_refuse_an_unbalanced_block_solution():
+    # a block solution whose margins are not the block's (planted in the
+    # memo) gives a connected candidate that sums to n, and only the flow
+    # check of each candidate can tell
+    y = FrequencyVector(1, 4, 2, {0: 2, 1: 2})
+    bogus = [((0, 0, 2), (1, 1, 2)), ((0, 0, 1), (0, 1, 2), (1, 0, 1))]
+    with pytest.raises(DomainError):
+        _children(y, {((2, 2), (2, 2)): bogus})
+
+
 def test_step1_work_cap():
     y = FrequencyVector.from_dense(1, 300, 3, [100, 100, 100])
     for f in (solve_step1, lower):
@@ -120,6 +132,25 @@ def test_step1_work_cap():
     # just under the cap: 11,781 candidates
     y = FrequencyVector.from_dense(1, 48, 3, [16, 16, 16])
     assert len(solve_step1(y)) == 11781 <= STEP1_CAP
+
+
+def test_huge_levels_hit_the_index_cap_quickly():
+    # l^p is never built past MAX_INDEX_BITS: p = 10^8 used to run for
+    # seconds, and p = 70000 to overflow while sorting dense keys
+    for p, n, l in ((10**8, 2, 3), (70000, 70000, 2)):
+        y = FrequencyVector(p, n, l, {0: n})
+        for f in (
+            solve_step1,
+            lower,
+            lambda v: _lower(v, {}),
+            count_sequences_with_frequency,
+            enumerate_sequences_with_frequency,
+            subgraph_from_frequency,
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ResourceCapError):
+                f(y)
+            assert time.perf_counter() - start < 0.5
 
 
 def test_level1_branch_count():
