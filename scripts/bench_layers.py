@@ -27,10 +27,22 @@ For the counting case the tree is built once, outside the timed region. Only pub
 are called (and the Phi cache cleared when there is one), so the script runs
 on any version of the package that has them.
 
-Usage: python3 scripts/bench_layers.py [--label NAME --into FILE]
+Usage:
 
-Without --into it prints one JSON document; with it, the document is stored
-under NAME in FILE (created if missing), next to the other labels there.
+  python3 scripts/bench_layers.py [--src DIR] [--label NAME --into FILE]
+  python3 scripts/bench_layers.py --parent DIR [--src DIR] [--procs K] [--into FILE]
+
+`--src` names the directory the `cycseq` package is imported from (default:
+this checkout's `src`). Without --into the first form prints one JSON
+document; with it, the document is stored under NAME in FILE (created if
+missing), next to the other labels there.
+
+The second form compares two versions of the package. Each case runs in K
+fresh processes per side (default 5), the `--parent` and `--src` sides
+alternating and taking turns to go first, so that drift of the machine over
+the run reaches both sides alike. Each process reports its median of five
+calls; the document holds, per case, the median of those K values for each
+side and their ratio, and is stored under the label "alternating".
 """
 
 from __future__ import annotations
@@ -40,25 +52,15 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
 
 from workloads import TREE_SHAPES  # noqa: E402
-
-from cycseq import twofold  # noqa: E402
-from cycseq.clustertree import build_tree, export_tree  # noqa: E402
-from cycseq.debruijn import (  # noqa: E402
-    count_eulerian_cycles,
-    count_sequences_with_frequency,
-    full_graph,
-)
-from cycseq.seqcore import enumerate_necklaces  # noqa: E402
-from cycseq.twofold import count_twofold_exact, twofold_table  # noqa: E402
 
 EULER_CASES = [(2, 7), (2, 8), (3, 4), (16, 2)]
 TREE_CASES = [(16, 2, False), (16, 2, True)]
@@ -79,6 +81,8 @@ def _median_s(fn, before=None) -> float:
 
 
 def _tree_vectors(n: int, l: int, half_tree: bool) -> list:
+    from cycseq.clustertree import build_tree
+
     stack, out = [build_tree(n, l, half_tree=half_tree).root], []
     while stack:
         node = stack.pop()
@@ -86,6 +90,83 @@ def _tree_vectors(n: int, l: int, half_tree: bool) -> list:
             out.append(node.freq)
         stack.extend(node.children)
     return out
+
+
+def _euler(l: int, p: int):
+    from cycseq.debruijn import count_eulerian_cycles, full_graph
+
+    g = full_graph(l, p)
+    return f"count_eulerian_cycles(full_graph({l}, {p}))", lambda: count_eulerian_cycles(g), None
+
+
+def _counting():
+    from cycseq.debruijn import count_sequences_with_frequency
+
+    vectors = _tree_vectors(16, 2, half_tree=True)
+    name = f"count_sequences_with_frequency x {len(vectors)} (build_tree(16, 2, half_tree=True))"
+    return name, lambda: [count_sequences_with_frequency(z) for z in vectors], None
+
+
+def _tree(n: int, l: int, half: bool):
+    from cycseq.clustertree import build_tree
+
+    name = f"build_tree({n}, {l}{', half_tree=True' if half else ''})"
+    return name, lambda: build_tree(n, l, half_tree=half), None
+
+
+def _twofold_table(p: int, max_p: int | None):
+    from cycseq import twofold
+
+    phi_cache = getattr(twofold, "_phi_row", None)
+    clear = phi_cache.cache_clear if phi_cache is not None else None
+    if max_p is None:
+        return f"twofold_table({p})", lambda: twofold.twofold_table(p), clear
+    return f"twofold_table({p}, max_p={max_p})", lambda: twofold.twofold_table(p, max_p=max_p), clear
+
+
+def _twofold_exact():
+    from cycseq.twofold import count_twofold_exact
+
+    return "count_twofold_exact(8, max_p=8)", lambda: count_twofold_exact(8, max_p=8), None
+
+
+def _necklaces():
+    from cycseq.seqcore import enumerate_necklaces
+
+    return "enumerate_necklaces(20, 2)", lambda: enumerate_necklaces(20, 2), None
+
+
+def _necklace_strings():
+    from cycseq.seqcore import enumerate_necklaces
+
+    name = "[str(s) for s in enumerate_necklaces(11, 3)]"
+    return name, lambda: [str(s) for s in enumerate_necklaces(11, 3)], None
+
+
+def _tree_round():
+    from cycseq.clustertree import build_tree, export_tree
+
+    name = f"build_tree + export_tree x {len(TREE_SHAPES)} (TREE_SHAPES)"
+    return name, lambda: [
+        export_tree(build_tree(n, l, half_tree=half), fmt) for n, l, half, fmt in TREE_SHAPES
+    ], None
+
+
+# One setup per case, in report order: setup() imports the package from
+# whatever `src` is first on sys.path and gives (name, fn, before).
+CASES = (
+    [lambda l=l, p=p: _euler(l, p) for l, p in EULER_CASES]
+    + [_counting]
+    + [lambda c=c: _tree(*c) for c in TREE_CASES]
+    + [
+        lambda: _twofold_table(4, None),
+        lambda: _twofold_table(5, 5),
+        _twofold_exact,
+        _necklaces,
+        _necklace_strings,
+        _tree_round,
+    ]
+)
 
 
 def _cpu_model() -> str:
@@ -99,54 +180,84 @@ def _cpu_model() -> str:
     return platform.processor()
 
 
-def measure() -> dict:
-    cases = {}
-    for l, p in EULER_CASES:
-        g = full_graph(l, p)
-        name = f"count_eulerian_cycles(full_graph({l}, {p}))"
-        cases[name] = _median_s(lambda: count_eulerian_cycles(g))
-    vectors = _tree_vectors(16, 2, half_tree=True)
-    name = f"count_sequences_with_frequency x {len(vectors)} (build_tree(16, 2, half_tree=True))"
-    cases[name] = _median_s(lambda: [count_sequences_with_frequency(z) for z in vectors])
-    for n, l, half in TREE_CASES:
-        name = f"build_tree({n}, {l}{', half_tree=True' if half else ''})"
-        cases[name] = _median_s(lambda: build_tree(n, l, half_tree=half))
-    phi_cache = getattr(twofold, "_phi_row", None)
-    clear = phi_cache.cache_clear if phi_cache is not None else None
-    cases["twofold_table(4)"] = _median_s(lambda: twofold_table(4), clear)
-    cases["twofold_table(5, max_p=5)"] = _median_s(lambda: twofold_table(5, max_p=5), clear)
-    cases["count_twofold_exact(8, max_p=8)"] = _median_s(lambda: count_twofold_exact(8, max_p=8))
-    cases["enumerate_necklaces(20, 2)"] = _median_s(lambda: enumerate_necklaces(20, 2))
-    cases["[str(s) for s in enumerate_necklaces(11, 3)]"] = _median_s(
-        lambda: [str(s) for s in enumerate_necklaces(11, 3)]
-    )
-    cases[f"build_tree + export_tree x {len(TREE_SHAPES)} (TREE_SHAPES)"] = _median_s(
-        lambda: [
-            export_tree(build_tree(n, l, half_tree=half), fmt)
-            for n, l, half, fmt in TREE_SHAPES
-        ]
-    )
+def _machine() -> dict:
     return {
-        "runs": RUNS,
-        "statistic": "median seconds",
         "python": platform.python_version(),
         "cpu": _cpu_model(),
         "cpu_count": os.cpu_count(),
+    }
+
+
+def _run_case(setup) -> tuple[str, float]:
+    name, fn, before = setup()
+    return name, _median_s(fn, before)
+
+
+def measure() -> dict:
+    cases = dict(_run_case(setup) for setup in CASES)
+    return {"runs": RUNS, "statistic": "median seconds", **_machine(), "cases": cases}
+
+
+def _case_in_fresh_process(src: Path, index: int) -> tuple[str, float]:
+    argv = [sys.executable, __file__, "--src", str(src), "--case", str(index)]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    name, seconds = json.loads(out)
+    return name, seconds
+
+
+def compare(parent: Path, change: Path, procs: int) -> dict:
+    """Every case in `procs` fresh processes per side, alternating."""
+    sides = {"parent": parent, "change": change}
+    cases = {}
+    for index in range(len(CASES)):
+        times: dict[str, list] = {"parent": [], "change": []}
+        for k in range(procs):
+            for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+                name, seconds = _case_in_fresh_process(sides[side], index)
+                times[side].append(seconds)
+        medians = {side: statistics.median(ts) for side, ts in times.items()}
+        cases[name] = {
+            **medians,
+            "change/parent": medians["change"] / medians["parent"],
+            **{f"{side}_procs": sorted(ts) for side, ts in times.items()},
+        }
+    return {
+        "procs": procs,
+        "runs": RUNS,
+        "statistic": "per side, the median over fresh processes of each one's median seconds",
+        **_machine(),
         "cases": cases,
     }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="result")
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--parent", type=Path, default=None)
+    parser.add_argument("--procs", type=int, default=5)
+    parser.add_argument("--case", type=int, default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--label", default=None)
     parser.add_argument("--into", type=Path, default=None)
     args = parser.parse_args(argv)
-    result = measure()
+    src = args.src.resolve()
+    if args.parent is not None:
+        if args.procs < 1:
+            parser.error("--procs must be at least 1")
+        result = compare(args.parent.resolve(), src, args.procs)
+        label = args.label or "alternating"
+    else:
+        sys.path.insert(0, str(src))
+        if args.case is not None:
+            # One case, in a process of its own, for compare().
+            print(json.dumps(_run_case(CASES[args.case])))
+            return 0
+        result = measure()
+        label = args.label or "result"
     if args.into is None:
         print(json.dumps(result, indent=2))
         return 0
     doc = json.loads(args.into.read_text()) if args.into.exists() else {}
-    doc[args.label] = result
+    doc[label] = result
     args.into.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

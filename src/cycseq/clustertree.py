@@ -47,6 +47,15 @@ def build_tree(
     Children are produced by the lowering operator; refinement stops once a
     cluster is a singleton or max_p is reached. half_tree (l = 2 only) keeps
     the level-1 compositions with at most floor(n/2) ones.
+
+    Relabelling the letters or reversing a sequence maps the hierarchy onto
+    itself: for g in S_l x {id, reversal}, project(g(s), p) = g(project(s, p))
+    and g is a bijection on necklaces, so lower(g(y)) = g(lower(y)) with
+    equal counts. Hence only one level-1 subtree per orbit of compositions
+    under letter permutations is refined; the others are its image. Within
+    it, a node whose reversal was lowered already takes the reversed
+    children. Children are re-sorted after either map, so the tree is the
+    one that lowering every node gives.
     """
     if max_n is None:
         max_n = DEFAULT_CAPS.get(l, int(16 / math.log2(l)))
@@ -57,33 +66,131 @@ def build_tree(
     if max_p is None:
         max_p = n
 
-    # Block solutions of step 1, by margins; shared by every node's lowering.
-    blocks: dict = {}
-
-    def refine(node: ClusterNode):
-        if node.count <= 1 or node.p >= max_p:
-            return
-        # The lowering pass counts each child as it makes it.
-        node.children = [
-            ClusterNode(z.p, z, count)
-            for z, count in _children(node.freq, blocks)
-            if not (half_tree and z.p == 1 and z.entry(1) > n // 2)
-        ]
-        for child in node.children:
-            refine(child)
-        if not (half_tree and node.p == 0):
-            total = sum(c.count for c in node.children)
-            if total != node.count:
-                raise ArithmeticError(
-                    f"partition violated at p={node.p}: {total} != {node.count}"
-                )
-
     root_freq = FrequencyVector(0, n, l, {0: n})
     root = ClusterNode(0, root_freq, necklace_count(n, l))
-    refine(root)
+    # The root holds at least the l constant sequences, so it is refined
+    # whenever max_p allows.
+    if max_p > 0:
+        # Block solutions of step 1, by margins; shared by every lowering.
+        blocks: dict = {}
+        # Lowered children by (p, items), until the reversal takes them.
+        lowered: dict = {}
+        # Window-index images by (g, p): g a letter map, or None for reversal.
+        images: dict = {}
+        root.children = [
+            ClusterNode(1, z, count)
+            for z, count in _children(root_freq, blocks)
+            if not (half_tree and z.entry(1) > n // 2)
+        ]
+        if not half_tree:
+            _check_partition(root)
+        refined: dict = {}  # sorted composition -> its refined level-1 node
+        for child in root.children:
+            rep = refined.setdefault(tuple(sorted(child.freq.dense())), child)
+            if rep is child:
+                _refine(child, max_p, blocks, lowered, images)
+            else:
+                letters = _letter_map(rep.freq.dense(), child.freq.dense())
+                _mirror(rep, child, letters, images)
     if half_tree:
         root.count = sum(c.count for c in root.children)
     return ClusterTree(n, l, root)
+
+
+def _check_partition(node: ClusterNode) -> None:
+    total = sum(c.count for c in node.children)
+    if total != node.count:
+        raise ArithmeticError(
+            f"partition violated at p={node.p}: {total} != {node.count}"
+        )
+
+
+def _refine(top: ClusterNode, max_p: int, blocks: dict, lowered: dict, images: dict) -> None:
+    """Refine the subtree of top down to singletons or level max_p.
+
+    A node's children are its reversal's, reversed, when that node was
+    lowered before (its entry in `lowered` is taken then, since every
+    vector occurs once in a tree); otherwise they come from _children.
+    """
+    stack = [top]
+    while stack:
+        node = stack.pop()
+        if node.count <= 1 or node.p >= max_p:
+            continue
+        y = node.freq
+        key = (y.p, y.items())
+        mirror_key = (y.p, _image_items(y, None, images))
+        pairs = lowered.pop(mirror_key, None)
+        if pairs is None:
+            pairs = _children(y, blocks)
+            if mirror_key != key:
+                lowered[key] = pairs
+        else:
+            pairs = [(_image(z, None, images), count) for z, count in pairs]
+            if len(pairs) > 1:
+                pairs.sort(key=lambda pair: pair[0].sort_key())
+        node.children = [ClusterNode(z.p, z, count) for z, count in pairs]
+        _check_partition(node)
+        stack.extend(node.children)
+
+
+def _mirror(src: ClusterNode, dst: ClusterNode, letters: tuple, images: dict) -> None:
+    """Give dst the subtree of src mapped through the letter map `letters`
+    (dst.freq is its image of src.freq), children re-sorted."""
+    stack = [(src, dst)]
+    while stack:
+        a, b = stack.pop()
+        kids = [ClusterNode(c.p, _image(c.freq, letters, images), c.count) for c in a.children]
+        stack.extend(zip(a.children, kids))
+        if len(kids) > 1:
+            kids.sort(key=lambda c: c.freq.sort_key())
+        b.children = kids
+
+
+def _letter_map(source: list, target: list) -> tuple:
+    """A letter permutation sigma with target[sigma[a]] = source[a]: it maps
+    a sequence of composition `source` to one of composition `target`."""
+    sigma = [0] * len(source)
+    by_count = sorted(range(len(target)), key=target.__getitem__)
+    for a, b in zip(sorted(range(len(source)), key=source.__getitem__), by_count):
+        sigma[a] = b
+    return tuple(sigma)
+
+
+def _window_image(j: int, p: int, l: int, g: tuple | None) -> int:
+    """0-based index of the image of window j (length p) under the letter
+    map g, or under reversal when g is None."""
+    letters = []  # last letter first
+    for _ in range(p):
+        j, a = divmod(j, l)
+        letters.append(a)
+    k = 0
+    if g is None:
+        for a in letters:
+            k = k * l + a
+    else:
+        for a in reversed(letters):
+            k = k * l + g[a]
+    return k
+
+
+def _image_items(y: FrequencyVector, g: tuple | None, images: dict) -> tuple:
+    """The items of g(y); window images are kept in `images` per (g, y.p)."""
+    table = images.get((g, y.p))
+    if table is None:
+        table = images[g, y.p] = {}
+    out = []
+    for j, c in y.items():
+        k = table.get(j)
+        if k is None:
+            k = table[j] = _window_image(j, y.p, y.l, g)
+        out.append((k, c))
+    out.sort()
+    return tuple(out)
+
+
+def _image(y: FrequencyVector, g: tuple | None, images: dict) -> FrequencyVector:
+    return FrequencyVector(y.p, y.n, y.l, dict(_image_items(y, g, images)))
 
 
 def max_branching_level(tree: ClusterTree) -> int:

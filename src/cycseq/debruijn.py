@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, ResourceCapError
-from .freqspace import FrequencyVector, check_index_width
+from .freqspace import FrequencyVector, check_index_width, check_level
 from .seqcore import CyclicSequence, canonicalize, divisors, euler_totient
 
 DEFAULT_SEQUENCE_CAP = 20
@@ -133,6 +133,7 @@ def _windows(z: FrequencyVector) -> list[tuple[int, int, int]]:
     if z.p < 1:
         raise DomainError("need a frequency vector at level >= 1")
     check_index_width(z.p - 1, z.l)
+    check_level(z.p, z.n)
     l, vsize = z.l, z.l ** (z.p - 1)
     return [(e // l, e % vsize, w) for e, w in z.items()]
 
@@ -392,6 +393,7 @@ def count_sequences_with_frequency(z: FrequencyVector) -> int:
     if z.p < 1:
         raise DomainError("need a frequency vector at level >= 1")
     check_index_width(z.p - 1, z.l)
+    check_level(z.p, z.n)
     edges: dict[tuple[int, int], int] = {}
     connected = _window_graph(z.items(), z.l, z.l ** (z.p - 1), edges)
     flow: dict[int, int] = {}

@@ -30,6 +30,13 @@ def check_index_width(p: int, l: int) -> None:
         )
 
 
+def check_level(p: int, n: int) -> None:
+    """DomainError when p > n: project refuses such levels, so no sequence
+    of length n has length-p windows to count, list or lower into."""
+    if p > n:
+        raise DomainError(f"level {p} exceeds the sequence length n = {n}")
+
+
 def word_index(window: Sequence[int], l: int) -> int:
     """1-based index of a length-p window: 1 + sum b_k * l^(p-k)."""
     if len(window) < 1:

@@ -21,7 +21,7 @@ from .debruijn import (
 # goes with the next change to the benchmark.
 from .debruijn import enumerate_sequences_with_frequency  # noqa: F401
 from .errors import DomainError, ResourceCapError
-from .freqspace import FrequencyVector, check_index_width
+from .freqspace import FrequencyVector, check_index_width, check_level
 from .seqcore import divisors, euler_totient, level1_cluster_size
 
 # Work cap of step 1: the product of the per-block solution counts. No node
@@ -119,6 +119,7 @@ def _node_blocks(y: FrequencyVector, blocks: dict) -> list | None:
     caller builds the first candidate.
     """
     check_index_width(y.p + 1, y.l)
+    check_level(y.p + 1, y.n)
     l, mid_size = y.l, y.l ** (y.p - 1)
     margins: dict[int, tuple[list, list]] = {}
     for w, c in y.items():
@@ -173,7 +174,8 @@ def solve_step1(y: FrequencyVector) -> list[FrequencyVector]:
     row sums are Y[b . mid] (outgoing flow) and column sums Y[mid . a]
     (incoming flow). Candidates are the Cartesian product of the per-block
     solutions, in lexicographic order of Z. More than STEP1_CAP candidates
-    raise ResourceCapError before any is built.
+    raise ResourceCapError before any is built; a level p >= n, which
+    project would refuse to lower into, raises DomainError.
     """
     out = [FrequencyVector(y.p + 1, y.n, y.l, c) for c in _step1(y, {})]
     return sorted(out, key=FrequencyVector.sort_key)

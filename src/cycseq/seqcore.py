@@ -14,6 +14,11 @@ from .errors import DomainError, ResourceCapError
 
 DEFAULT_ENUM_CAP_BITS = 24
 
+# Widest necklace_count, as n log2(l) bits of l^n. At the cap the count took
+# at most 0.12 s for l in {2, 3, 5, 7, 1000003}; at 2^22 bits up to 0.9 s,
+# and at 2^24 bits up to 9 s, growing faster than linearly for l > 2.
+NECKLACE_COUNT_MAX_BITS = 1 << 20
+
 
 def euler_totient(d: int) -> int:
     """Totient by trial factorization; exact for any d >= 1."""
@@ -174,6 +179,15 @@ def necklace_count(n: int, l: int) -> int:
         raise DomainError("n must be >= 1")
     if l < 1:
         raise DomainError("alphabet size must be >= 1")
+    if l == 1:
+        return 1
+    # n log2(l) > the cap in integers, as in enumerate_necklaces, before
+    # l^n or the divisors of n are built.
+    num, den = math.log2(l).as_integer_ratio()
+    if n * num > NECKLACE_COUNT_MAX_BITS * den:
+        raise ResourceCapError(
+            f"counting necklaces of {l}^{n} words exceeds the {NECKLACE_COUNT_MAX_BITS}-bit cap"
+        )
     total = sum(euler_totient(d) * l ** (n // d) for d in divisors(n))
     count, rem = divmod(total, n)
     if rem:

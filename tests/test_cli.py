@@ -451,6 +451,21 @@ def test_costly_requests_hit_the_cap_quickly(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lower", "--vector", json.dumps({"p": 40, "n": 40, "l": 2, "sparse": {"1": 40}})),
+        ("lower", "--raw", "--vector", json.dumps({"p": 3, "n": 3, "l": 2, "dense": [0, 0, 0, 1, 0, 1, 1, 0]})),
+        ("members", "--vector", json.dumps({"p": 4, "n": 3, "l": 2, "sparse": {"1": 3}})),
+    ],
+)
+def test_levels_past_n_are_a_domain_error(capsys, argv):
+    # project refuses a level past n, and so do lower and members
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("l, p", [(2, 7), (3, 4), (2, 8), (16, 2)])
 def test_euler_count_below_the_cap(capsys, l, p):
     # ec(G_l(p)) is the number of de Bruijn sequences of order p + 1

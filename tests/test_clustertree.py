@@ -1,11 +1,14 @@
+import gc
 import hashlib
 import json
 import math
+from itertools import permutations
 
 import pytest
 
 from cycseq import (
     DomainError,
+    FrequencyVector,
     ResourceCapError,
     build_tree,
     count_sequences_with_frequency,
@@ -23,6 +26,7 @@ from cycseq import (
 )
 
 from cycseq.cli import main
+from cycseq.freqspace import index_word, word_index
 from cycseq.lowering import _children, lower
 
 from conftest import all_necklaces
@@ -223,6 +227,92 @@ def test_children_share_their_parents_invariants(l, max_n, half):
                 assert out == dict(y.items()), (n, z)
                 assert g % math.gcd(*(c for _, c in z.items())) == 0, (n, z)
                 assert child.count == count_sequences_with_frequency(z), (n, z)
+
+
+def _act(y, letters, reverse):
+    """g(y) for g = (letter permutation, reversal or not), window by window
+    through index_word / word_index."""
+    if y.p == 0:
+        return y
+    counts = {}
+    for j, c in y.items():
+        word = [letters[a] for a in index_word(j + 1, y.p, y.l)]
+        if reverse:
+            word.reverse()
+        counts[word_index(word, y.l) - 1] = c
+    return FrequencyVector(y.p, y.n, y.l, counts)
+
+
+def _group(l):
+    return [(g, r) for g in permutations(range(l)) for r in (False, True)]
+
+
+def test_children_are_equivariant_under_letter_maps_and_reversal():
+    # lower(g(y)) = g(lower(y)) with equal counts, for g in S_l x {id, rev}:
+    # what build_tree relies on to lower one node per symmetry class
+    cases = [(2, n, half) for n in range(2, 13) for half in (False, True)]
+    cases += [(3, n, False) for n in range(2, 8)]
+    nodes = set()
+    for l, n, half in cases:
+        nodes.update(node.freq for node in _internal_nodes(build_tree(n, l, half_tree=half).root))
+    blocks = {}
+    for y in nodes:
+        pairs = _children(y, blocks)
+        for letters, reverse in _group(y.l):
+            image = sorted(
+                ((_act(z, letters, reverse), count) for z, count in pairs),
+                key=lambda pair: pair[0].sort_key(),
+            )
+            assert _children(_act(y, letters, reverse), blocks) == image, (y, letters, reverse)
+
+
+def _lowered_tree(n, l, max_p, half):
+    """(freq, count, children) of the tree that lowers every node with
+    _children, with no use of symmetry."""
+
+    def grow(y, count):
+        kids = []
+        if count > 1 and y.p < max_p:
+            kids = [
+                grow(z, k)
+                for z, k in _children(y, {})
+                if not (half and z.p == 1 and z.entry(1) > n // 2)
+            ]
+        return (y, count, kids)
+
+    root = grow(FrequencyVector(0, n, l, {0: n}), necklace_count(n, l))
+    if half:
+        root = (root[0], sum(k[1] for k in root[2]), root[2])
+    return root
+
+
+@pytest.mark.parametrize("max_p", [None, 1, 2, 4])
+@pytest.mark.parametrize("n, l, half", [(12, 2, False), (12, 2, True), (11, 2, True), (7, 3, False), (6, 3, False)])
+def test_build_tree_equals_the_tree_lowered_node_by_node(n, l, half, max_p):
+    # the mirrored level-1 subtrees and the reversed children give the same
+    # nodes, counts and child order as lowering every node
+    want = [_lowered_tree(n, l, n if max_p is None else max_p, half)]
+    got = [build_tree(n, l, max_p=max_p, half_tree=half).root]
+    while want:
+        (y, count, kids), node = want.pop(), got.pop()
+        assert (node.p, node.freq, node.count) == (y.p, y, count)
+        assert len(node.children) == len(kids), y
+        want.extend(kids)
+        got.extend(node.children)
+
+
+def test_build_tree_leaves_no_cyclic_garbage():
+    # the tree and its memos are freed by reference counting on return,
+    # with no reference cycle left for the cyclic collector
+    build_tree(5, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        for n, l, half in ((14, 2, False), (14, 2, True), (8, 3, False)):
+            build_tree(n, l, half_tree=half)
+            assert gc.collect() == 0, (n, l, half)
+    finally:
+        gc.enable()
 
 
 # sha256 of the stdout of `cycseq tree --n N --alphabet L --format F [--half]`,

@@ -153,6 +153,23 @@ def test_huge_levels_hit_the_index_cap_quickly():
             assert time.perf_counter() - start < 0.5
 
 
+def test_levels_past_n_are_refused():
+    # project refuses p > n, so lowering a level-n vector, or counting and
+    # listing a level past n, is a DomainError rather than an answer
+    n = 5
+    y = project(canonicalize([1, 1, 0, 1, 0], 2), n)
+    for f in (solve_step1, lower, lambda v: _lower(v, {}), lambda v: _children(v, {})):
+        with pytest.raises(DomainError):
+            f(y)
+    assert count_sequences_with_frequency(y) == 1
+    assert enumerate_sequences_with_frequency(y) == [canonicalize([1, 1, 0, 1, 0], 2)]
+    z = FrequencyVector(n + 1, n, 2, {0: n})
+    for f in (count_sequences_with_frequency, subgraph_from_frequency, enumerate_sequences_with_frequency):
+        with pytest.raises(DomainError):
+            f(z)
+    assert [v.p for v in lower(project(canonicalize([1, 1, 0, 1, 0], 2), n - 1))] == [n]
+
+
 def test_level1_branch_count():
     # a two-letter composition [n-z, z] has exactly z realizable refinements
     for n in range(4, 13):

@@ -21,7 +21,7 @@ from cycseq import (
     sequence_to_string,
     shift,
 )
-from cycseq.seqcore import _is_max_rotation, _max_rotation_offset
+from cycseq.seqcore import NECKLACE_COUNT_MAX_BITS, _is_max_rotation, _max_rotation_offset
 
 from conftest import all_necklaces, naive_canonical
 
@@ -219,6 +219,19 @@ def test_string_rejects_garbage():
         sequence_from_string("102", 2)
     with pytest.raises(DomainError):
         sequence_from_string("abc", 2)
+
+
+def test_necklace_count_refuses_huge_n_quickly():
+    # n log2(l) past the bit cap is refused before l^n is built; n = 10^9
+    # used to run for seconds
+    for n, l in ((10**9, 2), (NECKLACE_COUNT_MAX_BITS + 1, 2), (10**400, 3), (10**6, 10**6)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError):
+            necklace_count(n, l)
+        assert time.perf_counter() - start < 1.0
+    assert necklace_count(NECKLACE_COUNT_MAX_BITS, 2) > 2 ** (NECKLACE_COUNT_MAX_BITS - 21)
+    assert necklace_count(10**9, 1) == 1
+    assert [necklace_count(n, 1) for n in (1, 6, 7)] == [1, 1, 1]
 
 
 def test_necklace_count_is_fast():
