@@ -29,20 +29,22 @@ on any version of the package that has them.
 
 Usage:
 
-  python3 scripts/bench_layers.py [--src DIR] [--label NAME --into FILE]
-  python3 scripts/bench_layers.py --parent DIR [--src DIR] [--procs K] [--into FILE]
+  python3 scripts/bench_layers.py [--src DIR]
+  python3 scripts/bench_layers.py --parent DIR [--src DIR]
 
 `--src` names the directory the `cycseq` package is imported from (default:
-this checkout's `src`). Without --into the first form prints one JSON
-document; with it, the document is stored under NAME in FILE (created if
-missing), next to the other labels there.
+this checkout's `src`). The first form times that one package in one
+process. Timings of two versions taken one after the other differ by the
+drift of the machine between the runs, so it is no comparison.
 
-The second form compares two versions of the package. Each case runs in K
-fresh processes per side (default 5), the `--parent` and `--src` sides
+The second form compares two versions of the package. Each case runs in
+PROCS = 5 fresh processes per side, the `--parent` and `--src` sides
 alternating and taking turns to go first, so that drift of the machine over
 the run reaches both sides alike. Each process reports its median of five
-calls; the document holds, per case, the median of those K values for each
-side and their ratio, and is stored under the label "alternating".
+calls; the document holds, per case, the median of those five values for
+each side and their ratio.
+
+Both forms print one JSON document to stdout.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from workloads import TREE_SHAPES  # noqa: E402
 EULER_CASES = [(2, 7), (2, 8), (3, 4), (16, 2)]
 TREE_CASES = [(16, 2, False), (16, 2, True)]
 RUNS = 5
+PROCS = 5
 
 
 def _median_s(fn, before=None) -> float:
@@ -205,13 +208,13 @@ def _case_in_fresh_process(src: Path, index: int) -> tuple[str, float]:
     return name, seconds
 
 
-def compare(parent: Path, change: Path, procs: int) -> dict:
-    """Every case in `procs` fresh processes per side, alternating."""
+def compare(parent: Path, change: Path) -> dict:
+    """Every case in PROCS fresh processes per side, alternating."""
     sides = {"parent": parent, "change": change}
     cases = {}
     for index in range(len(CASES)):
         times: dict[str, list] = {"parent": [], "change": []}
-        for k in range(procs):
+        for k in range(PROCS):
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
                 name, seconds = _case_in_fresh_process(sides[side], index)
                 times[side].append(seconds)
@@ -222,7 +225,7 @@ def compare(parent: Path, change: Path, procs: int) -> dict:
             **{f"{side}_procs": sorted(ts) for side, ts in times.items()},
         }
     return {
-        "procs": procs,
+        "procs": PROCS,
         "runs": RUNS,
         "statistic": "per side, the median over fresh processes of each one's median seconds",
         **_machine(),
@@ -234,17 +237,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--parent", type=Path, default=None)
-    parser.add_argument("--procs", type=int, default=5)
     parser.add_argument("--case", type=int, default=None, help=argparse.SUPPRESS)
-    parser.add_argument("--label", default=None)
-    parser.add_argument("--into", type=Path, default=None)
     args = parser.parse_args(argv)
     src = args.src.resolve()
     if args.parent is not None:
-        if args.procs < 1:
-            parser.error("--procs must be at least 1")
-        result = compare(args.parent.resolve(), src, args.procs)
-        label = args.label or "alternating"
+        result = compare(args.parent.resolve(), src)
     else:
         sys.path.insert(0, str(src))
         if args.case is not None:
@@ -252,13 +249,7 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(_run_case(CASES[args.case])))
             return 0
         result = measure()
-        label = args.label or "result"
-    if args.into is None:
-        print(json.dumps(result, indent=2))
-        return 0
-    doc = json.loads(args.into.read_text()) if args.into.exists() else {}
-    doc[label] = result
-    args.into.write_text(json.dumps(doc, indent=2) + "\n")
+    print(json.dumps(result, indent=2))
     return 0
 
 

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ResourceCapError
-from .freqspace import FrequencyVector
+from .freqspace import FrequencyVector, index_word, word_index
 from .lowering import _children
 
 # Unused here, but bench/spans.py wraps these module attributes by name;
@@ -157,23 +157,6 @@ def _letter_map(source: list, target: list) -> tuple:
     return tuple(sigma)
 
 
-def _window_image(j: int, p: int, l: int, g: tuple | None) -> int:
-    """0-based index of the image of window j (length p) under the letter
-    map g, or under reversal when g is None."""
-    letters = []  # last letter first
-    for _ in range(p):
-        j, a = divmod(j, l)
-        letters.append(a)
-    k = 0
-    if g is None:
-        for a in letters:
-            k = k * l + a
-    else:
-        for a in reversed(letters):
-            k = k * l + g[a]
-    return k
-
-
 def _image_items(y: FrequencyVector, g: tuple | None, images: dict) -> tuple:
     """The items of g(y); window images are kept in `images` per (g, y.p)."""
     table = images.get((g, y.p))
@@ -183,7 +166,9 @@ def _image_items(y: FrequencyVector, g: tuple | None, images: dict) -> tuple:
     for j, c in y.items():
         k = table.get(j)
         if k is None:
-            k = table[j] = _window_image(j, y.p, y.l, g)
+            w = index_word(j + 1, y.p, y.l)
+            w = w[::-1] if g is None else [g[a] for a in w]
+            k = table[j] = word_index(w, y.l) - 1
         out.append((k, c))
     out.sort()
     return tuple(out)
