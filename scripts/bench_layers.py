@@ -9,7 +9,7 @@ the median in seconds:
   tree (levels p >= 1): thousands of small BEST + Burnside counts;
 - build_tree(16, 2) and build_tree(16, 2, half_tree=True): lowering and
   counting together, as the tree command runs them;
-- twofold_table(4) and twofold_table(5, max_p=5): the per-k Phi, PermNo and
+- twofold_table(4) and twofold_table(5): the per-k Phi, PermNo and
   cofactor rows that `twofold --p 4 --table` and `--p 5 --table` print.
   Where the package caches the Phi row (twofold._phi_row), the cache is
   cleared before every run, outside the timed region, so the Phi
@@ -117,14 +117,12 @@ def _tree(n: int, l: int, half: bool):
     return name, lambda: build_tree(n, l, half_tree=half), None
 
 
-def _twofold_table(p: int, max_p: int | None):
+def _twofold_table(p: int):
     from cycseq import twofold
 
     phi_cache = getattr(twofold, "_phi_row", None)
     clear = phi_cache.cache_clear if phi_cache is not None else None
-    if max_p is None:
-        return f"twofold_table({p})", lambda: twofold.twofold_table(p), clear
-    return f"twofold_table({p}, max_p={max_p})", lambda: twofold.twofold_table(p, max_p=max_p), clear
+    return f"twofold_table({p})", lambda: twofold.twofold_table(p), clear
 
 
 def _twofold_exact():
@@ -162,8 +160,8 @@ CASES = (
     + [_counting]
     + [lambda c=c: _tree(*c) for c in TREE_CASES]
     + [
-        lambda: _twofold_table(4, None),
-        lambda: _twofold_table(5, 5),
+        lambda: _twofold_table(4),
+        lambda: _twofold_table(5),
         _twofold_exact,
         _necklaces,
         _necklace_strings,

@@ -171,7 +171,7 @@ def _print_table(rows: list[dict], fmt: str, head: dict) -> None:
 
 
 def cmd_twofold(args) -> None:
-    rows = twofold.twofold_table(args.p, max_p=args.max_p)
+    rows = twofold.twofold_table(args.p)
     # count_twofold's assembly, over the rows already computed.
     head = {"p": args.p, "count": str(sum(r["cofactor"] * r["phi"] for r in rows))}
     if args.table:
@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("twofold", help="count two-fold de Bruijn sequences")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--table", action="store_true")
-    sp.add_argument("--max-p", type=int, default=5)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(func=cmd_twofold)
 

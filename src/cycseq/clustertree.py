@@ -3,6 +3,7 @@ built by repeated lowering, with DOT/JSON/Newick export."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -46,7 +47,8 @@ def build_tree(
 
     Children are produced by the lowering operator; refinement stops once a
     cluster is a singleton or max_p is reached. half_tree (l = 2 only) keeps
-    the level-1 compositions with at most floor(n/2) ones.
+    the level-1 compositions with at most floor(n/2) ones, and its root
+    count is their sum whatever max_p is.
 
     Relabelling the letters or reversing a sequence maps the hierarchy onto
     itself: for g in S_l x {id, reversal}, project(g(s), p) = g(project(s, p))
@@ -69,8 +71,9 @@ def build_tree(
     root_freq = FrequencyVector(0, n, l, {0: n})
     root = ClusterNode(0, root_freq, necklace_count(n, l))
     # The root holds at least the l constant sequences, so it is refined
-    # whenever max_p allows.
-    if max_p > 0:
+    # whenever max_p allows. A half tree's root count is the sum over its
+    # level-1 children, so those are found whatever max_p is.
+    if max_p > 0 or half_tree:
         # Block solutions of step 1, by margins; shared by every lowering.
         blocks: dict = {}
         # Lowered children by (p, items), until the reversal takes them.
@@ -82,8 +85,12 @@ def build_tree(
             for z, count in _children(root_freq, blocks)
             if not (half_tree and z.entry(1) > n // 2)
         ]
-        if not half_tree:
+        if half_tree:
+            root.count = sum(c.count for c in root.children)
+        else:
             _check_partition(root)
+        if max_p == 0:
+            root.children = []
         refined: dict = {}  # sorted composition -> its refined level-1 node
         for child in root.children:
             rep = refined.setdefault(tuple(sorted(child.freq.dense())), child)
@@ -92,8 +99,6 @@ def build_tree(
             else:
                 letters = _letter_map(rep.freq.dense(), child.freq.dense())
                 _mirror(rep, child, letters, images)
-    if half_tree:
-        root.count = sum(c.count for c in root.children)
     return ClusterTree(n, l, root)
 
 
@@ -181,15 +186,12 @@ def _image(y: FrequencyVector, g: tuple | None, images: dict) -> FrequencyVector
 def max_branching_level(tree: ClusterTree) -> int:
     """Deepest level p at which some cluster splits into >= 2 children."""
     best = -1
-
-    def visit(node: ClusterNode):
-        nonlocal best
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
         if len(node.children) >= 2:
             best = max(best, node.p)
-        for c in node.children:
-            visit(c)
-
-    visit(tree.root)
+        stack.extend(node.children)
     return best
 
 
@@ -227,39 +229,37 @@ def tree_from_json(text: str) -> ClusterTree:
     return ClusterTree(int(obj["n"]), int(obj["l"]), _node_from_obj(obj["root"]))
 
 
+def _dot_lines(node: ClusterNode, lines: list, ids) -> int:
+    """Append the DOT lines of node's subtree, numbered in preorder from
+    the iterator `ids`; returns node's number."""
+    my_id = next(ids)
+    lines.append(f'  n{my_id} [label="{node.count}"];')
+    for c in node.children:
+        cid = _dot_lines(c, lines, ids)
+        lines.append(f"  n{my_id} -> n{cid};")
+    return my_id
+
+
 def tree_to_dot(tree: ClusterTree) -> str:
     """DOT with circle nodes labeled by member counts."""
     lines = ["digraph clusters {", "  node [shape=circle];"]
-    counter = [0]
-
-    def visit(node: ClusterNode) -> int:
-        my_id = counter[0]
-        counter[0] += 1
-        lines.append(f'  n{my_id} [label="{node.count}"];')
-        for c in node.children:
-            cid = visit(c)
-            lines.append(f"  n{my_id} -> n{cid};")
-        return my_id
-
-    visit(tree.root)
+    _dot_lines(tree.root, lines, itertools.count())
     lines.append("}")
     return "\n".join(lines)
 
 
+def _newick(node: ClusterNode) -> str:
+    """Newick text of node's subtree, without its branch length."""
+    if not node.children:
+        return str(node.count)
+    inner = ",".join(_newick(c) + ":1" for c in node.children)
+    return f"({inner}){node.count}"
+
+
 def tree_to_newick(tree: ClusterTree) -> str:
-    """Newick text with unit branch length per level, labels = counts."""
-
-    def visit(node: ClusterNode) -> str:
-        if not node.children:
-            return f"{node.count}:1"
-        inner = ",".join(visit(c) for c in node.children)
-        return f"({inner}){node.count}:1"
-
-    # The root carries no branch.
-    if not tree.root.children:
-        return f"{tree.root.count};"
-    inner = ",".join(visit(c) for c in tree.root.children)
-    return f"({inner}){tree.root.count};"
+    """Newick text with unit branch length per level, labels = counts; the
+    root carries no branch."""
+    return _newick(tree.root) + ";"
 
 
 def export_tree(tree: ClusterTree, fmt: str) -> str:

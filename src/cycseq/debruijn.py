@@ -107,12 +107,11 @@ class Multigraph:
         self.edges[(u, v)] = self.edges.get((u, v), 0) + mult
 
     def is_balanced(self) -> bool:
-        out: dict = {}
-        inc: dict = {}
+        flow: dict = {}
         for (u, v), m in self.edges.items():
-            out[u] = out.get(u, 0) + m
-            inc[v] = inc.get(v, 0) + m
-        return all(out.get(v, 0) == inc.get(v, 0) for v in self.vertices)
+            flow[u] = flow.get(u, 0) + m
+            flow[v] = flow.get(v, 0) - m
+        return not any(flow.values())
 
     def is_connected(self) -> bool:
         """Connectivity of the undirected support over vertices that carry
@@ -143,11 +142,10 @@ def subgraph_from_frequency(z: FrequencyVector) -> Multigraph:
     edge weights are window counts. The l loops of G_l(0) share the key
     (0, 0), so their weights add up."""
     g = Multigraph()
-    edges, vertices = g.edges, g.vertices
+    edges = g.edges
     for t, h, w in _windows(z):
-        edges[(t, h)] = edges.get((t, h), 0) + w
-        vertices.add(t)
-        vertices.add(h)
+        edges[t, h] = edges.get((t, h), 0) + w
+    g.vertices.update(*edges)
     return g
 
 
@@ -352,30 +350,6 @@ def _laplacian_cofactor(rows: dict) -> int:
     return det
 
 
-def _window_graph(
-    windows: Iterable[tuple[int, int]],
-    l: int,
-    vsize: int,
-    edges: dict | None = None,
-) -> bool:
-    """Whether A[Z] is connected, from the (window index, count) pairs of a
-    level-(p+1) vector, by a union-find over the l^p vertex indices.
-
-    In the same pass, when given, `edges` collects the edge multiplicities
-    keyed by (tail, head).
-    """
-
-    def pairs():
-        for e, w in windows:
-            t, h = e // l, e % vsize
-            if edges is not None:
-                edges[t, h] = edges.get((t, h), 0) + w
-            yield t, h
-
-    parent, merges = _union_find(pairs())
-    return len(parent) - merges == 1
-
-
 def count_sequences_with_frequency(z: FrequencyVector) -> int:
     """Number of distinct cyclic sequences whose level-p window counts equal
     z; 0 when the subgraph A[Z] is disconnected.
@@ -390,24 +364,15 @@ def count_sequences_with_frequency(z: FrequencyVector) -> int:
     with distinguishable edges. Z/d has the support of Z, so balance and
     connectivity are checked once, on Z.
     """
-    if z.p < 1:
-        raise DomainError("need a frequency vector at level >= 1")
-    check_index_width(z.p - 1, z.l)
-    check_level(z.p, z.n)
-    edges: dict[tuple[int, int], int] = {}
-    connected = _window_graph(z.items(), z.l, z.l ** (z.p - 1), edges)
-    flow: dict[int, int] = {}
-    for (t, h), m in edges.items():
-        flow[t] = flow.get(t, 0) + m
-        flow[h] = flow.get(h, 0) - m
-    if any(flow.values()):
+    g = subgraph_from_frequency(z)
+    if not g.is_balanced():
         raise DomainError("frequency vector is not flow-balanced")
-    if not connected:
+    if not g.is_connected():
         return 0
     counts = [c for _, c in z.items()]
     terms = []
     for d in divisors(math.gcd(*counts)):
-        labelled = (z.n // d) * _best_count({e: m // d for e, m in edges.items()})
+        labelled = (z.n // d) * _best_count({e: m // d for e, m in g.edges.items()})
         orderings = math.prod(math.factorial(c // d) for c in counts)
         terms.append((euler_totient(d), labelled, orderings))
     return _burnside(z.n, terms)

@@ -13,8 +13,8 @@ from .debruijn import (
     _best_frame,
     _burnside,
     _union_find,
-    _window_graph,
     count_sequences_with_frequency,
+    subgraph_from_frequency,
 )
 
 # Unused here, but bench/spans.py wraps this module attribute by name; it
@@ -22,7 +22,7 @@ from .debruijn import (
 from .debruijn import enumerate_sequences_with_frequency  # noqa: F401
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector, check_index_width, check_level
-from .seqcore import divisors, euler_totient, level1_cluster_size
+from .seqcore import level1_cluster_size
 
 # Work cap of step 1: the product of the per-block solution counts. No node
 # of the binary n <= 16 or ternary n <= 9 trees has more than 256 candidates;
@@ -198,20 +198,14 @@ def lower(y: FrequencyVector) -> list[FrequencyVector]:
     candidates of every lowering it is asked for; build_tree takes
     _children instead, which lowers and counts in one pass.
     """
-    candidates = solve_step1(y)
-    vsize = y.l**y.p
-    return [z for z in candidates if _window_graph(z.items(), y.l, vsize)]
-
-
-def _lower(y: FrequencyVector, blocks: dict) -> list[FrequencyVector]:
-    """lower(y) with the block solutions memoized in `blocks`, which a whole
-    cluster tree shares."""
-    return [z for z, _ in _children(y, blocks)]
+    return [z for z in solve_step1(y) if subgraph_from_frequency(z).is_connected()]
 
 
 def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, int]]:
     """(z, count) for every z of lower(y), in that order, where count is
-    count_sequences_with_frequency(z) (level1_cluster_size at level 1).
+    count_sequences_with_frequency(z) (level1_cluster_size at level 1);
+    `blocks` memoizes the block solutions by margins, and a whole cluster
+    tree shares it.
 
     A[Z] has the support of y as its vertex set whatever the candidate. A
     block with one solution is forced: all forced blocks are merged once
@@ -223,13 +217,13 @@ def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, i
     made a vector.
 
     Every candidate z has out- and in-weight y_w at each vertex w of A[Z]
-    (R z = L z = y), and gcd(z) divides gcd(y). So the Burnside divisors d
-    of gcd(y), and for each the half of the BEST count of A[Z/d] that the
-    out-weights fix (_best_frame), are found once per node. The share of a
-    set of edges (tail, head, multiplicity v) is its flow delta and, for
-    each d that divides every v, the factor prod (v/d)!, the successors of
-    its out-weight-1 tails and its edges out of branching tails. d = 1
-    divides every v, so its share is taken in the same pass as the windows.
+    (R z = L z = y), so the half of its BEST count that the out-weights fix
+    (_best_frame) is found once per node. The share of a set of edges
+    (tail, head, multiplicity v) is its flow delta, prod v!, the successors
+    of its out-weight-1 tails and its edges out of branching tails: with
+    them a candidate's count is the d = 1 Burnside term. The other terms
+    need d | gcd(z), and gcd(z) divides gcd(y); the rare child whose counts
+    share a factor is counted by count_sequences_with_frequency instead.
     """
     p, n, l = y.p + 1, y.n, y.l
     if y.p == 0:
@@ -244,39 +238,21 @@ def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, i
         return []
     mid_size = l ** (y.p - 1)
     weight = dict(y.items())
-    frames = []  # (d, phi(d), factor, branching) for each d | gcd(y)
-    for d in divisors(math.gcd(*weight.values())):
-        factor, branching = _best_frame(
-            {w: c // d for w, c in weight.items()} if d > 1 else weight
-        )
-        frames.append((d, euler_totient(d), factor, branching))
+    factor, branching = _best_frame(weight)
+    periodic = math.gcd(*weight.values()) > 1
     # Flow deltas are packed into one integer each, vertex w's net flow x_w
     # at bit offset shift[w]. A candidate's vector sums to n, so each
     # |x_w| <= n < 2^(width - 1), and a sum of deltas is 0 iff every x_w is.
     width = (2 * n).bit_length()
     shift = dict(zip(weight, range(0, width * len(weight), width)))
 
-    def shares(cells):
-        """The share of edges (tail, head, multiplicity) for each d > 1,
-        or None where d does not divide every multiplicity."""
-        out = []
-        for d, *_ in frames[1:]:
-            if any(v % d for _, _, v in cells):
-                out.append(None)
-                continue
-            orderings = 1
-            for _, _, v in cells:
-                orderings *= math.factorial(v // d)
-            out.append((
-                orderings,
-                [(t, h) for t, h, v in cells if weight[t] == d],
-                [((t, h), v // d) for t, h, v in cells if weight[t] > d],
-            ))
-        return out
-
     forced = []  # edges of the forced blocks
     base_windows: dict[int, int] = {}
-    base_flow, base_orderings, base_succ, base_arcs = 0, 1, {}, []
+    base_flow, base_orderings, base_arcs = 0, 1, []
+    # Every solution of a free block names the successor of each
+    # out-weight-1 tail in it, so a candidate overwrites every entry of
+    # this map that it does not share with the forced blocks.
+    succ: dict[int, int] = {}
     free = []
     for mid, sols in node_blocks:
         if len(sols) > 1:
@@ -284,15 +260,15 @@ def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, i
             continue
         for b, a, v in sols[0]:
             t, h = b * mid_size + mid, mid * l + a
-            forced.append((t, h, v))
+            forced.append((t, h))
             base_windows[t * l + a] = v
             base_flow += (v << shift[t]) - (v << shift[h])
             base_orderings *= math.factorial(v)
             if weight[t] == 1:
-                base_succ[t] = h
+                succ[t] = h
             else:
                 base_arcs.append(((t, h), v))
-    parent, _ = _union_find([(t, h) for t, h, _ in forced], weight)
+    parent, _ = _union_find(forced, weight)
     label: dict[int, int] = {}  # forced component root -> 0..k-1
     comp = {}
     for w in parent:
@@ -301,21 +277,12 @@ def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, i
             r = parent[r]
         comp[w] = label.setdefault(r, len(label))
     k = len(label)
-    # For each frame whose d divides the forced blocks: the forced share,
-    # with a successor map that candidates update in place. Every solution
-    # of a free block names the successor of each out-weight-1 tail in it,
-    # so a candidate overwrites every entry it does not share.
-    divs = [(0, *frames[0], base_orderings, base_arcs, base_succ)] + [
-        (i, *frame, part[0], part[2], dict(part[1]))
-        for i, (frame, part) in enumerate(zip(frames[1:], shares(forced)), 1)
-        if part is not None
-    ]
 
     choices = []
     for mid, sols in free:
         options = []
         for s in sols:
-            windows, merges, succ, arcs = [], set(), [], []
+            windows, merges, heads, arcs = [], set(), [], []
             flow, orderings = 0, 1
             for b, a, v in s:
                 t, h = b * mid_size + mid, mid * l + a
@@ -325,13 +292,10 @@ def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, i
                 flow += (v << shift[t]) - (v << shift[h])
                 orderings *= math.factorial(v)
                 if weight[t] == 1:
-                    succ.append((t, h))
+                    heads.append((t, h))
                 else:
                     arcs.append(((t, h), v))
-            parts = [(orderings, succ, arcs)]
-            if len(frames) > 1:
-                parts += shares([(b * mid_size + mid, mid * l + a, v) for b, a, v in s])
-            options.append((windows, merges, flow, parts))
+            options.append((windows, merges, flow, orderings, heads, arcs))
         choices.append(options)
 
     out = []
@@ -341,7 +305,7 @@ def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, i
             # once per step-1 candidate.
             link = list(range(k))
             left = k
-            for _, merges, _, _ in choice:
+            for _, merges, _, _, _, _ in choice:
                 for u, v in merges:
                     while link[u] != u:
                         link[u] = u = link[link[u]]
@@ -353,27 +317,22 @@ def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, i
             if left != 1:
                 continue
         counts = dict(base_windows)
-        flow = base_flow
-        for windows, _, delta, _ in choice:
+        flow, orderings, arcs = base_flow, base_orderings, list(base_arcs)
+        for windows, _, delta, share, heads, edges in choice:
             counts.update(windows)
             flow += delta
+            orderings *= share
+            succ.update(heads)
+            arcs += edges
         z = FrequencyVector(p, n, l, counts)
         if flow:
             raise DomainError("frequency vector is not flow-balanced")
-        terms = []
-        for i, d, phi, factor, branching, orderings, arcs, succ in divs:
-            arcs = list(arcs)
-            for _, _, _, parts in choice:
-                part = parts[i]
-                if part is None:
-                    break
-                orderings *= part[0]
-                succ.update(part[1])
-                arcs += part[2]
-            else:
-                cofactor = _best_cofactor(branching, succ, arcs)
-                terms.append((phi, (n // d) * factor * cofactor, orderings))
-        out.append((z, _burnside(n, terms)))
+        if periodic and math.gcd(*counts.values()) > 1:
+            count = count_sequences_with_frequency(z)
+        else:
+            cofactor = _best_cofactor(branching, succ, arcs)
+            count = _burnside(n, [(1, n * factor * cofactor, orderings)])
+        out.append((z, count))
     if len(free) > 1:
         # With one free block the candidates come in the order of its
         # solutions, which is the order of their dense entries.

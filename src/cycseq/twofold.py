@@ -60,13 +60,6 @@ def expand_configuration(config: tuple[BlockChoice, ...], p: int) -> FrequencyVe
     return FrequencyVector(p + 1, 2 ** (p + 1), 2, counts)
 
 
-def _check_p(p: int, max_p: int) -> None:
-    if p < 1:
-        raise DomainError("need p >= 1")
-    if p > max_p:
-        raise ResourceCapError(f"p = {p} exceeds the cap {max_p}")
-
-
 def _blocks(p: int, k: int) -> int:
     """Number of blocks 2^(p-1) at level p, after checking p and k."""
     if p < 1:
@@ -105,9 +98,11 @@ def _block_edges(p: int) -> list[tuple[tuple[BlockChoice, tuple], ...]]:
     return out
 
 
-# Most frontier states _phi_row keeps after a block. Measured on a 2-core
-# Intel Xeon VM (Python 3.11): the peak is 9 states at p = 4 and 657 at
-# p = 5, whose whole row takes 35 ms; p = 6 passes the cap after 0.07 s.
+# Most frontier states _phi_row keeps after a block, and most blocks it
+# starts on. Measured on a 2-core Intel Xeon VM (Python 3.11): the peak is
+# 9 states at p = 4 and 657 at p = 5, whose whole row takes 35 ms; p = 6 to
+# 13 pass the cap after 0.09 to 0.13 s, and from p = 14 on the 2^(p-1)
+# blocks alone exceed it.
 PHI_MAX_STATES = 4096
 
 
@@ -139,10 +134,15 @@ def _phi_row(p: int, prune: bool) -> tuple[int, ...]:
     whose vertices have all retired is a finished component: it ends its
     branch, unless it is the last block and no other class remains.
 
-    Raises ResourceCapError when more than PHI_MAX_STATES states are live
+    Raises ResourceCapError when there are more than PHI_MAX_STATES blocks,
+    before any table is built, or more than PHI_MAX_STATES states are live
     after a block.
     """
     blocks = 2 ** (p - 1)
+    if blocks > PHI_MAX_STATES:
+        raise ResourceCapError(
+            f"Phi at p = {p} has {blocks} blocks, more than {PHI_MAX_STATES}"
+        )
     order = sorted(range(blocks), key=lambda m: m % max(blocks // 2, 1))
     position = {m: t for t, m in enumerate(order)}
     # The positions of the first and the last block touching each vertex.
@@ -237,14 +237,14 @@ def minor_cofactor_closed_form(k: int) -> float:
     return value
 
 
-def count_twofold(p: int, max_p: int = 5) -> int:
+def count_twofold(p: int) -> int:
     """Number of p-ary binary two-fold de Bruijn sequences.
 
     Sum over k of minor_cofactor(k) * phi(p, k): each connected configuration
     with k uniform blocks contributes the Eulerian-cycle count of its
     contracted minor.
     """
-    return sum(row["cofactor"] * row["phi"] for row in twofold_table(p, max_p))
+    return sum(row["cofactor"] * row["phi"] for row in twofold_table(p))
 
 
 def count_twofold_exact(p: int, max_p: int = 10) -> int:
@@ -262,31 +262,37 @@ def count_twofold_exact(p: int, max_p: int = 10) -> int:
     p = 8 takes 12 ms, p = 9 46 ms and p = 10 0.21 s; at p = 11 the doubled
     graph has 1,024 branching vertices, past debruijn.BEST_MAX_BRANCHING.
     """
-    _check_p(p, max_p)
+    if p < 1:
+        raise DomainError("need p >= 1")
+    if p > max_p:
+        raise ResourceCapError(f"p = {p} exceeds the cap {max_p}")
     return count_sequences_with_frequency(
         FrequencyVector(p, 2 ** (p + 1), 2, {j: 2 for j in range(2**p)})
     )
 
 
-def twofold_table(p: int, max_p: int = 5) -> list[dict]:
+def twofold_table(p: int) -> list[dict]:
     """Per-k summary rows: k, PermNo, Phi, cofactor (matching the published
     tables for p = 3, 4).
 
-    The cap max_p defaults to 5, the largest p whose Phi row fits under
-    PHI_MAX_STATES; past it, phi raises ResourceCapError at p = 6 after
-    about 0.07 s.
+    p = 5 is the largest p whose Phi row fits under PHI_MAX_STATES; past it,
+    phi raises ResourceCapError in at most about 0.13 s, before the first
+    PermNo, which has about 2^(p-1) bits, is computed.
     """
-    _check_p(p, max_p)
-    blocks = 2 ** (p - 1)
-    return [
-        {
-            "k": k,
-            "perm_no": permutation_count(p, k),
-            "phi": phi(p, k),
-            "cofactor": minor_cofactor(k),
-        }
-        for k in range(blocks + 1)
-    ]
+    if p < 1:
+        raise DomainError("need p >= 1")
+    rows = []
+    for k in range(2 ** (p - 1) + 1):
+        count = phi(p, k)
+        rows.append(
+            {
+                "k": k,
+                "perm_no": permutation_count(p, k),
+                "phi": count,
+                "cofactor": minor_cofactor(k),
+            }
+        )
+    return rows
 
 
 def configuration_minor(config: tuple[BlockChoice, ...], p: int) -> Multigraph:

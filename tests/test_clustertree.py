@@ -147,6 +147,18 @@ def test_max_p_truncates():
     assert deepest(tree.root) == 2
 
 
+def test_half_root_count_does_not_depend_on_max_p(capsys):
+    # the half root count sums the level-1 compositions with at most n/2
+    # ones, which max_p = 0 keeps off the tree but not out of the count
+    for n in range(2, 15):
+        full = build_tree(n, 2, half_tree=True).root
+        bare = build_tree(n, 2, half_tree=True, max_p=0).root
+        assert (bare.count, bare.children) == (full.count, []), n
+    assert main(["tree", "--n", "5", "--half", "--max-p", "0"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["root"]["count"], obj["root"]["children"]) == ("4", [])
+
+
 def test_caps_and_domain_errors():
     with pytest.raises(ResourceCapError):
         build_tree(17, 2)
@@ -227,6 +239,22 @@ def test_children_share_their_parents_invariants(l, max_n, half):
                 assert out == dict(y.items()), (n, z)
                 assert g % math.gcd(*(c for _, c in z.items())) == 0, (n, z)
                 assert child.count == count_sequences_with_frequency(z), (n, z)
+
+
+@pytest.mark.parametrize("n, l, half", [(16, 2, True), (9, 3, False)])
+def test_children_of_periodic_nodes_count_as_the_primitive(n, l, half):
+    # at a node with gcd(y) > 1 a child whose counts share a factor takes
+    # count_sequences_with_frequency; every other child the d = 1 term
+    periodic_children = 0
+    blocks = {}
+    for node in _internal_nodes(build_tree(n, l, half_tree=half).root):
+        y = node.freq
+        if y.p == 0 or math.gcd(*(c for _, c in y.items())) == 1:
+            continue
+        for z, count in _children(y, blocks):
+            assert count == count_sequences_with_frequency(z), z
+            periodic_children += math.gcd(*(c for _, c in z.items())) > 1
+    assert periodic_children > 0
 
 
 def _act(y, letters, reverse):
@@ -311,6 +339,12 @@ def test_build_tree_leaves_no_cyclic_garbage():
         for n, l, half in ((14, 2, False), (14, 2, True), (8, 3, False)):
             build_tree(n, l, half_tree=half)
             assert gc.collect() == 0, (n, l, half)
+        # nor do the readers of a tree
+        tree = build_tree(14, 2)
+        gc.collect()
+        for read in (tree_to_dot, tree_to_newick, max_branching_level):
+            read(tree)
+            assert gc.collect() == 0, read.__name__
     finally:
         gc.enable()
 

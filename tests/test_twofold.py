@@ -153,8 +153,17 @@ def test_phi_refuses_p6_quickly():
     with pytest.raises(ResourceCapError):
         phi(6, 0)
     with pytest.raises(ResourceCapError):
-        twofold_table(6, max_p=6)
+        twofold_table(6)
     assert time.perf_counter() - start < 1.0
+
+
+def test_phi_refuses_huge_p_before_building_anything():
+    # 2^29 blocks: neither a Phi table nor the first PermNo is ever built
+    for f in (lambda: phi(30, 0), lambda: twofold_table(30), lambda: count_twofold(30)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError):
+            f()
+        assert time.perf_counter() - start < 1.0
 
 
 def test_assembly_at_p5_is_under_the_default_cap():
