@@ -89,7 +89,7 @@ def build_tree(
             root.count = sum(c.count for c in root.children)
         else:
             _check_partition(root)
-        if max_p == 0:
+        if max_p <= 0:
             root.children = []
         refined: dict = {}  # sorted composition -> its refined level-1 node
         for child in root.children:

@@ -106,6 +106,20 @@ def _block_edges(p: int) -> list[tuple[tuple[BlockChoice, tuple], ...]]:
 PHI_MAX_STATES = 4096
 
 
+def _check_phi_p(p: int) -> None:
+    """Refuse a level p whose 2^(p-1) blocks exceed PHI_MAX_STATES.
+
+    p is compared with the cap's bit length, never through 2^(p-1), which
+    for a huge p would itself take seconds or exhaust memory.
+    """
+    if p < 1:
+        raise DomainError("need p >= 1")
+    if p - 1 >= PHI_MAX_STATES.bit_length():
+        raise ResourceCapError(
+            f"Phi at p = {p} has 2^{p - 1} blocks, more than {PHI_MAX_STATES}"
+        )
+
+
 def phi(p: int, k: int, prune: bool = True) -> int:
     """Number of connected configurations with exactly k uniform blocks
     (the remaining blocks carry doubled edges); an entry of _phi_row.
@@ -115,6 +129,7 @@ def phi(p: int, k: int, prune: bool = True) -> int:
     no other edge, so those configurations are always disconnected and the
     count is unchanged.
     """
+    _check_phi_p(p)
     _blocks(p, k)
     return _phi_row(p, prune)[k]
 
@@ -138,11 +153,8 @@ def _phi_row(p: int, prune: bool) -> tuple[int, ...]:
     before any table is built, or more than PHI_MAX_STATES states are live
     after a block.
     """
+    _check_phi_p(p)
     blocks = 2 ** (p - 1)
-    if blocks > PHI_MAX_STATES:
-        raise ResourceCapError(
-            f"Phi at p = {p} has {blocks} blocks, more than {PHI_MAX_STATES}"
-        )
     order = sorted(range(blocks), key=lambda m: m % max(blocks // 2, 1))
     position = {m: t for t, m in enumerate(order)}
     # The positions of the first and the last block touching each vertex.
@@ -276,23 +288,20 @@ def twofold_table(p: int) -> list[dict]:
     tables for p = 3, 4).
 
     p = 5 is the largest p whose Phi row fits under PHI_MAX_STATES; past it,
-    phi raises ResourceCapError in at most about 0.13 s, before the first
-    PermNo, which has about 2^(p-1) bits, is computed.
+    phi raises ResourceCapError in at most about 0.13 s, and from p = 14 on
+    the p check refuses before any row is begun.
     """
-    if p < 1:
-        raise DomainError("need p >= 1")
-    rows = []
-    for k in range(2 ** (p - 1) + 1):
-        count = phi(p, k)
-        rows.append(
-            {
-                "k": k,
-                "perm_no": permutation_count(p, k),
-                "phi": count,
-                "cofactor": minor_cofactor(k),
-            }
-        )
-    return rows
+    _check_phi_p(p)
+    blocks = 2 ** (p - 1)
+    return [
+        {
+            "k": k,
+            "perm_no": permutation_count(p, k),
+            "phi": phi(p, k),
+            "cofactor": minor_cofactor(k),
+        }
+        for k in range(blocks + 1)
+    ]
 
 
 def configuration_minor(config: tuple[BlockChoice, ...], p: int) -> Multigraph:

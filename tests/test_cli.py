@@ -437,6 +437,8 @@ def test_unprintable_counts_hit_the_cap_quickly(capsys, argv):
         ("lower", "--vector", json.dumps({"p": 1, "n": 80, "l": 40, "dense": [2] * 40})),
         ("lower", "--vector", json.dumps({"p": 1, "n": 160, "l": 80, "dense": [2] * 80})),
         ("twofold", "--p", "30", "--table"),
+        ("twofold", "--p", "1000000000"),
+        ("phi-table", "--p", "1000000000"),
         ("lower", "--vector", json.dumps({"p": 10**8, "n": 2, "l": 3, "sparse": {"1": 2}})),
         ("lower", "--raw", "--vector", json.dumps({"p": 10**8, "n": 2, "l": 3, "sparse": {"1": 2}})),
         ("members", "--vector", json.dumps({"p": 10**8, "n": 2, "l": 3, "sparse": {"1": 2}})),

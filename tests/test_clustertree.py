@@ -152,9 +152,14 @@ def test_half_root_count_does_not_depend_on_max_p(capsys):
     # ones, which max_p = 0 keeps off the tree but not out of the count
     for n in range(2, 15):
         full = build_tree(n, 2, half_tree=True).root
-        bare = build_tree(n, 2, half_tree=True, max_p=0).root
-        assert (bare.count, bare.children) == (full.count, []), n
+        for max_p in (0, -1):
+            bare = build_tree(n, 2, half_tree=True, max_p=max_p).root
+            assert (bare.count, bare.children) == (full.count, []), (n, max_p)
     assert main(["tree", "--n", "5", "--half", "--max-p", "0"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["root"]["count"], obj["root"]["children"]) == ("4", [])
+    # a negative cap keeps the level-1 children off the tree as well
+    assert main(["tree", "--n", "5", "--half", "--max-p", "-1"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert (obj["root"]["count"], obj["root"]["children"]) == ("4", [])
 

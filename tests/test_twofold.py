@@ -158,12 +158,15 @@ def test_phi_refuses_p6_quickly():
 
 
 def test_phi_refuses_huge_p_before_building_anything():
-    # 2^29 blocks: neither a Phi table nor the first PermNo is ever built
-    for f in (lambda: phi(30, 0), lambda: twofold_table(30), lambda: count_twofold(30)):
-        start = time.perf_counter()
-        with pytest.raises(ResourceCapError):
-            f()
-        assert time.perf_counter() - start < 1.0
+    # 2^29 blocks: neither a Phi table nor the first PermNo is ever built;
+    # at p = 10^9 not even the block count 2^(p-1) is
+    for p in (30, 10**9):
+        for f in (phi, twofold_table, count_twofold):
+            args = (p, 0) if f is phi else (p,)
+            start = time.perf_counter()
+            with pytest.raises(ResourceCapError):
+                f(*args)
+            assert time.perf_counter() - start < 1.0, (f.__name__, p)
 
 
 def test_assembly_at_p5_is_under_the_default_cap():
