@@ -16,9 +16,12 @@ the median in seconds:
   computation is timed and not a cache lookup;
 - count_twofold_exact(8, max_p=8): one BEST + Burnside count on the doubled
   graph G_2(8).
-- enumerate_necklaces(20, 2) and [str(s) for s in enumerate_necklaces(11, 3)]:
-  FKM generation with the canonical check of every necklace, and printing,
-  as `necklaces --list` runs them.
+- enumerate_necklaces(20, 2): FKM generation with a checked CyclicSequence
+  per necklace, as the library lists them;
+- necklace_strings(11, 3): FKM generation with the same checks, straight to
+  the strings that `necklaces --list` prints. On a package without
+  necklace_strings the row times [str(s) for s in enumerate_necklaces(11, 3)],
+  which is what its `necklaces --list` runs.
 - build_tree and export_tree over the nine TREE_SHAPES of the benchmark's
   `tree` workload (bench/workloads.py), each in its export format: one
   round of that workload without the CLI around it.
@@ -138,10 +141,13 @@ def _necklaces():
 
 
 def _necklace_strings():
-    from cycseq.seqcore import enumerate_necklaces
+    from cycseq import seqcore
 
-    name = "[str(s) for s in enumerate_necklaces(11, 3)]"
-    return name, lambda: [str(s) for s in enumerate_necklaces(11, 3)], None
+    strings = getattr(seqcore, "necklace_strings", None)
+    if strings is None:
+        def strings(n, l):
+            return [str(s) for s in seqcore.enumerate_necklaces(n, l)]
+    return "necklace_strings(11, 3)", lambda: strings(11, 3), None
 
 
 def _tree_round():

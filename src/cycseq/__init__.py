@@ -61,6 +61,7 @@ from .seqcore import (
     level1_cluster_size,
     minimal_period,
     necklace_count,
+    necklace_strings,
     sequence_from_string,
     sequence_to_string,
     shift,

@@ -57,8 +57,7 @@ def cmd_necklaces(args) -> None:
         _check_printable(lambda limit: n > limit / math.log10(l))
     out = {"count": str(seqcore.necklace_count(n, l))}
     if args.list:
-        seqs = seqcore.enumerate_necklaces(args.n, args.alphabet, cap_bits=args.max_bits)
-        out["necklaces"] = [str(s) for s in seqs]
+        out["necklaces"] = seqcore.necklace_strings(n, l, cap_bits=args.max_bits)
     _emit(out)
 
 

@@ -97,6 +97,23 @@ def _is_max_rotation(word: Sequence[int]) -> bool:
     return len(word) % p == 0
 
 
+def _check_word(word: Sequence[int], l: int) -> None:
+    """DomainError unless the non-empty word has letters in 0..l-1 and is
+    its own maximal rotation.
+
+    The rotation test runs first: a maximal rotation starts with its
+    largest letter, so after it word[0] < l is max(word) < l. A word that
+    fails takes the slow path, which names an out-of-range letter before
+    it reports a rotation that is not maximal.
+    """
+    if _is_max_rotation(word) and word[0] < l and min(word) >= 0:
+        return
+    for a in word:
+        if not (0 <= a < l):
+            raise DomainError(f"symbol {a} out of range for alphabet of size {l}")
+    raise DomainError("symbols are not in canonical rotation; use canonicalize()")
+
+
 @dataclass(frozen=True)
 class CyclicSequence:
     """A length-n word over letters 0..l-1, stored as its canonical rotation.
@@ -114,14 +131,7 @@ class CyclicSequence:
             raise DomainError("alphabet size must be >= 2")
         if len(self.symbols) < 1:
             raise DomainError("sequence must be non-empty")
-        if min(self.symbols) < 0 or max(self.symbols) >= self.alphabet_size:
-            for a in self.symbols:
-                if not (0 <= a < self.alphabet_size):
-                    raise DomainError(
-                        f"symbol {a} out of range for alphabet of size {self.alphabet_size}"
-                    )
-        if not _is_max_rotation(self.symbols):
-            raise DomainError("symbols are not in canonical rotation; use canonicalize()")
+        _check_word(self.symbols, self.alphabet_size)
 
     @property
     def n(self) -> int:
@@ -170,6 +180,13 @@ def minimal_period(s: CyclicSequence) -> int:
     return n
 
 
+def _exceeds_bits(n: int, l: int, cap_bits: int) -> bool:
+    """n log2(l) > cap_bits, in integers (log2(l) as the exact ratio of its
+    float), so no size of n or cap_bits overflows a float."""
+    num, den = math.log2(l).as_integer_ratio()
+    return n * num > cap_bits * den
+
+
 def necklace_count(n: int, l: int) -> int:
     """Number of cyclic sequences of length n over an l-letter alphabet.
 
@@ -181,10 +198,8 @@ def necklace_count(n: int, l: int) -> int:
         raise DomainError("alphabet size must be >= 1")
     if l == 1:
         return 1
-    # n log2(l) > the cap in integers, as in enumerate_necklaces, before
-    # l^n or the divisors of n are built.
-    num, den = math.log2(l).as_integer_ratio()
-    if n * num > NECKLACE_COUNT_MAX_BITS * den:
+    # Before l^n or the divisors of n are built.
+    if _exceeds_bits(n, l, NECKLACE_COUNT_MAX_BITS):
         raise ResourceCapError(
             f"counting necklaces of {l}^{n} words exceeds the {NECKLACE_COUNT_MAX_BITS}-bit cap"
         )
@@ -243,8 +258,20 @@ def _necklace_words(n: int, l: int):
             return
         a[j] -= 1
         p = j + 1
-        for i in range(p, n):
-            a[i] = a[i - p]
+        if p < n:
+            # a[i] = a[i - p] for i >= p: a plain copy of the prefix when
+            # it is at least as long as the tail, else its repetitions.
+            a[p:] = a[: n - p] if 2 * p >= n else (a[:p] * (n // p))[: n - p]
+
+
+def _check_enumerable(n: int, l: int, cap_bits: int) -> None:
+    """The arguments and the n*log2(l) <= cap_bits guard of the listings."""
+    if n < 1 or l < 2:
+        raise DomainError("need n >= 1 and l >= 2")
+    if _exceeds_bits(n, l, cap_bits):
+        raise ResourceCapError(
+            f"enumeration of {l}^{n} words exceeds the {cap_bits}-bit cap"
+        )
 
 
 def enumerate_necklaces(
@@ -255,26 +282,36 @@ def enumerate_necklaces(
     Generated by FKM, at a cost proportional to the output; guarded by
     n*log2(l) <= cap_bits.
     """
-    if n < 1 or l < 2:
-        raise DomainError("need n >= 1 and l >= 2")
-    # n log2(l) > cap_bits in integers (log2(l) as the exact ratio of its
-    # float), so no size of n or cap_bits overflows a float.
-    num, den = math.log2(l).as_integer_ratio()
-    if n * num > cap_bits * den:
-        raise ResourceCapError(
-            f"enumeration of {l}^{n} words exceeds the {cap_bits}-bit cap"
-        )
+    _check_enumerable(n, l, cap_bits)
     return [CyclicSequence(word, l) for word in _necklace_words(n, l)]
+
+
+def necklace_strings(n: int, l: int, cap_bits: int = DEFAULT_ENUM_CAP_BITS) -> list[str]:
+    """[str(s) for s in enumerate_necklaces(n, l, cap_bits)], without a
+    CyclicSequence per necklace: each FKM word passes the constructor's
+    checks and goes straight to its string.
+    """
+    _check_enumerable(n, l, cap_bits)
+    out = []
+    for word in _necklace_words(n, l):
+        _check_word(word, l)
+        out.append(_word_to_string(word, l))
+    return out
 
 
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
+def _word_to_string(word: Sequence[int], l: int) -> str:
+    """Digit string for l <= 10, comma-separated integers otherwise."""
+    if l <= 10:
+        return bytes(word).translate(_DIGITS).decode()
+    return ",".join(map(str, word))
+
+
 def sequence_to_string(s: CyclicSequence) -> str:
     """Digit string for l <= 10, comma-separated integers otherwise."""
-    if s.alphabet_size <= 10:
-        return bytes(s.symbols).translate(_DIGITS).decode()
-    return ",".join(map(str, s.symbols))
+    return _word_to_string(s.symbols, s.alphabet_size)
 
 
 def sequence_from_string(text: str, alphabet_size: int) -> CyclicSequence:

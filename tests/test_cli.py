@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycseq import count_twofold_exact, enumerate_necklaces, gamma_max, ultrametric_distance
+from cycseq import count_twofold_exact, enumerate_necklaces, gamma_max, seqcore, ultrametric_distance
 from cycseq.cli import EULER_COUNT_MAX_VERTICES, main
 
 from conftest import naive_window_counts
@@ -65,6 +65,25 @@ def test_necklaces_list_output_is_pinned(capsys, n, l, digest):
     code, out, _ = run(capsys, "necklaces", "--n", str(n), "--alphabet", str(l), "--list")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("words", [((1, 1, 1), (0, 1, 1)), ((1, 1, 1), (2, 1, 0))],
+                         ids=["not-maximal", "out-of-range"])
+def test_necklaces_list_checks_every_word(capsys, monkeypatch, words):
+    # a generator that yields a word the constructor would refuse
+    monkeypatch.setattr(seqcore, "_necklace_words", lambda n, l: iter(words))
+    code, out, err = run(capsys, "necklaces", "--n", "3", "--list")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_necklaces_list_builds_no_sequence(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a CyclicSequence was built")
+
+    monkeypatch.setattr(seqcore.CyclicSequence, "__post_init__", refuse)
+    obj = run_json(capsys, "necklaces", "--n", "12", "--alphabet", "3", "--list")
+    assert len(obj["necklaces"]) == int(obj["count"]) == 44368
 
 
 def test_necklaces_cap_exit_code(capsys):
@@ -443,6 +462,8 @@ def test_unprintable_counts_hit_the_cap_quickly(capsys, argv):
         ("lower", "--raw", "--vector", json.dumps({"p": 10**8, "n": 2, "l": 3, "sparse": {"1": 2}})),
         ("members", "--vector", json.dumps({"p": 10**8, "n": 2, "l": 3, "sparse": {"1": 2}})),
         ("lower", "--vector", json.dumps({"p": 70000, "n": 70000, "l": 2, "sparse": {"1": 70000}})),
+        ("necklaces", "--n", "100", "--list"),
+        ("necklaces", "--n", "5000", "--alphabet", "3", "--list"),
     ],
 )
 def test_costly_requests_hit_the_cap_quickly(capsys, argv):

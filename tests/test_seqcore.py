@@ -17,10 +17,12 @@ from cycseq import (
     level1_cluster_size,
     minimal_period,
     necklace_count,
+    necklace_strings,
     sequence_from_string,
     sequence_to_string,
     shift,
 )
+from cycseq import seqcore
 from cycseq.seqcore import NECKLACE_COUNT_MAX_BITS, _is_max_rotation, _max_rotation_offset
 
 from conftest import all_necklaces, naive_canonical
@@ -81,6 +83,13 @@ def test_range_error_names_first_bad_symbol():
         CyclicSequence((2, 3, 5), 3)
     with pytest.raises(DomainError, match="symbol -1 out of range"):
         CyclicSequence((1, -1, 4), 3)
+    # out of range and also not the maximal rotation: the range error wins
+    for word, bad in (((0, 3), 3), ((1, 2, 5), 5), ((0, -1, 2), -1)):
+        with pytest.raises(DomainError, match=f"symbol {bad} out of range"):
+            CyclicSequence(word, 3)
+    # a maximal rotation whose smallest letter is out of range
+    with pytest.raises(DomainError, match="symbol -1 out of range"):
+        CyclicSequence((2, -1), 3)
 
 
 @pytest.mark.parametrize("l, max_n", [(2, 14), (3, 9), (4, 7)])
@@ -158,18 +167,54 @@ def test_enumerate_necklaces_ternary():
     assert set(got) == set(all_necklaces(4, 3))
 
 
+LISTINGS = [enumerate_necklaces, necklace_strings]
+
+
 def test_enumerate_cap():
-    with pytest.raises(ResourceCapError):
-        enumerate_necklaces(30, 2)
-    with pytest.raises(ResourceCapError):
-        enumerate_necklaces(20, 3, cap_bits=24)
+    for listing in LISTINGS:
+        with pytest.raises(ResourceCapError):
+            listing(30, 2)
+        with pytest.raises(ResourceCapError):
+            listing(20, 3, cap_bits=24)
+        for n, l in ((0, 2), (3, 1)):
+            with pytest.raises(DomainError):
+                listing(n, l)
 
 
 def test_enumerate_cap_on_huge_sizes():
     # sizes past any float: the bit cap is compared in integers
-    with pytest.raises(ResourceCapError):
-        enumerate_necklaces(10**400, 3, cap_bits=10**399)
-    assert len(enumerate_necklaces(5, 2, cap_bits=10**400)) == 8
+    for listing in LISTINGS:
+        with pytest.raises(ResourceCapError):
+            listing(10**400, 3, cap_bits=10**399)
+        assert len(listing(5, 2, cap_bits=10**400)) == 8
+
+
+@pytest.mark.parametrize("l, max_n", [(2, 16), (3, 9), (4, 6), (5, 5), (11, 3), (12, 3)])
+def test_necklace_strings_match_the_printed_necklaces(l, max_n):
+    # l = 11 and 12 print in the comma form
+    for n in range(1, max_n + 1):
+        assert necklace_strings(n, l) == [str(s) for s in enumerate_necklaces(n, l)]
+
+
+# Words a faulty generator could yield for n = 3, l = 2: a rotation that is
+# not maximal, and a letter past the alphabet.
+BAD_WORDS = [((1, 1, 1), (0, 1, 1)), ((1, 1, 1), (2, 1, 0))]
+
+
+@pytest.mark.parametrize("words", BAD_WORDS, ids=["not-maximal", "out-of-range"])
+@pytest.mark.parametrize("listing", LISTINGS)
+def test_listings_check_every_word(monkeypatch, listing, words):
+    monkeypatch.setattr(seqcore, "_necklace_words", lambda n, l: iter(words))
+    with pytest.raises(DomainError):
+        listing(3, 2)
+
+
+def test_necklace_strings_build_no_sequence(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a CyclicSequence was built")
+
+    monkeypatch.setattr(CyclicSequence, "__post_init__", refuse)
+    assert necklace_strings(4, 2) == ["1111", "1110", "1100", "1010", "1000", "0000"]
 
 
 def test_level1_cluster_sizes():
