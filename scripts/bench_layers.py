@@ -14,7 +14,7 @@ the median in seconds:
   Where the package caches the Phi row (twofold._phi_row), the cache is
   cleared before every run, outside the timed region, so the Phi
   computation is timed and not a cache lookup;
-- count_twofold_exact(8, max_p=8): one BEST + Burnside count on the doubled
+- count_twofold_exact(8): one BEST + Burnside count on the doubled
   graph G_2(8).
 - enumerate_necklaces(20, 2): FKM generation with a checked CyclicSequence
   per necklace, as the library lists them;
@@ -131,7 +131,7 @@ def _twofold_table(p: int):
 def _twofold_exact():
     from cycseq.twofold import count_twofold_exact
 
-    return "count_twofold_exact(8, max_p=8)", lambda: count_twofold_exact(8, max_p=8), None
+    return "count_twofold_exact(8)", lambda: count_twofold_exact(8), None
 
 
 def _necklaces():

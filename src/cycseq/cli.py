@@ -30,10 +30,6 @@ def _parse_vector(text: str) -> FrequencyVector:
         raise DomainError(f"invalid frequency-vector JSON: {exc}")
 
 
-def _parse_sequence(text: str, l: int) -> seqcore.CyclicSequence:
-    return seqcore.sequence_from_string(text, l)
-
-
 def _check_printable(exceeds) -> None:
     """Refuse a count, before computing it, when exceeds(limit) says its
     decimal digits would pass Python's integer-to-string limit (absent
@@ -57,12 +53,12 @@ def cmd_necklaces(args) -> None:
         _check_printable(lambda limit: n > limit / math.log10(l))
     out = {"count": str(seqcore.necklace_count(n, l))}
     if args.list:
-        out["necklaces"] = seqcore.necklace_strings(n, l, cap_bits=args.max_bits)
+        out["necklaces"] = seqcore.necklace_strings(n, l)
     _emit(out)
 
 
 def cmd_project(args) -> None:
-    s = _parse_sequence(args.seq, args.alphabet)
+    s = seqcore.sequence_from_string(args.seq, args.alphabet)
     _emit(freqspace.project(s, args.p).to_obj())
 
 
@@ -71,8 +67,8 @@ def cmd_raise(args) -> None:
 
 
 def cmd_distance(args) -> None:
-    a = _parse_sequence(args.a, args.alphabet)
-    b = _parse_sequence(args.b, args.alphabet)
+    a = seqcore.sequence_from_string(args.a, args.alphabet)
+    b = seqcore.sequence_from_string(args.b, args.alphabet)
     if a == b:
         _emit({"gamma": None, "distance": 0.0})
         return
@@ -88,20 +84,13 @@ def cmd_lower(args) -> None:
 
 
 def cmd_members(args) -> None:
-    z = _parse_vector(args.vector)
-    seqs = debruijn.enumerate_sequences_with_frequency(z, cap_n=args.max_n)
+    seqs = debruijn.enumerate_sequences_with_frequency(_parse_vector(args.vector))
     _emit({"count": str(len(seqs)), "sequences": [str(s) for s in seqs]})
 
 
 def cmd_tree(args) -> None:
     print("building cluster tree ...", file=sys.stderr)
-    tree = clustertree.build_tree(
-        args.n,
-        args.alphabet,
-        max_p=args.max_p,
-        half_tree=args.half,
-        max_n=args.max_n,
-    )
+    tree = clustertree.build_tree(args.n, args.alphabet, max_p=args.max_p, half_tree=args.half)
     print(
         f"done: {tree.root.count} sequences, "
         f"branching up to p = {clustertree.max_branching_level(tree)}",
@@ -194,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--alphabet", type=int, default=2)
     sp.add_argument("--list", action="store_true")
-    sp.add_argument("--max-bits", type=int, default=seqcore.DEFAULT_ENUM_CAP_BITS)
     sp.set_defaults(func=cmd_necklaces)
 
     sp = sub.add_parser("project", help="frequency vector of a sequence")
@@ -220,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("members", help="sequences realizing a frequency vector")
     sp.add_argument("--vector", required=True)
-    sp.add_argument("--max-n", type=int, default=debruijn.DEFAULT_SEQUENCE_CAP)
     sp.set_defaults(func=cmd_members)
 
     sp = sub.add_parser("tree", help="build the cluster tree")
@@ -228,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alphabet", type=int, default=2)
     sp.add_argument("--half", action="store_true")
     sp.add_argument("--max-p", type=int, default=None)
-    sp.add_argument("--max-n", type=int, default=None)
     sp.add_argument("--format", choices=["json", "dot", "newick"], default="json")
     sp.set_defaults(func=cmd_tree)
 

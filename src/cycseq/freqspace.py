@@ -248,7 +248,7 @@ def gamma_max(a: CyclicSequence, b: CyclicSequence) -> int:
     for p in range(a.n - 1, -1, -1):
         if project(a, p) == project(b, p):
             return p
-    raise AssertionError("level 0 projections always coincide")
+    raise ArithmeticError("level 0 projections always coincide")
 
 
 def ultrametric_distance(a: CyclicSequence, b: CyclicSequence) -> float:

@@ -24,7 +24,7 @@ from .debruijn import (
 from .debruijn import count_eulerian_cycles  # noqa: F401
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector, project
-from .seqcore import CyclicSequence, enumerate_necklaces
+from .seqcore import CyclicSequence, _check_enumerable, enumerate_necklaces
 
 
 class BlockChoice(Enum):
@@ -120,22 +120,16 @@ def _check_phi_p(p: int) -> None:
         )
 
 
-def phi(p: int, k: int, prune: bool = True) -> int:
+def phi(p: int, k: int) -> int:
     """Number of connected configurations with exactly k uniform blocks
-    (the remaining blocks carry doubled edges); an entry of _phi_row.
-
-    With prune=True, UPPER is never tried in the first or last block: it
-    puts weight 2 on the first or last window, a self-loop on a vertex with
-    no other edge, so those configurations are always disconnected and the
-    count is unchanged.
-    """
+    (the remaining blocks carry doubled edges); an entry of _phi_row."""
     _check_phi_p(p)
     _blocks(p, k)
-    return _phi_row(p, prune)[k]
+    return _phi_row(p)[k]
 
 
 @functools.lru_cache(maxsize=None)
-def _phi_row(p: int, prune: bool) -> tuple[int, ...]:
+def _phi_row(p: int) -> tuple[int, ...]:
     """(Phi(p, 0), ..., Phi(p, 2^(p-1))) by one frontier DP over the blocks.
 
     Vertex v of G_2(p) is touched by two blocks, its tail block v mod 2^(p-1)
@@ -148,6 +142,9 @@ def _phi_row(p: int, prune: bool) -> tuple[int, ...]:
     configuration is connected exactly when it ends with one class. A class
     whose vertices have all retired is a finished component: it ends its
     branch, unless it is the last block and no other class remains.
+    UPPER is never tried in the first or last block: it puts weight 2 on
+    the first or last window, a self-loop on a vertex with no other edge,
+    so those configurations are always disconnected.
 
     Raises ResourceCapError when there are more than PHI_MAX_STATES blocks,
     before any table is built, or more than PHI_MAX_STATES states are live
@@ -171,7 +168,7 @@ def _phi_row(p: int, prune: bool) -> tuple[int, ...]:
         options = [
             (choice is BlockChoice.UNIFORM, [(index[u], index[v]) for u, v in pairs])
             for choice, pairs in table[m]
-            if not (prune and choice is BlockChoice.UPPER and m in (0, blocks - 1))
+            if not (choice is BlockChoice.UPPER and m in (0, blocks - 1))
         ]
         # Canonical labels of the live vertices lie below len(live), so the
         # entering vertices take fresh ones.
@@ -259,7 +256,13 @@ def count_twofold(p: int) -> int:
     return sum(row["cofactor"] * row["phi"] for row in twofold_table(p))
 
 
-def count_twofold_exact(p: int, max_p: int = 10) -> int:
+# Largest p of count_twofold_exact. On a 2-core Intel Xeon VM (Python 3.11)
+# p = 8 takes 12 ms, p = 9 46 ms and p = 10 0.21 s; at p = 11 the doubled
+# graph has 1,024 branching vertices, past debruijn.BEST_MAX_BRANCHING.
+EXACT_MAX_P = 10
+
+
+def count_twofold_exact(p: int) -> int:
     """Two-fold count without the generic-minor assumption: the number of
     binary necklaces of length 2^(p+1) whose level-p window counts are all 2.
 
@@ -269,15 +272,11 @@ def count_twofold_exact(p: int, max_p: int = 10) -> int:
     Eulerian cycles. This is one BEST + Burnside count on the doubled graph,
     count_sequences_with_frequency; it equals the sum of BEST counts over
     each configuration's own contracted minor.
-
-    The cap max_p defaults to 10: on a 2-core Intel Xeon VM (Python 3.11)
-    p = 8 takes 12 ms, p = 9 46 ms and p = 10 0.21 s; at p = 11 the doubled
-    graph has 1,024 branching vertices, past debruijn.BEST_MAX_BRANCHING.
     """
     if p < 1:
         raise DomainError("need p >= 1")
-    if p > max_p:
-        raise ResourceCapError(f"p = {p} exceeds the cap {max_p}")
+    if p > EXACT_MAX_P:
+        raise ResourceCapError(f"p = {p} exceeds the cap {EXACT_MAX_P}")
     return count_sequences_with_frequency(
         FrequencyVector(p, 2 ** (p + 1), 2, {j: 2 for j in range(2**p)})
     )
@@ -309,23 +308,31 @@ def configuration_minor(config: tuple[BlockChoice, ...], p: int) -> Multigraph:
     return contract_doubled_edges(expand_configuration(config, p))
 
 
-def _uniform_window_scan(p: int, l: int, f: int, cap_bits: int) -> list[CyclicSequence]:
+# Widest scan of the brute-force two-fold oracles, as n log2(l) bits for
+# n = f l^p: binary two-fold input up to p = 3. Each (p, l, f) it admits took
+# at most 0.08 s (2-core Intel Xeon VM, Python 3.11).
+SCAN_CAP_BITS = 17
+
+
+def _uniform_window_scan(p: int, l: int, f: int) -> list[CyclicSequence]:
     """The necklaces of length f*l^p whose level-p window counts are all f,
     found by scanning every necklace of that length."""
     if p < 1 or l < 2 or f < 1:
         raise DomainError("need p >= 1, l >= 2, f >= 1")
+    if p > SCAN_CAP_BITS:  # n >= 2^p passes the cap too; refused before l^p is built
+        raise ResourceCapError(f"p = {p} is past the {SCAN_CAP_BITS}-bit scan cap")
     n = f * l**p
-    necklaces = enumerate_necklaces(n, l, cap_bits)
+    _check_enumerable(n, l, SCAN_CAP_BITS)
     target = FrequencyVector(p, n, l, {j: f for j in range(l**p)})
-    return [s for s in necklaces if project(s, p) == target]
+    return [s for s in enumerate_necklaces(n, l) if project(s, p) == target]
 
 
-def count_twofold_bruteforce(p: int, l: int = 2, f: int = 2, cap_bits: int = 17) -> int:
+def count_twofold_bruteforce(p: int, l: int = 2, f: int = 2) -> int:
     """Count of cyclic sequences of length f*l^p whose level-p window counts
     are uniformly f, by scanning every necklace."""
-    return len(_uniform_window_scan(p, l, f, cap_bits))
+    return len(_uniform_window_scan(p, l, f))
 
 
 def list_twofold_bruteforce(p: int) -> list[CyclicSequence]:
     """The binary two-fold sequences themselves (p <= 3)."""
-    return _uniform_window_scan(p, 2, 2, cap_bits=16)
+    return _uniform_window_scan(p, 2, 2)

@@ -196,6 +196,13 @@ def test_tree_cap(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("alphabet", ["1", "0", "-1"])
+def test_tree_alphabet_below_two_is_a_domain_error(capsys, alphabet):
+    code, out, err = run(capsys, "tree", "--n", "3", "--alphabet", alphabet)
+    assert (code, out) == (3, "")
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_debruijn_and_euler_counts(capsys):
     assert run_json(capsys, "debruijn-count", "--p", "4") == {"count": "16"}
     assert run_json(capsys, "euler-count", "--p", "3") == {"count": "16"}
@@ -350,9 +357,20 @@ def test_reader_closing_early_is_not_an_error(argv, head):
     assert err == b""
 
 
-def test_usage_error_exit_code(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["necklaces"],  # missing --n
+        # the caps are module constants; no flag lifts them
+        ["necklaces", "--n", "40", "--list", "--max-bits", "1000"],
+        ["members", "--max-n", "60", "--vector", json.dumps({"p": 1, "n": 4, "l": 2, "dense": [2, 2]})],
+        ["tree", "--n", "30", "--max-n", "30"],
+    ],
+    ids=["missing-n", "necklaces-max-bits", "members-max-n", "tree-max-n"],
+)
+def test_usage_error_exit_code(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["necklaces"])  # missing --n
+        main(argv)
     assert exc.value.code == 2
 
 
@@ -464,6 +482,7 @@ def test_unprintable_counts_hit_the_cap_quickly(capsys, argv):
         ("lower", "--vector", json.dumps({"p": 70000, "n": 70000, "l": 2, "sparse": {"1": 70000}})),
         ("necklaces", "--n", "100", "--list"),
         ("necklaces", "--n", "5000", "--alphabet", "3", "--list"),
+        ("members", "--vector", json.dumps({"p": 1, "n": 20, "l": 3, "dense": [7, 7, 6]})),
     ],
 )
 def test_costly_requests_hit_the_cap_quickly(capsys, argv):

@@ -171,7 +171,9 @@ def test_caps_and_domain_errors():
         build_tree(10, 3)
     with pytest.raises(DomainError):
         build_tree(6, 3, half_tree=True)
-    build_tree(18, 2, max_n=18, max_p=1)  # explicit override
+    for l in (1, 0, -1):
+        with pytest.raises(DomainError):
+            build_tree(3, l)
 
 
 def test_json_round_trip():

@@ -26,7 +26,8 @@ from cycseq import (
     subgraph_from_frequency,
     subgraph_to_dot,
 )
-from cycseq.debruijn import BEST_MAX_BRANCHING, _laplacian_cofactor
+from cycseq import debruijn
+from cycseq.debruijn import BEST_MAX_BRANCHING, SEQUENCE_COUNT_CAP, _laplacian_cofactor
 
 from conftest import all_necklaces, naive_euler_circuits
 
@@ -345,6 +346,30 @@ def test_enumerate_unbalanced_rejected():
 
 def test_enumerate_cap():
     z = FrequencyVector(1, 25, 2, {0: 25})
+    with pytest.raises(ResourceCapError):
+        enumerate_sequences_with_frequency(z)
+
+
+def test_enumerate_count_cap():
+    # ternary [7, 7, 6] has 6,651,216 members: refused from the count, before
+    # any is listed
+    z = FrequencyVector(1, 20, 3, {0: 7, 1: 7, 2: 6})
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        enumerate_sequences_with_frequency(z)
+    assert time.perf_counter() - start < 0.5
+    # binary [10, 10], the most members of any binary level-1 vector at
+    # n = 20, stays under the cap
+    assert count_sequences_with_frequency(FrequencyVector(1, 20, 2, {0: 10, 1: 10})) == 9252
+    assert 9252 <= SEQUENCE_COUNT_CAP
+
+
+def test_enumerate_count_cap_boundary(monkeypatch):
+    # two members: listed at a cap of 2, refused at a cap of 1
+    z = FrequencyVector(3, 8, 2, {j: 1 for j in range(8)})
+    monkeypatch.setattr(debruijn, "SEQUENCE_COUNT_CAP", 2)
+    assert len(enumerate_sequences_with_frequency(z)) == 2
+    monkeypatch.setattr(debruijn, "SEQUENCE_COUNT_CAP", 1)
     with pytest.raises(ResourceCapError):
         enumerate_sequences_with_frequency(z)
 

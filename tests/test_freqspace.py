@@ -146,6 +146,16 @@ def test_gamma_rejects_equal_and_incompatible():
     assert ultrametric_distance(a, a) == 0.0
 
 
+def test_gamma_max_raises_arithmetic_error_when_no_level_agrees(monkeypatch):
+    # level 0 always agrees; a projection that breaks that is reported as
+    # the package's other exactness failures are, not by an assertion
+    from cycseq import freqspace
+
+    monkeypatch.setattr(freqspace, "project", lambda s, p: object())
+    with pytest.raises(ArithmeticError):
+        gamma_max(canonicalize([1, 0, 0], 2), canonicalize([1, 1, 0], 2))
+
+
 def test_strong_triangle_inequality_exhaustive_n6():
     necklaces = all_necklaces(6, 2)
     gammas = {}

@@ -175,7 +175,7 @@ def test_enumerate_cap():
         with pytest.raises(ResourceCapError):
             listing(30, 2)
         with pytest.raises(ResourceCapError):
-            listing(20, 3, cap_bits=24)
+            listing(20, 3)
         for n, l in ((0, 2), (3, 1)):
             with pytest.raises(DomainError):
                 listing(n, l)
@@ -185,8 +185,7 @@ def test_enumerate_cap_on_huge_sizes():
     # sizes past any float: the bit cap is compared in integers
     for listing in LISTINGS:
         with pytest.raises(ResourceCapError):
-            listing(10**400, 3, cap_bits=10**399)
-        assert len(listing(5, 2, cap_bits=10**400)) == 8
+            listing(10**400, 3)
 
 
 @pytest.mark.parametrize("l, max_n", [(2, 16), (3, 9), (4, 6), (5, 5), (11, 3), (12, 3)])

@@ -89,9 +89,11 @@ def test_phi_tables():
 
 
 def test_phi_pruning_is_lossless():
-    for p in (2, 3):
+    # phi never tries UPPER in the first or last block; the scan that tries
+    # every configuration finds the same counts
+    for p in (1, 2, 3, 4):
         for k in range(2 ** (p - 1) + 1):
-            assert phi(p, k, prune=True) == phi(p, k, prune=False)
+            assert phi(p, k) == _phi_scan(p, k, False), (p, k)
 
 
 def test_phi_closed_forms():
@@ -126,13 +128,11 @@ def _phi_scan(p, k, prune):
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_phi_matches_configuration_scan(p):
     for k in range(2 ** (p - 1) + 1):
-        for prune in (True, False):
-            assert phi(p, k, prune=prune) == _phi_scan(p, k, prune), (p, k, prune)
+        assert phi(p, k) == _phi_scan(p, k, True), (p, k)
 
 
 def test_phi_row_at_p5():
     assert [phi(5, k) for k in range(17)] == PHI_P5
-    assert [phi(5, k, prune=False) for k in range(17)] == PHI_P5
     # The scan takes about 1.4 s at k = 0. At k = 1 and 2 it takes 11 s and
     # 54 s, too long for every run: k = 1 has its closed form, and both
     # matched the pinned row when the frontier DP replaced the walk.
@@ -145,7 +145,7 @@ def test_phi_row_is_one_cached_pass():
     rows = [phi(4, k) for k in range(9)]
     info = _phi_row.cache_info()
     assert (info.misses, info.hits) == (1, 8)
-    assert tuple(rows) == _phi_row(4, True)
+    assert tuple(rows) == _phi_row(4)
 
 
 def test_phi_refuses_p6_quickly():
@@ -245,9 +245,15 @@ def test_bruteforce_cap():
 
 
 def test_bruteforce_cap_on_a_huge_length():
-    # n = 2^1101 is far past any float; the bit cap still refuses it
+    # n = 2^1101 is far past any float; the bit cap still refuses it, and a
+    # huge p is refused before l^p is built
+    start = time.perf_counter()
+    for args in ((1100,), (10**9,), (10**9, 3)):
+        with pytest.raises(ResourceCapError):
+            count_twofold_bruteforce(*args)
     with pytest.raises(ResourceCapError):
-        count_twofold_bruteforce(1100)
+        list_twofold_bruteforce(10**9)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_assembly_matches_bruteforce_up_to_p2():
@@ -307,7 +313,7 @@ def test_sequence_count_matches_ffold_bruteforce():
 
 def test_multi_debruijn_matches_exact_twofold_count():
     for p in range(1, 9):
-        assert count_multi_debruijn(2, p, 2) == count_twofold_exact(p, max_p=8), p
+        assert count_multi_debruijn(2, p, 2) == count_twofold_exact(p), p
     assert count_multi_debruijn(2, 5, 2) == 44079843328
 
 
