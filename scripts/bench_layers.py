@@ -11,24 +11,25 @@ the median in seconds:
   counting together, as the tree command runs them;
 - twofold_table(4) and twofold_table(5): the per-k Phi, PermNo and
   cofactor rows that `twofold --p 4 --table` and `--p 5 --table` print.
-  Where the package caches the Phi row (twofold._phi_row), the cache is
-  cleared before every run, outside the timed region, so the Phi
-  computation is timed and not a cache lookup;
+  The cache of the Phi row (twofold._phi_row) is cleared before every
+  run, outside the timed region, so the Phi computation is timed and not
+  a cache lookup;
 - count_twofold_exact(8): one BEST + Burnside count on the doubled
   graph G_2(8).
 - enumerate_necklaces(20, 2): FKM generation with a checked CyclicSequence
   per necklace, as the library lists them;
 - necklace_strings(11, 3): FKM generation with the same checks, straight to
-  the strings that `necklaces --list` prints. On a package without
-  necklace_strings the row times [str(s) for s in enumerate_necklaces(11, 3)],
-  which is what its `necklaces --list` runs.
+  the strings that `necklaces --list` prints;
+- enumerate_sequences_with_frequency on binary [10, 10] (9,252 members)
+  and ternary [15, 3, 2] (7,752 members): the member listing of
+  `members`, at the largest lists that SEQUENCE_COUNT_CAP admits;
 - build_tree and export_tree over the nine TREE_SHAPES of the benchmark's
   `tree` workload (bench/workloads.py), each in its export format: one
   round of that workload without the CLI around it.
 
-For the counting case the tree is built once, outside the timed region. Only public entry points
-are called (and the Phi cache cleared when there is one), so the script runs
-on any version of the package that has them.
+For the counting case the tree is built once, outside the timed region.
+Only public entry points are called, besides clearing the Phi cache, so
+the script runs on any version of the package that has them.
 
 Usage:
 
@@ -123,9 +124,7 @@ def _tree(n: int, l: int, half: bool):
 def _twofold_table(p: int):
     from cycseq import twofold
 
-    phi_cache = getattr(twofold, "_phi_row", None)
-    clear = phi_cache.cache_clear if phi_cache is not None else None
-    return f"twofold_table({p})", lambda: twofold.twofold_table(p), clear
+    return f"twofold_table({p})", lambda: twofold.twofold_table(p), twofold._phi_row.cache_clear
 
 
 def _twofold_exact():
@@ -141,13 +140,21 @@ def _necklaces():
 
 
 def _necklace_strings():
-    from cycseq import seqcore
+    from cycseq.seqcore import necklace_strings
 
-    strings = getattr(seqcore, "necklace_strings", None)
-    if strings is None:
-        def strings(n, l):
-            return [str(s) for s in seqcore.enumerate_necklaces(n, l)]
-    return "necklace_strings(11, 3)", lambda: strings(11, 3), None
+    return "necklace_strings(11, 3)", lambda: necklace_strings(11, 3), None
+
+
+def _members():
+    from cycseq.debruijn import enumerate_sequences_with_frequency
+    from cycseq.freqspace import FrequencyVector
+
+    vectors = [
+        FrequencyVector(1, 20, 2, {0: 10, 1: 10}),
+        FrequencyVector(1, 20, 3, {0: 15, 1: 3, 2: 2}),
+    ]
+    name = "enumerate_sequences_with_frequency on [10, 10] and [15, 3, 2]"
+    return name, lambda: [enumerate_sequences_with_frequency(z) for z in vectors], None
 
 
 def _tree_round():
@@ -171,6 +178,7 @@ CASES = (
         _twofold_exact,
         _necklaces,
         _necklace_strings,
+        _members,
         _tree_round,
     ]
 )

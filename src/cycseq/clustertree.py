@@ -60,7 +60,7 @@ def build_tree(n: int, l: int, max_p: int | None = None, half_tree: bool = False
         raise DomainError("alphabet size must be >= 2")
     max_n = CAPS.get(l, int(16 / math.log2(l)))
     if n > max_n:
-        raise ResourceCapError(f"n = {n} exceeds the cap {max_n} for l = {l}")
+        raise ResourceCapError(f"n exceeds the cap {max_n} for this alphabet size")
     if half_tree and l != 2:
         raise DomainError("half_tree is defined for the binary alphabet only")
     if max_p is None:

@@ -8,14 +8,19 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, ResourceCapError
-from .freqspace import FrequencyVector, check_index_width, check_level
-from .seqcore import CyclicSequence, canonicalize, divisors, euler_totient
+from .freqspace import FrequencyVector, check_index_width, check_level, index_word
+from .seqcore import CyclicSequence, _burnside, divisors, euler_totient
+
+# Unused here, but bench/spans.py wraps this module attribute by name; it
+# goes with the next change to the benchmark.
+from .seqcore import canonicalize  # noqa: F401
 
 # Caps of enumerate_sequences_with_frequency: n, and the member count, which
-# count_sequences_with_frequency gives in about 0.1 ms. Listing takes 0.1-0.2
-# ms per member (2-core Intel Xeon VM, Python 3.11): binary [10, 10] lists
-# 9,252 in 1.4 s, the slowest of 121 sampled vectors with 3,000 to 10,000
-# members 7,752 in 1.7 s. Ternary [7, 7, 6] has 6,651,216.
+# count_sequences_with_frequency gives in about 0.1 ms. Listing takes about
+# 10 us per member, up to 40 us where the walk meets many dead ends (2-core
+# Intel Xeon VM, Python 3.11): binary [10, 10] lists 9,252 in 0.08 s, ternary
+# [6, 6, 6] 953,056 in 7.3 s at 285 MB of RSS. Ternary [7, 7, 6] has
+# 6,651,216, about seven times as many.
 SEQUENCE_CAP = 20
 SEQUENCE_COUNT_CAP = 10_000
 
@@ -384,23 +389,6 @@ def count_sequences_with_frequency(z: FrequencyVector) -> int:
     return _burnside(z.n, terms)
 
 
-def _burnside(n: int, terms: Iterable[tuple[int, int, int]]) -> int:
-    """(1/n) sum of phi(d) labelled_d / orderings_d over the terms
-    (phi(d), labelled_d, orderings_d) of count_sequences_with_frequency,
-    where labelled_d = (n/d) ec(A[Z/d]) and orderings_d = prod (Z_e/d)!;
-    both divisions are checked exact."""
-    total = 0
-    for phi, labelled, orderings in terms:
-        words, rem = divmod(labelled, orderings)
-        if rem:
-            raise ArithmeticError(f"{labelled} labelled circuits do not split into words")
-        total += phi * words
-    necklaces, rem = divmod(total, n)
-    if rem:
-        raise ArithmeticError(f"Burnside sum {total} is not divisible by n = {n}")
-    return necklaces
-
-
 def count_multi_debruijn(l: int, p: int, f: int) -> int:
     """Number of cyclic sequences of length f * l^p in which every p-window
     occurs exactly f times (f-fold de Bruijn sequences), exact:
@@ -417,14 +405,11 @@ def count_multi_debruijn(l: int, p: int, f: int) -> int:
     if f < 1:
         raise DomainError("need f >= 1")
     vertices = l ** (p - 1)
-    total = 0
+    terms = []
     for d in divisors(f):
         multinomial = math.factorial(f * l // d) // math.factorial(f // d) ** l
-        total += euler_totient(d) * multinomial**vertices
-    count, rem = divmod(total, f * l**p)
-    if rem:
-        raise ArithmeticError(f"Burnside sum {total} is not divisible by f l^p = {f * l**p}")
-    return count
+        terms.append((euler_totient(d), multinomial**vertices, 1))
+    return _burnside(f * l**p, terms)
 
 
 def count_debruijn_sequences(l: int, p: int) -> int:
@@ -433,16 +418,18 @@ def count_debruijn_sequences(l: int, p: int) -> int:
 
 
 def enumerate_sequences_with_frequency(z: FrequencyVector) -> list[CyclicSequence]:
-    """All distinct cyclic sequences whose level-p window counts equal z.
+    """All distinct cyclic sequences whose level-p window counts equal z,
+    descending by index.
 
-    Exhaustive Eulerian-circuit backtracking on the weighted multigraph,
-    with rotation dedup via canonicalization. Empty when the subgraph is
-    disconnected. Refused past SEQUENCE_CAP or SEQUENCE_COUNT_CAP; the
-    listing does its own checks and is an oracle for the count.
+    Backtracking over the Eulerian circuits of the weighted multigraph
+    that spells each member once, as its maximal rotation. Empty when the
+    subgraph is disconnected. Refused past SEQUENCE_CAP or
+    SEQUENCE_COUNT_CAP; the listing does its own checks and is an oracle
+    for the count.
     """
     n, l = z.n, z.l
     if n > SEQUENCE_CAP:
-        raise ResourceCapError(f"n = {n} exceeds the enumeration cap {SEQUENCE_CAP}")
+        raise ResourceCapError(f"n exceeds the enumeration cap {SEQUENCE_CAP}")
     g = subgraph_from_frequency(z)
     # Flow balance at each vertex is a precondition for realizability.
     if not g.is_balanced():
@@ -452,35 +439,41 @@ def enumerate_sequences_with_frequency(z: FrequencyVector) -> list[CyclicSequenc
     count = count_sequences_with_frequency(z)
     if count > SEQUENCE_COUNT_CAP:
         raise ResourceCapError(f"{count} sequences exceed the cap {SEQUENCE_COUNT_CAP}")
-    vsize = l ** (z.p - 1)
-
+    p, vsize = z.p, l ** (z.p - 1)
     remaining = dict(z.items())
-    start_edge = min(remaining)
-    start_vertex = start_edge // l
-    found: set[CyclicSequence] = set()
-    letters: list[int] = []
+    # A maximal rotation starts with its largest window, so every member's
+    # is spelt from that window on, letters in descending order. A prefix is
+    # kept while it passes the prenecklace test of seqcore._is_max_rotation,
+    # one letter at a time: none may exceed word[i - per], per the period.
+    # The window begins every member's maximal rotation, so it passes.
+    start = max(remaining)
+    remaining[start] -= 1
+    word = list(index_word(start + 1, p, l))
+    per = 1
+    for i in range(1, p):
+        per = per if word[i] == word[i - per] else i + 1
+    found: list[CyclicSequence] = []
 
-    def walk(vertex: int, used: int):
-        if used == n:
-            if vertex == start_vertex:
-                found.add(canonicalize(letters, l))
+    def walk(vertex: int, per: int):
+        i = len(word)
+        if i == n + p - 1:
+            # The closing letters have led back to the start vertex.
+            if n % per == 0:
+                found.append(CyclicSequence(tuple(word[:n]), l))
             return
-        base = vertex * l
-        for a in range(l):
-            e = base + a
-            w = remaining.get(e, 0)
-            if w:
-                remaining[e] = w - 1
-                letters.append(a)
-                walk(e % vsize, used + 1)
-                letters.pop()
-                remaining[e] = w
+        # Past n letters each step only closes the circuit.
+        top = word[i - per] if i < n else word[i - n]
+        for a in range(top, -1, -1) if i < n else (top,):
+            e = vertex * l + a
+            if remaining.get(e):
+                remaining[e] -= 1
+                word.append(a)
+                walk(e % vsize, per if a == top else i + 1)
+                word.pop()
+                remaining[e] += 1
 
-    # Fixing the first traversed edge collapses rotations of each circuit.
-    remaining[start_edge] -= 1
-    letters.append(start_edge % l)
-    walk(start_edge % vsize, 1)
-    return sorted(found, key=lambda s: s.index(), reverse=True)
+    walk(start % vsize, per)
+    return found
 
 
 def contract_doubled_edges(z: FrequencyVector) -> Multigraph:

@@ -26,7 +26,7 @@ def check_index_width(p: int, l: int) -> None:
     float bound, so no size of p overflows it."""
     if p > MAX_INDEX_BITS / math.log2(l):
         raise ResourceCapError(
-            f"level {p} windows over {l} letters exceed the {MAX_INDEX_BITS}-bit index cap"
+            f"level-p windows over l letters exceed the {MAX_INDEX_BITS}-bit index cap"
         )
 
 

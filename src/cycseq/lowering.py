@@ -11,7 +11,6 @@ from typing import Sequence
 from .debruijn import (
     _best_cofactor,
     _best_frame,
-    _burnside,
     _union_find,
     count_sequences_with_frequency,
     subgraph_from_frequency,
@@ -22,7 +21,7 @@ from .debruijn import (
 from .debruijn import enumerate_sequences_with_frequency  # noqa: F401
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector, check_index_width, check_level
-from .seqcore import level1_cluster_size
+from .seqcore import _burnside, level1_cluster_size
 
 # Work cap of step 1: the product of the per-block solution counts. No node
 # of the binary n <= 16 or ternary n <= 9 trees has more than 256 candidates;

@@ -190,6 +190,23 @@ def _exceeds_bits(n: int, l: int, cap_bits: int) -> bool:
     return n * num > cap_bits * den
 
 
+def _burnside(n: int, terms: Iterable[tuple[int, int, int]]) -> int:
+    """Orbits of the n rotations, (1/n) sum of phi(d) labelled_d / orderings_d
+    over the terms (phi(d), labelled_d, orderings_d): the words fixed by a
+    rotation of order d number labelled_d / orderings_d. Both divisions are
+    checked exact; the message names no total, which may be huge."""
+    total = 0
+    for phi, labelled, orderings in terms:
+        words, rem = divmod(labelled, orderings)
+        if rem:
+            raise ArithmeticError("a Burnside term is not a whole number of words")
+        total += phi * words
+    orbits, rem = divmod(total, n)
+    if rem:
+        raise ArithmeticError("a Burnside sum is not divisible by the length")
+    return orbits
+
+
 def necklace_count(n: int, l: int) -> int:
     """Number of cyclic sequences of length n over an l-letter alphabet.
 
@@ -204,13 +221,9 @@ def necklace_count(n: int, l: int) -> int:
     # Before l^n or the divisors of n are built.
     if _exceeds_bits(n, l, NECKLACE_COUNT_MAX_BITS):
         raise ResourceCapError(
-            f"counting necklaces of {l}^{n} words exceeds the {NECKLACE_COUNT_MAX_BITS}-bit cap"
+            f"counting necklaces of l^n words exceeds the {NECKLACE_COUNT_MAX_BITS}-bit cap"
         )
-    total = sum(euler_totient(d) * l ** (n // d) for d in divisors(n))
-    count, rem = divmod(total, n)
-    if rem:
-        raise ArithmeticError(f"Burnside sum {total} is not divisible by n = {n}")
-    return count
+    return _burnside(n, [(euler_totient(d), l ** (n // d), 1) for d in divisors(n)])
 
 
 def level1_cluster_size(counts: Sequence[int]) -> int:
@@ -227,16 +240,11 @@ def level1_cluster_size(counts: Sequence[int]) -> int:
     g = 0
     for a in counts:
         g = math.gcd(g, a)
-    total = 0
+    terms = []
     for d in divisors(g):
-        term = math.factorial(n // d)
-        for a in counts:
-            term //= math.factorial(a // d)
-        total += euler_totient(d) * term
-    count, rem = divmod(total, n)
-    if rem:
-        raise ArithmeticError(f"Burnside sum {total} is not divisible by n = {n}")
-    return count
+        orderings = math.prod([math.factorial(a // d) for a in counts])
+        terms.append((euler_totient(d), math.factorial(n // d), orderings))
+    return _burnside(n, terms)
 
 
 def _necklace_words(n: int, l: int):
@@ -272,7 +280,7 @@ def _check_enumerable(n: int, l: int, cap_bits: int = ENUM_CAP_BITS) -> None:
     if n < 1 or l < 2:
         raise DomainError("need n >= 1 and l >= 2")
     if _exceeds_bits(n, l, cap_bits):
-        raise ResourceCapError(f"enumeration of {l}^{n} words exceeds the {cap_bits}-bit cap")
+        raise ResourceCapError(f"enumeration of l^n words exceeds the {cap_bits}-bit cap")
 
 
 def enumerate_necklaces(n: int, l: int) -> list[CyclicSequence]:

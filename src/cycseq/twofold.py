@@ -116,7 +116,7 @@ def _check_phi_p(p: int) -> None:
         raise DomainError("need p >= 1")
     if p - 1 >= PHI_MAX_STATES.bit_length():
         raise ResourceCapError(
-            f"Phi at p = {p} has 2^{p - 1} blocks, more than {PHI_MAX_STATES}"
+            f"Phi at this p has 2^(p - 1) blocks, more than {PHI_MAX_STATES}"
         )
 
 
@@ -276,7 +276,7 @@ def count_twofold_exact(p: int) -> int:
     if p < 1:
         raise DomainError("need p >= 1")
     if p > EXACT_MAX_P:
-        raise ResourceCapError(f"p = {p} exceeds the cap {EXACT_MAX_P}")
+        raise ResourceCapError(f"p exceeds the cap {EXACT_MAX_P}")
     return count_sequences_with_frequency(
         FrequencyVector(p, 2 ** (p + 1), 2, {j: 2 for j in range(2**p)})
     )
@@ -320,7 +320,7 @@ def _uniform_window_scan(p: int, l: int, f: int) -> list[CyclicSequence]:
     if p < 1 or l < 2 or f < 1:
         raise DomainError("need p >= 1, l >= 2, f >= 1")
     if p > SCAN_CAP_BITS:  # n >= 2^p passes the cap too; refused before l^p is built
-        raise ResourceCapError(f"p = {p} is past the {SCAN_CAP_BITS}-bit scan cap")
+        raise ResourceCapError(f"p is past the {SCAN_CAP_BITS}-bit scan cap")
     n = f * l**p
     _check_enumerable(n, l, SCAN_CAP_BITS)
     target = FrequencyVector(p, n, l, {j: f for j in range(l**p)})

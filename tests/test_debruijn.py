@@ -26,7 +26,7 @@ from cycseq import (
     subgraph_from_frequency,
     subgraph_to_dot,
 )
-from cycseq import debruijn
+from cycseq import debruijn, seqcore
 from cycseq.debruijn import BEST_MAX_BRANCHING, SEQUENCE_COUNT_CAP, _laplacian_cofactor
 
 from conftest import all_necklaces, naive_euler_circuits
@@ -312,21 +312,37 @@ def test_enumerate_debruijn_order3():
     assert [str(s) for s in seqs] == ["11101000", "11100010"]
 
 
+def _word_scan_fibers(n, l, p):
+    """{level-p vector: its members, descending by index} by scanning every
+    word of length n."""
+    fibers = {}
+    for s in reversed(all_necklaces(n, l)):
+        fibers.setdefault(project(s, p), []).append(s)
+    return fibers
+
+
 def test_enumerate_agrees_with_word_scan():
-    # every realized level-p vector for n <= 7 reproduces its fiber
-    for n in range(3, 8):
-        necklaces = all_necklaces(n, 2)
-        for p in (2, 3):
-            if p > n:
-                continue
-            fibers = {}
-            for s in necklaces:
-                fibers.setdefault(project(s, p), set()).add(s)
-            for z, members in fibers.items():
-                got = enumerate_sequences_with_frequency(z)
-                assert set(got) == members
-                idx = [s.index() for s in got]
-                assert idx == sorted(idx, reverse=True)
+    # every realized vector at every level reproduces its fiber, in order,
+    # for binary n <= 12, ternary n <= 7 and quaternary n <= 5
+    for l, max_n in ((2, 12), (3, 7), (4, 5)):
+        for n in range(1, max_n + 1):
+            for p in range(1, n + 1):
+                for z, members in _word_scan_fibers(n, l, p).items():
+                    assert enumerate_sequences_with_frequency(z) == members, z
+
+
+def test_enumerate_calls_no_canonicalize(monkeypatch):
+    # each member is spelt once as its maximal rotation: nothing is
+    # canonicalized, so a canonicalize that raises changes nothing
+    fibers = {**_word_scan_fibers(8, 2, 3), **_word_scan_fibers(6, 3, 2)}
+
+    def refuse(*args):
+        raise AssertionError("canonicalize called")
+
+    monkeypatch.setattr(debruijn, "canonicalize", refuse)
+    monkeypatch.setattr(seqcore, "canonicalize", refuse)
+    for z, members in fibers.items():
+        assert enumerate_sequences_with_frequency(z) == members, z
 
 
 def test_enumerate_disconnected_gives_empty():

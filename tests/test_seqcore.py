@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+import cycseq
 from cycseq import (
     CyclicSequence,
     DomainError,
@@ -276,6 +277,47 @@ def test_necklace_count_refuses_huge_n_quickly():
     assert necklace_count(NECKLACE_COUNT_MAX_BITS, 2) > 2 ** (NECKLACE_COUNT_MAX_BITS - 21)
     assert necklace_count(10**9, 1) == 1
     assert [necklace_count(n, 1) for n in (1, 6, 7)] == [1, 1, 1]
+
+
+# 10^5000 has more digits than int() turns into decimal (4,300 by default):
+# a refusal whose message formats it raises ValueError instead
+HUGE = 10**5000
+
+
+def _huge_argument_calls():
+    z_n = cycseq.FrequencyVector(1, HUGE, 2, {0: HUGE})
+    z_p = cycseq.FrequencyVector(HUGE, HUGE, 2, {0: HUGE})
+    calls = [
+        ("enumerate_necklaces", (HUGE, 2)),
+        ("enumerate_necklaces", (2, HUGE)),
+        ("necklace_strings", (HUGE, 2)),
+        ("necklace_count", (HUGE, 2)),
+        ("build_tree", (HUGE, 2)),
+        ("build_tree", (3, HUGE)),
+        ("count_twofold_exact", (HUGE,)),
+        ("count_twofold", (HUGE,)),
+        ("phi", (HUGE, 0)),
+        ("twofold_table", (HUGE,)),
+        ("count_twofold_bruteforce", (HUGE,)),
+        ("enumerate_sequences_with_frequency", (z_n,)),
+        ("enumerate_sequences_with_frequency", (z_p,)),
+        ("lower", (z_p,)),
+        ("solve_step1", (z_p,)),
+        ("count_sequences_with_frequency", (z_p,)),
+    ]
+    return [
+        pytest.param(getattr(cycseq, name), args, id=f"{name}-{i}")
+        for i, (name, args) in enumerate(calls)
+    ]
+
+
+@pytest.mark.parametrize("func, args", _huge_argument_calls())
+def test_refusals_never_format_a_huge_argument(func, args):
+    # each names its cap without turning n, l or p into decimal
+    start = time.perf_counter()
+    with pytest.raises((ResourceCapError, DomainError)):
+        func(*args)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_necklace_count_is_fast():
