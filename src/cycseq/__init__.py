@@ -18,9 +18,7 @@ from .clustertree import (
     tree_to_newick,
 )
 from .debruijn import (
-    DeBruijnGraph,
     Multigraph,
-    WeightedSubgraph,
     contract_doubled_edges,
     count_debruijn_sequences,
     count_eulerian_cycles,

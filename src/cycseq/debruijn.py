@@ -4,12 +4,18 @@ exact Eulerian-cycle counting (BEST theorem), and sequence enumeration."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector, check_index_width, check_level, index_word
-from .seqcore import CyclicSequence, _burnside, divisors, euler_totient
+from .seqcore import (
+    FACTORIAL_MAX_N,
+    CyclicSequence,
+    _burnside,
+    check_factorial_n,
+    divisors,
+    euler_totient,
+)
 
 # Unused here, but bench/spans.py wraps this module attribute by name; it
 # goes with the next change to the benchmark.
@@ -31,42 +37,6 @@ SEQUENCE_COUNT_CAP = 10_000
 # not the vertex count, sets the cost: 512 hubs joined by random long
 # cycles take 28 s.
 BEST_MAX_BRANCHING = 512
-
-
-@dataclass(frozen=True)
-class DeBruijnGraph:
-    """G_l(p): vertices are the l^p words of length p (0-based indices),
-    edges the l^(p+1) words of length p+1."""
-
-    l: int
-    p: int
-
-    def __post_init__(self):
-        if self.l < 2 or self.p < 0:
-            raise DomainError("need l >= 2 and p >= 0")
-
-    @property
-    def vertex_count(self) -> int:
-        return self.l**self.p
-
-    @property
-    def edge_count(self) -> int:
-        return self.l ** (self.p + 1)
-
-    def edge_endpoints(self, edge: int) -> tuple[int, int]:
-        """Tail = first p letters of the edge word, head = last p letters."""
-        if not (0 <= edge < self.edge_count):
-            raise DomainError(f"edge index {edge} out of range")
-        return edge // self.l, edge % self.vertex_count
-
-    def adjacency(self) -> list[list[int]]:
-        """Dense adjacency matrix; test/reference use only (small p)."""
-        size = self.vertex_count
-        mat = [[0] * size for _ in range(size)]
-        for e in range(self.edge_count):
-            t, h = self.edge_endpoints(e)
-            mat[t][h] += 1
-        return mat
 
 
 def _find(parent: dict | list, v):
@@ -161,29 +131,24 @@ def subgraph_from_frequency(z: FrequencyVector) -> Multigraph:
 
 
 def full_graph(l: int, p: int) -> Multigraph:
-    """G_l(p) with unit weight on every edge."""
-    base = DeBruijnGraph(l, p)
-    g = Multigraph()
-    for e in range(base.edge_count):
-        g.add_edge(*base.edge_endpoints(e))
-    return g
+    """G_l(p): the l^p words of length p, joined by the l^(p+1) words of
+    length p + 1 with unit weight. It is A[Z] of the all-ones level-(p+1)
+    vector, the window counts of every de Bruijn sequence."""
+    if l < 2 or p < 0:
+        raise DomainError("need l >= 2 and p >= 0")
+    check_index_width(p + 1, l)
+    size = l ** (p + 1)
+    return subgraph_from_frequency(FrequencyVector(p + 1, size, l, dict.fromkeys(range(size), 1)))
 
 
 def subgraph_to_dot(z: FrequencyVector) -> str:
     """DOT text of A[Z]: vertex labels = words, edge labels = weights."""
     l, p = z.l, z.p - 1
     windows = _windows(z)
-
-    def label(v: int) -> str:
-        digits = []
-        for _ in range(p):
-            digits.append(str(v % l))
-            v //= l
-        return "".join(reversed(digits)) if digits else "()"
-
     lines = ["digraph debruijn {"]
     for v in sorted({v for t, h, _ in windows for v in (t, h)}):
-        lines.append(f'  v{v} [label="{label(v)}"];')
+        label = "".join(map(str, index_word(v + 1, p, l))) or "()"
+        lines.append(f'  v{v} [label="{label}"];')
     for t, h, w in windows:
         lines.append(f'  v{t} -> v{h} [label="{w}"];')
     lines.append("}")
@@ -373,8 +338,10 @@ def count_sequences_with_frequency(z: FrequencyVector) -> int:
 
     where W counts the words with window counts Z' and ec is the BEST count
     with distinguishable edges. Z/d has the support of Z, so balance and
-    connectivity are checked once, on Z.
+    connectivity are checked once, on Z. Refused past
+    seqcore.FACTORIAL_MAX_N.
     """
+    check_factorial_n(z.n)
     g = subgraph_from_frequency(z)
     if not g.is_balanced():
         raise DomainError("frequency vector is not flow-balanced")
@@ -398,12 +365,14 @@ def count_multi_debruijn(l: int, p: int, f: int) -> int:
     BEST on G_l(p-1) with every edge f times over, whose arborescences number
     l^(l^(p-1) - p), then Burnside over rotations; Tesler, "Multi de Bruijn
     sequences" (J. Comb. 2017). Each summand is a power of the multinomial
-    (f l/d)! / ((f/d)!)^l.
+    (f l/d)! / ((f/d)!)^l. Refused past seqcore.FACTORIAL_MAX_N.
     """
     if p < 1 or l < 2:
         raise DomainError("need p >= 1 and l >= 2")
     if f < 1:
         raise DomainError("need f >= 1")
+    # n = f l^p; l >= 2, so l^p passes the cap once p reaches its bit length.
+    check_factorial_n(f * l ** min(p, FACTORIAL_MAX_N.bit_length()))
     vertices = l ** (p - 1)
     terms = []
     for d in divisors(f):

@@ -7,7 +7,7 @@ import json
 import math
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError, ResourceCapError, brief
 from .seqcore import CyclicSequence
 
 # Below this size a serialized vector is written densely.
@@ -44,7 +44,7 @@ def word_index(window: Sequence[int], l: int) -> int:
     v = 0
     for b in window:
         if not (0 <= b < l):
-            raise DomainError(f"letter {b} out of range 0..{l - 1}")
+            raise DomainError(f"letter {brief(b)} out of range 0..{brief(l - 1)}")
         v = v * l + b
     return 1 + v
 
@@ -52,7 +52,7 @@ def word_index(window: Sequence[int], l: int) -> int:
 def index_word(j: int, p: int, l: int) -> tuple[int, ...]:
     """Window reconstructed from its 1-based index; inverse of word_index."""
     if not (1 <= j <= l**p):
-        raise DomainError(f"index {j} out of range 1..{l}^{p}")
+        raise DomainError(f"index {brief(j)} out of range 1..{brief(l)}^{brief(p)}")
     v = j - 1
     word = []
     for _ in range(p):
@@ -78,7 +78,7 @@ class FrequencyVector:
         cleaned: dict[int, int] = {}
         for j, c in counts.items():
             if c < 0:
-                raise DomainError(f"negative count {c} at index {j}")
+                raise DomainError(f"negative count {brief(c)} at index {brief(j)}")
             if c:
                 # int() only for what is not a plain int already (a bool, a
                 # numpy integer): the calls were most of this loop's time.
@@ -86,14 +86,16 @@ class FrequencyVector:
                     j, c = int(j), int(c)
                 cleaned[j] = c
         if sum(cleaned.values()) != n:
-            raise DomainError(f"entries must sum to n = {n}")
+            raise DomainError(f"entries must sum to n = {brief(n)}")
         items = tuple(sorted(cleaned.items()))
         # l >= 2, so j < 2^p <= l^p whenever j has at most p bits; l^p is
         # built only for an index longer than that, so a huge p costs nothing.
         lo, hi = items[0][0], items[-1][0]
         if lo < 0 or (hi.bit_length() > p and hi >= l**p):
             bad = lo if lo < 0 else hi
-            raise DomainError(f"index {bad} out of range for l^p with l = {l}, p = {p}")
+            raise DomainError(
+                f"index {brief(bad)} out of range for l^p with l = {brief(l)}, p = {brief(p)}"
+            )
         self.p = p
         self.n = n
         self.l = l

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError, ResourceCapError, brief
 
 # Widest necklace listing, as n log2(l) bits of l^n. At the cap, `necklaces
 # --list` at binary n = 24, ternary n = 15 and quaternary n = 12 took 2.5-3.3 s,
@@ -22,11 +22,20 @@ ENUM_CAP_BITS = 24
 # and at 2^24 bits up to 9 s, growing faster than linearly for l > 2.
 NECKLACE_COUNT_MAX_BITS = 1 << 20
 
+# Longest sequence whose count takes factorials of its length or its
+# letter counts: level1_cluster_size, debruijn.count_sequences_with_frequency
+# and debruijn.count_multi_debruijn refuse a longer one before any
+# factorial, divisor loop or l^p. level1_cluster_size([n/2, n/2]) took
+# 0.42 s at n = 2^16, 1.9 s at 2^17 and 6.8 s at 2^18; at the cap the
+# slowest shape measured, 64 or 256 equal parts, took 1.0 s (2-core Intel
+# Xeon VM, Python 3.11).
+FACTORIAL_MAX_N = 1 << 16
+
 
 def euler_totient(d: int) -> int:
     """Totient by trial factorization; exact for any d >= 1."""
     if d < 1:
-        raise DomainError(f"totient undefined for {d}")
+        raise DomainError(f"totient undefined for {brief(d)}")
     result = d
     m = d
     q = 2
@@ -113,7 +122,7 @@ def _check_word(word: Sequence[int], l: int) -> None:
         return
     for a in word:
         if not (0 <= a < l):
-            raise DomainError(f"symbol {a} out of range for alphabet of size {l}")
+            raise DomainError(f"symbol {brief(a)} out of range for alphabet of size {brief(l)}")
     raise DomainError("symbols are not in canonical rotation; use canonicalize()")
 
 
@@ -162,7 +171,7 @@ def canonicalize(word: Iterable[int], alphabet_size: int) -> CyclicSequence:
         raise DomainError("word must be non-empty")
     for a in w:
         if not isinstance(a, int) or not (0 <= a < alphabet_size):
-            raise DomainError(f"symbol {a!r} out of range 0..{alphabet_size - 1}")
+            raise DomainError(f"symbol {brief(a)} out of range 0..{brief(alphabet_size - 1)}")
     k = _max_rotation_offset(w)
     return CyclicSequence(w[k:] + w[:k], alphabet_size)
 
@@ -188,6 +197,13 @@ def _exceeds_bits(n: int, l: int, cap_bits: int) -> bool:
     float), so no size of n or cap_bits overflows a float."""
     num, den = math.log2(l).as_integer_ratio()
     return n * num > cap_bits * den
+
+
+def check_factorial_n(n: int) -> None:
+    """ResourceCapError when a sequence of length n is too long to count
+    through factorials (FACTORIAL_MAX_N)."""
+    if n > FACTORIAL_MAX_N:
+        raise ResourceCapError(f"sequence length exceeds the factorial cap {FACTORIAL_MAX_N}")
 
 
 def _burnside(n: int, terms: Iterable[tuple[int, int, int]]) -> int:
@@ -230,13 +246,14 @@ def level1_cluster_size(counts: Sequence[int]) -> int:
     """Number of cyclic sequences with letter composition `counts` (Burnside).
 
     (1/n) * sum over common divisors d of the counts of
-    totient(d) * (n/d)! / prod (a_j/d)!, exact.
+    totient(d) * (n/d)! / prod (a_j/d)!, exact; refused past FACTORIAL_MAX_N.
     """
     if any(a < 0 for a in counts):
         raise DomainError("composition entries must be non-negative")
     n = sum(counts)
     if n < 1:
         raise DomainError("composition must sum to n >= 1")
+    check_factorial_n(n)
     g = 0
     for a in counts:
         g = math.gcd(g, a)

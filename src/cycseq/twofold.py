@@ -40,6 +40,12 @@ _PATTERNS = {
 }
 
 
+def _block_windows(m: int, p: int) -> tuple[int, int, int, int]:
+    """The 0-based level-(p+1) windows of block m (0-based), in the order
+    of the _PATTERNS entries: 2m, 2m + 1, 2m + 2^p and 2m + 2^p + 1."""
+    return (2 * m, 2 * m + 1, 2 * m + 2**p, 2 * m + 2**p + 1)
+
+
 def expand_configuration(config: tuple[BlockChoice, ...], p: int) -> FrequencyVector:
     """Level-(p+1) frequency vector encoded by per-block choices.
 
@@ -51,12 +57,10 @@ def expand_configuration(config: tuple[BlockChoice, ...], p: int) -> FrequencyVe
     if len(config) != blocks:
         raise DomainError(f"configuration must have {blocks} entries")
     counts: dict[int, int] = {}
-    for m1, choice in enumerate(config, start=1):
-        pattern = _PATTERNS[choice]
-        positions = (2 * m1 - 2, 2 * m1 - 1, 2 * m1 + 2**p - 2, 2 * m1 + 2**p - 1)
-        for pos, v in zip(positions, pattern):
+    for m, choice in enumerate(config):
+        for w, v in zip(_block_windows(m, p), _PATTERNS[choice]):
             if v:
-                counts[pos] = v
+                counts[w] = v
     return FrequencyVector(p + 1, 2 ** (p + 1), 2, counts)
 
 
@@ -78,24 +82,19 @@ def permutation_count(p: int, k: int) -> int:
 
 
 def _block_edges(p: int) -> list[tuple[tuple[BlockChoice, tuple], ...]]:
-    """Per block m (0-based), each choice with the edges of G_2(p) it sets.
-
-    Block m's windows run from tails m and m + 2^(p-1) to heads 2m and
-    2m + 1: UNIFORM sets all four edges, UPPER (m, 2m) and
-    (m + 2^(p-1), 2m + 1), LOWER (m, 2m + 1) and (m + 2^(p-1), 2m).
+    """Per block m (0-based), each choice with the edges of G_2(p) it sets:
+    the edge (w >> 1, w mod 2^p) of each window w of the block that the
+    choice's pattern weights. Block m's windows run from tails m and
+    m + 2^(p-1) to heads 2m and 2m + 1.
     """
-    half = 2 ** (p - 1)
-    out = []
-    for m in range(half):
-        a, b, x, y = m, m + half, 2 * m, 2 * m + 1
-        out.append(
-            (
-                (BlockChoice.UNIFORM, ((a, x), (a, y), (b, x), (b, y))),
-                (BlockChoice.UPPER, ((a, x), (b, y))),
-                (BlockChoice.LOWER, ((a, y), (b, x))),
-            )
+    vsize = 2**p
+    return [
+        tuple(
+            (choice, tuple((w >> 1, w % vsize) for w, v in zip(_block_windows(m, p), pat) if v))
+            for choice, pat in _PATTERNS.items()
         )
-    return out
+        for m in range(2 ** (p - 1))
+    ]
 
 
 # Most frontier states _phi_row keeps after a block, and most blocks it

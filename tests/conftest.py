@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from cycseq import CyclicSequence, FrequencyVector
+from cycseq import CyclicSequence, FrequencyVector, full_graph
 
 
 def naive_canonical(word):
@@ -45,6 +45,22 @@ def all_necklaces(n, l):
         if naive_canonical(word) == word:
             out.append(CyclicSequence(word, l))
     return out
+
+
+def full_adjacency(l, p):
+    """Dense adjacency matrix of G_l(p), read from full_graph(l, p).edges."""
+    size = l**p
+    mat = [[0] * size for _ in range(size)]
+    for (t, h), m in full_graph(l, p).edges.items():
+        mat[t][h] = m
+    return mat
+
+
+def edge_ends(mat):
+    """(tail, head) of every edge of an adjacency matrix, row by row. For
+    G_2(p) that is the order of the edge words e: tail e >> 1, then head
+    e mod 2^p ascending."""
+    return [(t, h) for t, row in enumerate(mat) for h, m in enumerate(row) for _ in range(m)]
 
 
 def naive_euler_circuits(edges):

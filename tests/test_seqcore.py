@@ -287,6 +287,7 @@ HUGE = 10**5000
 def _huge_argument_calls():
     z_n = cycseq.FrequencyVector(1, HUGE, 2, {0: HUGE})
     z_p = cycseq.FrequencyVector(HUGE, HUGE, 2, {0: HUGE})
+    z_1 = cycseq.FrequencyVector(1, HUGE, 2, {0: HUGE - 1, 1: 1})
     calls = [
         ("enumerate_necklaces", (HUGE, 2)),
         ("enumerate_necklaces", (2, HUGE)),
@@ -304,6 +305,19 @@ def _huge_argument_calls():
         ("lower", (z_p,)),
         ("solve_step1", (z_p,)),
         ("count_sequences_with_frequency", (z_p,)),
+        ("FrequencyVector", (1, HUGE, 2, {0: 1})),
+        ("FrequencyVector", (1, 1, 2, {0: -HUGE})),
+        ("FrequencyVector", (1, 1, 2, {HUGE: 1})),
+        ("euler_totient", (-HUGE,)),
+        ("index_word", (HUGE, 3, 2)),
+        ("word_index", ([HUGE], 2)),
+        ("canonicalize", ([HUGE], 2)),
+        ("CyclicSequence", ((HUGE,), 2)),
+        ("level1_cluster_size", ([HUGE, HUGE],)),
+        ("count_sequences_with_frequency", (z_1,)),
+        ("count_multi_debruijn", (2, HUGE, 1)),
+        ("count_debruijn_sequences", (HUGE, 2)),
+        ("full_graph", (2, HUGE)),
     ]
     return [
         pytest.param(getattr(cycseq, name), args, id=f"{name}-{i}")

@@ -1,7 +1,10 @@
 import ast
+import importlib.util
 import inspect
 from pathlib import Path
 
+import cycseq
+import cycseq.cli
 from cycseq import (
     build_tree,
     count_twofold_bruteforce,
@@ -12,7 +15,8 @@ from cycseq import (
     phi,
 )
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cycseq"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cycseq"
 
 
 def test_package_has_no_assert_statements():
@@ -38,3 +42,39 @@ def test_no_argument_lifts_a_cap():
     }
     for func, names in expected.items():
         assert list(inspect.signature(func).parameters) == names, func.__name__
+
+
+def _benchmark_wrapped_attributes():
+    """(module name, attribute) of every module attribute that the
+    benchmark's span tracer, bench/spans.py, replaces by name."""
+    spec = importlib.util.spec_from_file_location("_bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {
+        (owner.__name__, attr)
+        for owner, attr, _, _ in spans.wrap_points(cycseq)
+        if inspect.ismodule(owner)
+    }
+
+
+def test_every_unused_import_is_one_the_benchmark_wraps():
+    # an import marked unused stays only for the tracer to wrap; once the
+    # benchmark stops wrapping it, it is dead and goes
+    wrapped = _benchmark_wrapped_attributes()
+    marked, dead = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source, str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            span = lines[node.lineno - 1 : node.end_lineno]
+            if not any("# noqa: F401" in line for line in span):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name
+                marked.append(name)
+                if (f"cycseq.{path.stem}", name) not in wrapped:
+                    dead.append(f"{path.name}:{node.lineno} {name}")
+    assert marked
+    assert dead == []
