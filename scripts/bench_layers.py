@@ -3,8 +3,9 @@
 Each case is timed with time.perf_counter over five runs and reported as
 the median in seconds:
 
-- count_eulerian_cycles(full_graph(l, p)) at (l, p) = (2, 7), (2, 8), (3, 4)
-  and (16, 2): one BEST count, whose cost is the Laplacian cofactor;
+- count_eulerian_cycles(full_graph(l, p)) at (l, p) = (2, 7), (2, 8),
+  (2, 9), (3, 4), (3, 5), (8, 3) and (16, 2): one BEST count, whose cost is
+  the Laplacian cofactor;
 - count_sequences_with_frequency over every node of the binary n = 16 half
   tree (levels p >= 1): thousands of small BEST + Burnside counts;
 - build_tree(16, 2) and build_tree(16, 2, half_tree=True): lowering and
@@ -68,7 +69,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from workloads import TREE_SHAPES  # noqa: E402
 
-EULER_CASES = [(2, 7), (2, 8), (3, 4), (16, 2)]
+EULER_CASES = [(2, 7), (2, 8), (2, 9), (3, 4), (3, 5), (8, 3), (16, 2)]
 TREE_CASES = [(16, 2, False), (16, 2, True)]
 RUNS = 5
 PROCS = 5

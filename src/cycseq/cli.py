@@ -125,10 +125,13 @@ def _check_debruijn_printable(l: int, p: int, f: int = 1) -> None:
     )
 
 
-# Largest vertex count l^p of G_l(p) that euler-count admits. The sparse
-# cofactor takes at most 0.3 s below it, at (16, 2), but its fill-in grows
-# with the alphabet: about 1 s at (2, 10), (3, 6) and (5, 4), 2 s at (8, 3),
-# 24 s at (10, 3) and 32 s at (32, 2), so a plain vertex cap cannot go up.
+# Largest vertex count l^p of G_l(p) that euler-count admits. Twin merging
+# collapses G_l(p) level by level, so the sparse cofactor takes at most
+# 7 ms up to the cap, at (16, 2), and past it 6-10 ms at (2, 10), (3, 6)
+# and (5, 4), 11 ms at (8, 3), 18 ms at (10, 3) and 74 ms at (32, 2)
+# (in-process, 2-core Intel Xeon VM). Graphs without twins still fill in:
+# 512 hubs joined by random long cycles take 27 s, so the cap stays until
+# one budget on the fill-in replaces both it and debruijn.BEST_MAX_BRANCHING.
 EULER_COUNT_MAX_VERTICES = 256
 
 

@@ -30,13 +30,29 @@ from .seqcore import canonicalize  # noqa: F401
 SEQUENCE_CAP = 20
 SEQUENCE_COUNT_CAP = 10_000
 
+# Cap of full_graph: the l^(p+1) windows of G_l(p), checked before any is
+# built. At the cap G_2(15) builds in 0.13 s at 44 MB of RSS, and G_2(16)
+# would take 0.21 s and 68 MB, doubling with each p. The cap admits every
+# graph that euler-count admits (l^p <= 256, so l^(p+1) <= 256^2).
+FULL_GRAPH_MAX_WINDOWS = 1 << 16
+
 # Size cap of one BEST count: the branching vertices (out-weight >= 2) left
 # after the out-weight-1 contraction, checked before the Laplacian is built.
-# Measured in-process: G_2(9) (512 of them) 0.1 s, G_8(3) 1.8 s, G_22(2)
-# 2.4 s; past the cap G_2(10) 0.6 s, G_10(3) 24 s. The cofactor's fill-in,
-# not the vertex count, sets the cost: 512 hubs joined by random long
-# cycles take 28 s.
+# Measured in-process: G_2(9) (512 of them) 4 ms, G_8(3) 11 ms, G_22(2)
+# 26 ms; past the cap G_2(10) 10 ms, G_10(3) 18 ms, G_32(2) 74 ms. Twin
+# merging collapses the de Bruijn graphs, but the cofactor's fill-in, not
+# the vertex count, sets the cost where there are no twins: 512 hubs joined
+# by random long cycles take 27 s. The cap stays until a fill-in budget
+# replaces it.
 BEST_MAX_BRANCHING = 512
+
+# Least row count at which _laplacian_cofactor looks for twin rows. Below
+# it the search costs about what it saves (in-process, 2-core Intel Xeon
+# VM, Python 3.11): G_2(3) and G_3(2), 7 and 8 rows, took 26 and 36 us
+# against 20 and 26 us without it, G_2(4) (15 rows) broke even at 63 us,
+# and G_2(5) (31 rows) took 132 us against 219 us. The 1-7 row matrices of
+# the cluster tree took 40-75% longer at sizes 3-7 with the search.
+TWIN_MIN_ROWS = 16
 
 
 def _find(parent: dict | list, v):
@@ -133,11 +149,16 @@ def subgraph_from_frequency(z: FrequencyVector) -> Multigraph:
 def full_graph(l: int, p: int) -> Multigraph:
     """G_l(p): the l^p words of length p, joined by the l^(p+1) words of
     length p + 1 with unit weight. It is A[Z] of the all-ones level-(p+1)
-    vector, the window counts of every de Bruijn sequence."""
+    vector, the window counts of every de Bruijn sequence. More than
+    FULL_GRAPH_MAX_WINDOWS windows raise ResourceCapError."""
     if l < 2 or p < 0:
         raise DomainError("need l >= 2 and p >= 0")
-    check_index_width(p + 1, l)
-    size = l ** (p + 1)
+    cap = FULL_GRAPH_MAX_WINDOWS
+    # l >= 2, so l^k > cap once k reaches the bit length of cap, and an
+    # admitted size is l^(p+1) itself.
+    size = l ** min(p + 1, cap.bit_length())
+    if size > cap:
+        raise ResourceCapError(f"the l^(p+1) windows of G_l(p) exceed the cap {cap}")
     return subgraph_from_frequency(FrequencyVector(p + 1, size, l, dict.fromkeys(range(size), 1)))
 
 
@@ -271,23 +292,41 @@ def _laplacian_cofactor(rows: dict) -> int:
     """Determinant of a reduced Laplacian given as sparse rows
     {i: {j: entry}} with no zero entries; the rows are consumed.
 
-    One vertex is eliminated at a time (a Schur complement), always on the
-    diagonal, choosing the vertex of least Markowitz count
+    First, twin rows are merged until none are left, or fewer than
+    TWIN_MIN_ROWS rows (_merge_twins). Rows u and v are twins when they
+    have the same diagonal d, the same off-diagonal entries and no entry in
+    each other's column. Subtracting row u from row v and then adding
+    column v to column u keeps the determinant and turns row v into d e_v,
+    so
+
+        det = d * det(row and column v deleted, column v added to column u).
+
+    In graph terms v, whose out-edges are u's, is merged into u, and the
+    new matrix is the reduced Laplacian of the merged graph. G_l(p) is the
+    line digraph of G_l(p-1): its words a s share their out-edges, so one
+    pass merges the l words of each suffix s, and the next finds twins
+    among the suffixes. Twins joined by an edge are left to the elimination.
+
+    Then one vertex is eliminated at a time (a Schur complement), always on
+    the diagonal, choosing the vertex of least Markowitz count
     (row nnz - 1)(column nnz - 1), the first in `rows` order on a tie. The
     matrix is a nonsingular M-matrix (a balanced connected graph is strongly
-    connected), and Schur complements and positive row scalings keep it one,
-    so every pivot is positive and no row exchange is needed.
+    connected, so every vertex reaches the root, also after merging), and
+    Schur complements and positive row scalings keep it one, so every twin
+    diagonal and pivot is positive and no row exchange is needed. Both are
+    checked: a non-positive one raises ArithmeticError.
 
     Each row r with a nonzero a in the pivot column v becomes
     s row_r - t row_v, with g = gcd(pivot, a), s = pivot / g, t = a / g. That
-    scales the determinant by s, so det = (product of pivots) / (product of
-    the s), divided out exactly at the end.
+    scales the determinant by s, so det = (product of twin diagonals and
+    pivots) / (product of the s), divided out exactly at the end.
     """
     cols: dict = {i: set() for i in rows}
     for i, row in rows.items():
         for j in row:
             cols[j].add(i)
-    num = den = 1
+    num = _merge_twins(rows, cols)
+    den = 1
     while rows:
         v = min(rows, key=lambda i: (len(rows[i]) - 1) * (len(cols[i]) - 1))
         pivot_row = rows.pop(v)
@@ -324,6 +363,54 @@ def _laplacian_cofactor(rows: dict) -> int:
     if rem:
         raise ArithmeticError("the pivot product is not divisible by the row scalings")
     return det
+
+
+def _merge_twins(rows: dict, cols: dict) -> int:
+    """Merges the twin rows of _laplacian_cofactor's matrix, pass after pass
+    until none are left, updating `rows` and the column sets `cols` in place;
+    returns the product of the twin diagonals taken out of the determinant.
+
+    Merging stops below TWIN_MIN_ROWS rows. Rows are bucketed by (diagonal,
+    length) first, and only a bucket of two or more builds off-diagonal
+    keys. Equal off-diagonal entries already rule out an entry in each
+    other's column: u's entry in column v would be one of v's off-diagonal
+    entries. A merge changes columns u and v only, on which the rows of
+    another twin class agree, so one pass merges every class it found.
+    """
+    num = 1
+    while len(rows) >= TWIN_MIN_ROWS:
+        buckets: dict = {}
+        for i, row in rows.items():
+            buckets.setdefault((row.get(i, 0), len(row)), []).append(i)
+        if len(buckets) == len(rows):
+            break
+        merged = False
+        for (d, _), bucket in buckets.items():
+            if len(bucket) < 2:
+                continue
+            twins: dict = {}
+            for i in bucket:
+                twins.setdefault(frozenset(rows[i].items()) - {(i, d)}, []).append(i)
+            for u, *others in twins.values():
+                if others and d <= 0:
+                    raise ArithmeticError("non-positive twin diagonal in a reduced Laplacian")
+                for v in others:
+                    merged = True
+                    num *= d
+                    for j in rows.pop(v):
+                        cols[j].discard(v)
+                    for r in cols.pop(v):
+                        row = rows[r]
+                        x = row.pop(v) + row.get(u, 0)
+                        if x:
+                            row[u] = x
+                            cols[u].add(r)
+                        else:
+                            del row[u]
+                            cols[u].discard(r)
+        if not merged:
+            break
+    return num
 
 
 def count_sequences_with_frequency(z: FrequencyVector) -> int:

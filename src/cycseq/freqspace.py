@@ -50,7 +50,11 @@ def word_index(window: Sequence[int], l: int) -> int:
 
 
 def index_word(j: int, p: int, l: int) -> tuple[int, ...]:
-    """Window reconstructed from its 1-based index; inverse of word_index."""
+    """Window reconstructed from its 1-based index; inverse of word_index.
+    Indices wider than MAX_INDEX_BITS are refused before l^p is built."""
+    if l < 2:
+        raise DomainError("need l >= 2")
+    check_index_width(p, l)
     if not (1 <= j <= l**p):
         raise DomainError(f"index {brief(j)} out of range 1..{brief(l)}^{brief(p)}")
     v = j - 1

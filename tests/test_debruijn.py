@@ -185,19 +185,32 @@ def _random_balanced_edges(rng, hubs, chain, reach):
     return dict(edges)
 
 
+def _reduced_laplacian(edges):
+    """Laplacian of a multigraph with the first vertex's row and column
+    removed, as _laplacian_cofactor's sparse rows and as a dense matrix."""
+    vertices = sorted({v for edge in edges for v in edge})
+    root, idx = vertices[0], {v: i - 1 for i, v in enumerate(vertices)}
+    rows = {v: {} for v in vertices[1:]}
+    dense = [[0] * len(rows) for _ in rows]
+    for (u, v), m in edges.items():
+        if u == root or u == v:
+            continue
+        rows[u][u] = rows[u].get(u, 0) + m
+        dense[idx[u]][idx[u]] += m
+        if v != root:
+            rows[u][v] = rows[u].get(v, 0) - m
+            dense[idx[u]][idx[v]] -= m
+    return rows, dense
+
+
 def _dense_best_count(edges):
     """prod (d - 1)! times the Bareiss determinant of the dense Laplacian
     with the first vertex's row and column removed; no contraction."""
-    vertices = sorted({v for edge in edges for v in edge})
-    idx = {v: i for i, v in enumerate(vertices)}
-    lap = [[0] * len(vertices) for _ in vertices]
     out = Counter()
-    for (u, v), m in edges.items():
-        lap[idx[u]][idx[u]] += m
-        lap[idx[u]][idx[v]] -= m
+    for (u, _), m in edges.items():
         out[u] += m
     factorials = math.prod(math.factorial(d - 1) for d in out.values())
-    return factorials * integer_determinant([row[1:] for row in lap[1:]])
+    return factorials * integer_determinant(_reduced_laplacian(edges)[1])
 
 
 @pytest.mark.parametrize(
@@ -214,11 +227,52 @@ def test_sparse_cofactor_matches_dense_bareiss(hubs, chain, reach):
 
 def test_sparse_cofactor_refuses_non_positive_pivots():
     # a matrix that is no reduced Laplacian: [[1, 2], [3, 4]] leaves the
-    # pivot -2, and [[0, -1], [0, 1]] starts on a zero diagonal
+    # pivot -2, [[0, -1], [0, 1]] starts on a zero diagonal, and rows 0 and
+    # 1 of the last are twins on a zero diagonal, in a matrix large enough
+    # for the twin search
     with pytest.raises(ArithmeticError):
         _laplacian_cofactor({0: {0: 1, 1: 2}, 1: {0: 3, 1: 4}})
     with pytest.raises(ArithmeticError):
         _laplacian_cofactor({0: {1: -1}, 1: {1: 1}})
+    rows = {0: {2: -1}, 1: {2: -1}}
+    rows.update({i: {i: i} for i in range(2, debruijn.TWIN_MIN_ROWS)})
+    with pytest.raises(ArithmeticError, match="twin"):
+        _laplacian_cofactor(rows)
+
+
+def _line_digraph(edges):
+    """Edge multiplicities of the line digraph: one vertex per parallel
+    edge, and an edge from each into every edge leaving its head."""
+    arcs = [e for e, m in sorted(edges.items()) for _ in range(m)]
+    return Counter(
+        (i, j) for i, (_, head) in enumerate(arcs) for j, (tail, _) in enumerate(arcs) if head == tail
+    )
+
+
+def test_twin_merging_matches_dense_bareiss(monkeypatch):
+    # vertices of a line digraph with the same head share their out-edges,
+    # so its reduced Laplacian has twin rows; the random graphs have few
+    merged = []
+    merge_twins = debruijn._merge_twins
+
+    def counted(rows, cols):
+        size = len(rows)
+        factor = merge_twins(rows, cols)
+        merged.append(len(rows) < size)
+        return factor
+
+    monkeypatch.setattr(debruijn, "_merge_twins", counted)
+    rng = random.Random(19)
+    graphs = []
+    for _ in range(400):
+        edges = _random_balanced_edges(rng, rng.randrange(4, 8), rng.randrange(0, 6), None)
+        graphs += [edges, _line_digraph(edges)]
+    # G_2(5) holds the twins 01111 -> 11111, joined by an edge
+    graphs.append(full_graph(2, 5).edges)
+    for edges in graphs:
+        rows, dense = _reduced_laplacian(edges)
+        assert _laplacian_cofactor(rows) == integer_determinant(dense), edges
+    assert sum(merged) > 300
 
 
 @pytest.mark.parametrize(
@@ -226,7 +280,7 @@ def test_sparse_cofactor_refuses_non_positive_pivots():
     [(2, p) for p in range(1, 9)]
     + [(3, p) for p in range(1, 6)]
     + [(4, p) for p in range(1, 5)]
-    + [(6, 3), (16, 2)],
+    + [(5, 3), (6, 3), (8, 3), (16, 2), (22, 2)],
 )
 def test_euler_count_of_full_graph_is_debruijn_count(l, p):
     assert count_eulerian_cycles(full_graph(l, p)) == count_debruijn_sequences(l, p + 1)
@@ -248,6 +302,14 @@ def test_best_cap_refuses_large_graphs_quickly(l, p):
         with pytest.raises(ResourceCapError):
             count()
         assert time.perf_counter() - start < 0.5
+
+
+def test_full_graph_refuses_too_many_windows_at_once():
+    # 2^31 windows; the cap admits G_2(10) and G_10(3) above
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        full_graph(2, 30)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_sequence_count_matches_enumeration_on_tree_nodes():

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from cycseq import (
     DomainError,
     FrequencyVector,
+    ResourceCapError,
     canonicalize,
     gamma_max,
     index_word,
@@ -28,6 +30,16 @@ def test_word_index_round_trip():
     for l, p in ((2, 3), (3, 2), (4, 2)):
         for j in range(1, l**p + 1):
             assert word_index(index_word(j, p, l), l) == j
+
+
+def test_index_word_refuses_a_huge_level_at_once():
+    # l^p would have 10^5000 bits; the index-width cap is checked first
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        index_word(1, 10**5000, 2)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(DomainError):
+        index_word(1, 3, 1)
 
 
 def test_word_index_examples():
