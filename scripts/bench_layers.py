@@ -26,9 +26,13 @@ the median in seconds:
   `members`, at the largest lists that SEQUENCE_COUNT_CAP admits;
 - build_tree and export_tree over the nine TREE_SHAPES of the benchmark's
   `tree` workload (bench/workloads.py), each in its export format: one
-  round of that workload without the CLI around it.
+  round of that workload without the CLI around it;
+- lower over the internal nodes of build_tree(12, 2) and build_tree(7, 3),
+  and lower on ternary [16, 16, 16] (11,781 step-1 candidates): the public
+  lowering that `lower` runs, which the trees do not call.
 
-For the counting case the tree is built once, outside the timed region.
+For the counting and lowering cases the trees are built once, outside the
+timed region.
 Only public entry points are called, besides clearing the Phi cache, so
 the script runs on any version of the package that has them.
 
@@ -71,6 +75,7 @@ from workloads import TREE_SHAPES  # noqa: E402
 
 EULER_CASES = [(2, 7), (2, 8), (2, 9), (3, 4), (3, 5), (8, 3), (16, 2)]
 TREE_CASES = [(16, 2, False), (16, 2, True)]
+LOWER_TREES = [(12, 2), (7, 3)]
 RUNS = 5
 PROCS = 5
 
@@ -88,14 +93,13 @@ def _median_s(fn, before=None) -> float:
     return statistics.median(times)
 
 
-def _tree_vectors(n: int, l: int, half_tree: bool) -> list:
+def _tree_nodes(n: int, l: int, half_tree: bool = False) -> list:
     from cycseq.clustertree import build_tree
 
     stack, out = [build_tree(n, l, half_tree=half_tree).root], []
     while stack:
         node = stack.pop()
-        if node.p >= 1:
-            out.append(node.freq)
+        out.append(node)
         stack.extend(node.children)
     return out
 
@@ -110,7 +114,7 @@ def _euler(l: int, p: int):
 def _counting():
     from cycseq.debruijn import count_sequences_with_frequency
 
-    vectors = _tree_vectors(16, 2, half_tree=True)
+    vectors = [node.freq for node in _tree_nodes(16, 2, half_tree=True) if node.p >= 1]
     name = f"count_sequences_with_frequency x {len(vectors)} (build_tree(16, 2, half_tree=True))"
     return name, lambda: [count_sequences_with_frequency(z) for z in vectors], None
 
@@ -167,6 +171,22 @@ def _tree_round():
     ], None
 
 
+def _lower_tree_nodes():
+    from cycseq.lowering import lower
+
+    vectors = [node.freq for shape in LOWER_TREES for node in _tree_nodes(*shape) if node.children]
+    name = f"lower x {len(vectors)} (internal nodes of build_tree(12, 2) and build_tree(7, 3))"
+    return name, lambda: [lower(y) for y in vectors], None
+
+
+def _lower_ternary():
+    from cycseq.freqspace import FrequencyVector
+    from cycseq.lowering import lower
+
+    y = FrequencyVector.from_dense(1, 48, 3, [16, 16, 16])
+    return "lower([16, 16, 16])", lambda: lower(y), None
+
+
 # One setup per case, in report order: setup() imports the package from
 # whatever `src` is first on sys.path and gives (name, fn, before).
 CASES = (
@@ -181,6 +201,8 @@ CASES = (
         _necklace_strings,
         _members,
         _tree_round,
+        _lower_tree_nodes,
+        _lower_ternary,
     ]
 )
 

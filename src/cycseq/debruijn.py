@@ -480,21 +480,19 @@ def enumerate_sequences_with_frequency(z: FrequencyVector) -> list[CyclicSequenc
     Backtracking over the Eulerian circuits of the weighted multigraph
     that spells each member once, as its maximal rotation. Empty when the
     subgraph is disconnected. Refused past SEQUENCE_CAP or
-    SEQUENCE_COUNT_CAP; the listing does its own checks and is an oracle
-    for the count.
+    SEQUENCE_COUNT_CAP. The count checks balance and connectivity first: it
+    raises DomainError for an unbalanced vector and is 0 only when A[Z] is
+    disconnected, since a connected balanced graph has a circuit. The walk
+    itself is an oracle for the count.
     """
     n, l = z.n, z.l
     if n > SEQUENCE_CAP:
         raise ResourceCapError(f"n exceeds the enumeration cap {SEQUENCE_CAP}")
-    g = subgraph_from_frequency(z)
-    # Flow balance at each vertex is a precondition for realizability.
-    if not g.is_balanced():
-        raise DomainError("frequency vector is not flow-balanced")
-    if not g.is_connected():
-        return []
     count = count_sequences_with_frequency(z)
     if count > SEQUENCE_COUNT_CAP:
         raise ResourceCapError(f"{count} sequences exceed the cap {SEQUENCE_COUNT_CAP}")
+    if not count:
+        return []
     p, vsize = z.p, l ** (z.p - 1)
     remaining = dict(z.items())
     # A maximal rotation starts with its largest window, so every member's

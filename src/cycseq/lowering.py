@@ -5,7 +5,7 @@ filtering. The wavelet basis lives here as a numeric verification layer."""
 from __future__ import annotations
 
 import math
-from itertools import chain, islice, product
+from itertools import islice, product
 from typing import Sequence
 
 from .debruijn import (
@@ -13,7 +13,6 @@ from .debruijn import (
     _best_frame,
     _union_find,
     count_sequences_with_frequency,
-    subgraph_from_frequency,
 )
 
 # Unused here, but bench/spans.py wraps this module attribute by name; it
@@ -24,9 +23,10 @@ from .freqspace import FrequencyVector, check_index_width, check_level
 from .seqcore import _burnside, level1_cluster_size
 
 # Work cap of step 1: the product of the per-block solution counts. No node
-# of the binary n <= 16 or ternary n <= 9 trees has more than 256 candidates;
-# lowering ternary [16, 16, 16] (11,781 candidates) takes about 0.5 s, and
-# reaching the cap on [100, 100, 100] about 0.15 s.
+# of the binary n <= 16 or ternary n <= 9 trees has more than 256 candidates.
+# On a 2-core Intel Xeon VM (Python 3.11) lowering ternary [16, 16, 16]
+# (11,781 candidates) takes about 0.3 s, and reaching the cap on
+# [100, 100, 100] about 0.08 s.
 STEP1_CAP = 1 << 14
 
 
@@ -97,29 +97,25 @@ def _check_work(candidates: int) -> None:
         )
 
 
-def _block_solutions(rows: tuple, cols: tuple, blocks: dict) -> list:
-    """Solutions of one block as tuples of nonzero (b, a, count) entries,
-    memoized in `blocks` by margins; more than STEP1_CAP of them exceed the
-    work cap."""
-    sols = blocks.get((rows, cols))
-    if sols is None:
-        sols = list(islice(_nonneg_matrices(rows, cols), STEP1_CAP + 1))
-        _check_work(len(sols))
-        blocks[rows, cols] = sols
-    return sols
+def _frame(y: FrequencyVector, blocks: dict) -> tuple[list, list] | None:
+    """The step-1 frame of y (p >= 1): (forced, free), or None when some
+    block has no solution. Every block that y's nonzero entries touch is
+    solved, in order of mid, and each solution translated once into its
+    windows as (index, count) pairs: `forced` holds the windows of every
+    block with one solution, which all candidates share, and `free` the
+    windows of each solution of every other block. Window w = b . mid . a
+    is the edge of A[Z] from w // l to w mod l^p.
 
-
-def _node_blocks(y: FrequencyVector, blocks: dict) -> list | None:
-    """(mid, solutions) of every step-1 block of y (p >= 1) that its nonzero
-    entries touch, in order of mid; None when some block has no solution.
-
-    The margins come from one pass over y's entries. Every block's solutions
-    are counted, and their product checked against STEP1_CAP, before the
-    caller builds the first candidate.
+    `blocks` memoizes the solutions, tuples of nonzero (b, a, count)
+    entries, by margins; no more than STEP1_CAP + 1 are listed, which fail
+    the work check. The margins come from one pass over y's entries, and
+    the product of the solution counts so far is checked against STEP1_CAP
+    before a block is translated.
     """
     check_index_width(y.p + 1, y.l)
     check_level(y.p + 1, y.n)
     l, mid_size = y.l, y.l ** (y.p - 1)
+    top = mid_size * l
     margins: dict[int, tuple[list, list]] = {}
     for w, c in y.items():
         b, mid = divmod(w, mid_size)  # w = b . mid
@@ -130,39 +126,28 @@ def _node_blocks(y: FrequencyVector, blocks: dict) -> list | None:
         if mid not in margins:
             margins[mid] = ([0] * l, [0] * l)
         margins[mid][1][a] = c
-    out = []
+    forced: list[tuple[int, int]] = []
+    free = []
     work = 1
     for mid in sorted(margins):
         rows, cols = margins[mid]
-        sols = _block_solutions(tuple(rows), tuple(cols), blocks)
+        key = (tuple(rows), tuple(cols))
+        sols = blocks.get(key)
+        if sols is None:
+            sols = blocks[key] = list(islice(_nonneg_matrices(*key), STEP1_CAP + 1))
         if not sols:
             return None
         work *= len(sols)
         _check_work(work)
-        out.append((mid, sols))
-    return out
-
-
-def _step1(y: FrequencyVector, blocks: dict):
-    """Step-1 candidates of y as {window index: count} dicts, in block
-    product order; `blocks` memoizes the block solutions by margins."""
-    p, n, l = y.p, y.n, y.l
-    if p == 0:
-        # Level 0 -> 1: any composition of n into l parts.
-        _check_work(math.comb(n + l - 1, l - 1))
-        for comp in _compositions(n, l):
-            yield {j: c for j, c in enumerate(comp) if c}
-        return
-    node_blocks = _node_blocks(y, blocks)
-    if node_blocks is None:
-        return
-    top = l**p
-    choices = [
-        [tuple((b * top + mid * l + a, v) for b, a, v in s) for s in sols]
-        for mid, sols in node_blocks
-    ]
-    for choice in product(*choices):
-        yield dict(chain.from_iterable(choice))
+        # A forced block writes its windows straight into `forced`.
+        options = [forced] if len(sols) == 1 else [[] for _ in sols]
+        head = mid * l
+        for s, windows in zip(sols, options):
+            for b, a, v in s:
+                windows.append((b * top + head + a, v))
+        if len(sols) > 1:
+            free.append(options)
+    return forced, free
 
 
 def solve_step1(y: FrequencyVector) -> list[FrequencyVector]:
@@ -176,7 +161,22 @@ def solve_step1(y: FrequencyVector) -> list[FrequencyVector]:
     raise ResourceCapError before any is built; a level p >= n, which
     project would refuse to lower into, raises DomainError.
     """
-    out = [FrequencyVector(y.p + 1, y.n, y.l, c) for c in _step1(y, {})]
+    p, n, l = y.p, y.n, y.l
+    if p == 0:
+        # Level 0 -> 1: any composition of n into l parts.
+        _check_work(math.comb(n + l - 1, l - 1))
+        return [FrequencyVector.from_dense(1, n, l, comp) for comp in _compositions(n, l)]
+    frame = _frame(y, {})
+    if frame is None:
+        return []
+    forced, free = frame
+    base = dict(forced)
+    out = []
+    for choice in product(*free):
+        counts = dict(base)
+        for windows in choice:
+            counts.update(windows)
+        out.append(FrequencyVector(p + 1, n, l, counts))
     return sorted(out, key=FrequencyVector.sort_key)
 
 
@@ -197,7 +197,15 @@ def lower(y: FrequencyVector) -> list[FrequencyVector]:
     candidates of every lowering it is asked for; build_tree takes
     _children instead, which lowers and counts in one pass.
     """
-    return [z for z in solve_step1(y) if subgraph_from_frequency(z).is_connected()]
+    candidates = solve_step1(y)
+    l, top = y.l, y.l**y.p
+    out = []
+    for z in candidates:
+        # A[Z] is connected iff its edges join its vertices into one class.
+        parent, merges = _union_find([(w // l, w % top) for w, _ in z.items()])
+        if len(parent) - merges == 1:
+            out.append(z)
+    return out
 
 
 def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, int]]:
@@ -206,14 +214,12 @@ def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, i
     `blocks` memoizes the block solutions by margins, and a whole cluster
     tree shares it.
 
-    A[Z] has the support of y as its vertex set whatever the candidate. A
-    block with one solution is forced: all forced blocks are merged once
-    into a union-find over that support, and their windows and share of the
-    count are taken once. Each solution of the other blocks is translated
-    once into its windows, the merges it makes between the forced
-    components and its share of the count; a candidate is connected iff its
-    merges join those components into one, and only then is it counted and
-    made a vector.
+    A[Z] has the support of y as its vertex set whatever the candidate. The
+    frame's forced windows and their share of the count are taken once, and
+    their edges merged once into a union-find over that support. Each free
+    solution is taken once into its share and the merges it makes between
+    the forced components; a candidate is connected iff its merges join
+    them into one, and only then is it counted and made a vector.
 
     Every candidate z has out- and in-weight y_w at each vertex w of A[Z]
     (R z = L z = y), so the half of its BEST count that the out-weights fix
@@ -226,16 +232,11 @@ def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, i
     """
     p, n, l = y.p + 1, y.n, y.l
     if y.p == 0:
-        # _compositions gives the vectors in order.
-        out = []
-        for c in _step1(y, blocks):
-            z = FrequencyVector(p, n, l, c)
-            out.append((z, level1_cluster_size(z.dense())))
-        return out
-    node_blocks = _node_blocks(y, blocks)
-    if node_blocks is None:
+        return [(z, level1_cluster_size(z.dense())) for z in solve_step1(y)]
+    frame = _frame(y, blocks)
+    if frame is None:
         return []
-    mid_size = l ** (y.p - 1)
+    top = l**y.p
     weight = dict(y.items())
     factor, branching = _best_frame(weight)
     periodic = math.gcd(*weight.values()) > 1
@@ -245,29 +246,23 @@ def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, i
     width = (2 * n).bit_length()
     shift = dict(zip(weight, range(0, width * len(weight), width)))
 
-    forced = []  # edges of the forced blocks
-    base_windows: dict[int, int] = {}
+    forced, free = frame
     base_flow, base_orderings, base_arcs = 0, 1, []
     # Every solution of a free block names the successor of each
     # out-weight-1 tail in it, so a candidate overwrites every entry of
     # this map that it does not share with the forced blocks.
     succ: dict[int, int] = {}
-    free = []
-    for mid, sols in node_blocks:
-        if len(sols) > 1:
-            free.append((mid, sols))
-            continue
-        for b, a, v in sols[0]:
-            t, h = b * mid_size + mid, mid * l + a
-            forced.append((t, h))
-            base_windows[t * l + a] = v
-            base_flow += (v << shift[t]) - (v << shift[h])
+    for w, v in forced:
+        t, h = w // l, w % top
+        base_flow += (v << shift[t]) - (v << shift[h])
+        if v > 1:
             base_orderings *= math.factorial(v)
-            if weight[t] == 1:
-                succ[t] = h
-            else:
-                base_arcs.append(((t, h), v))
-    parent, _ = _union_find(forced, weight)
+        if weight[t] == 1:
+            succ[t] = h
+        else:
+            base_arcs.append(((t, h), v))
+    # The forced edges are the successors and arcs just found.
+    parent, _ = _union_find([*succ.items(), *(e for e, _ in base_arcs)], weight)
     label: dict[int, int] = {}  # forced component root -> 0..k-1
     comp = {}
     for w in parent:
@@ -278,44 +273,46 @@ def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, i
     k = len(label)
 
     choices = []
-    for mid, sols in free:
-        options = []
-        for s in sols:
-            windows, merges, heads, arcs = [], set(), [], []
+    for options in free:
+        translated = []
+        for windows in options:
+            merges, heads, arcs = set(), [], []
             flow, orderings = 0, 1
-            for b, a, v in s:
-                t, h = b * mid_size + mid, mid * l + a
-                windows.append((t * l + a, v))
+            for w, v in windows:
+                t, h = w // l, w % top
                 if comp[t] != comp[h]:
                     merges.add((comp[t], comp[h]))
                 flow += (v << shift[t]) - (v << shift[h])
-                orderings *= math.factorial(v)
+                if v > 1:
+                    orderings *= math.factorial(v)
                 if weight[t] == 1:
                     heads.append((t, h))
                 else:
                     arcs.append(((t, h), v))
-            options.append((windows, merges, flow, orderings, heads, arcs))
-        choices.append(options)
+            translated.append((windows, merges, flow, orderings, heads, arcs))
+        choices.append(translated)
 
+    base = dict(forced)
     out = []
     for choice in product(*choices):
         if k > 1:
             # A union-find over the forced components, inlined: this runs
-            # once per step-1 candidate.
+            # once per step-1 candidate. k is at most the n entries of y, so
+            # the finds climb without compressing paths.
             link = list(range(k))
             left = k
             for _, merges, _, _, _, _ in choice:
                 for u, v in merges:
                     while link[u] != u:
-                        link[u] = u = link[link[u]]
+                        u = link[u]
                     while link[v] != v:
-                        link[v] = v = link[link[v]]
+                        v = link[v]
                     if u != v:
                         link[u] = v
                         left -= 1
             if left != 1:
                 continue
-        counts = dict(base_windows)
+        counts = dict(base)
         flow, orderings, arcs = base_flow, base_orderings, list(base_arcs)
         for windows, _, delta, share, heads, edges in choice:
             counts.update(windows)

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from itertools import product
 
@@ -99,6 +100,22 @@ def test_lower_is_connected_step1_in_order():
             ]
             assert lower(y) == expected, (n, l, y)
             assert [z for z, _ in _children(y, {})] == expected, (n, l, y)
+
+
+def test_lower_answers_past_the_best_cap():
+    # lower never counts, so a node whose children _children cannot count
+    # (about 1,500 branching vertices, past debruijn.BEST_MAX_BRANCHING)
+    # still lowers, and quickly
+    rng = random.Random(3)
+    t = [rng.randrange(2) for _ in range(1500)]
+    y = project(canonicalize(t + t, 2), 20)
+    start = time.perf_counter()
+    zs = lower(y)
+    assert time.perf_counter() - start < 1.0
+    assert len(zs) == 2
+    assert zs == [z for z in solve_step1(y) if subgraph_from_frequency(z).is_connected()]
+    with pytest.raises(ResourceCapError):
+        _children(y, {})
 
 
 def test_children_of_a_forced_disconnected_node():

@@ -318,6 +318,11 @@ def _huge_argument_calls():
         ("count_multi_debruijn", (2, HUGE, 1)),
         ("count_debruijn_sequences", (HUGE, 2)),
         ("full_graph", (2, HUGE)),
+        ("expand_configuration", ((), HUGE)),
+        ("permutation_count", (HUGE, 0)),
+        ("minor_adjacency", (HUGE,)),
+        ("minor_cofactor", (HUGE,)),
+        ("minor_cofactor_closed_form", (HUGE,)),
     ]
     return [
         pytest.param(getattr(cycseq, name), args, id=f"{name}-{i}")

@@ -29,7 +29,7 @@ from cycseq import (
     subgraph_from_frequency,
     twofold_table,
 )
-from cycseq.twofold import _block_edges, _phi_row
+from cycseq.twofold import MINOR_MAX_K, _block_edges, _phi_row
 
 U, UP, LO = BlockChoice.UNIFORM, BlockChoice.UPPER, BlockChoice.LOWER
 
@@ -194,6 +194,24 @@ def test_minor_adjacency_and_cofactors():
     for p, table in ((3, TABLE_P3), (4, TABLE_P4)):
         for k in range(2 ** (p - 1) + 1):
             assert minor_cofactor(k) == table["cofactor"][k]
+
+
+def test_twofold_helpers_refuse_large_sizes_quickly():
+    # each ran for seconds or more before its cap: 2^(2^39) configurations,
+    # a 4,000 x 4,000 adjacency and a dense determinant of order 3,999
+    for call in (
+        lambda: permutation_count(40, 0),
+        lambda: minor_cofactor(2000),
+        lambda: minor_adjacency(10**6),
+        lambda: minor_cofactor_closed_form(MINOR_MAX_K + 1),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError):
+            call()
+        assert time.perf_counter() - start < 0.5
+    # the cap admits the k = 32 of p = 6
+    assert MINOR_MAX_K >= 32
+    assert minor_cofactor(MINOR_MAX_K) > 0
 
 
 def test_closed_form_cofactor_partial_agreement():
