@@ -33,6 +33,13 @@ the median in seconds:
 
 For the counting and lowering cases the trees are built once, outside the
 timed region.
+
+One more row per TREE_SHAPES request is not a time but the tracemalloc
+peak, in MB (2^20 bytes), of one `cycseq.cli.main` call on it, with stdout
+in a StringIO: the tree, the text written and whatever the export holds
+besides. Unlike the timings, these peaks repeat from process to process
+to within a few kB.
+
 Only public entry points are called, besides clearing the Phi cache, so
 the script runs on any version of the package that has them.
 
@@ -59,6 +66,8 @@ Both forms print one JSON document to stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -66,6 +75,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -171,6 +181,21 @@ def _tree_round():
     ], None
 
 
+def _tree_peak(n: int, l: int, half: bool, fmt: str) -> tuple[str, float]:
+    from cycseq.cli import main
+
+    argv = ["tree", "--n", str(n), "--alphabet", str(l), "--format", fmt] + ["--half"] * half
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        tracemalloc.start()
+        try:
+            if main(argv) != 0:
+                raise RuntimeError(f"{' '.join(argv)} failed")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return f"peak MB of cli.main {' '.join(argv)}", peak / 2**20
+
+
 def _lower_tree_nodes():
     from cycseq.lowering import lower
 
@@ -187,9 +212,19 @@ def _lower_ternary():
     return "lower([16, 16, 16])", lambda: lower(y), None
 
 
-# One setup per case, in report order: setup() imports the package from
-# whatever `src` is first on sys.path and gives (name, fn, before).
-CASES = (
+def _timed(setup):
+    """The case that times setup's fn: setup() imports the package from
+    whatever `src` is first on sys.path and gives (name, fn, before)."""
+
+    def case() -> tuple[str, float]:
+        name, fn, before = setup()
+        return name, _median_s(fn, before)
+
+    return case
+
+
+# One case per row, in report order: case() gives (name, value).
+TIMED_SETUPS = (
     [lambda l=l, p=p: _euler(l, p) for l, p in EULER_CASES]
     + [_counting]
     + [lambda c=c: _tree(*c) for c in TREE_CASES]
@@ -205,6 +240,9 @@ CASES = (
         _lower_ternary,
     ]
 )
+CASES = [_timed(setup) for setup in TIMED_SETUPS] + [
+    lambda shape=shape: _tree_peak(*shape) for shape in TREE_SHAPES
+]
 
 
 def _cpu_model() -> str:
@@ -226,21 +264,17 @@ def _machine() -> dict:
     }
 
 
-def _run_case(setup) -> tuple[str, float]:
-    name, fn, before = setup()
-    return name, _median_s(fn, before)
-
-
 def measure() -> dict:
-    cases = dict(_run_case(setup) for setup in CASES)
-    return {"runs": RUNS, "statistic": "median seconds", **_machine(), "cases": cases}
+    cases = dict(case() for case in CASES)
+    statistic = "median seconds; the peak MB rows, one tracemalloc peak"
+    return {"runs": RUNS, "statistic": statistic, **_machine(), "cases": cases}
 
 
 def _case_in_fresh_process(src: Path, index: int) -> tuple[str, float]:
     argv = [sys.executable, __file__, "--src", str(src), "--case", str(index)]
     out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
-    name, seconds = json.loads(out)
-    return name, seconds
+    name, value = json.loads(out)
+    return name, value
 
 
 def compare(parent: Path, change: Path) -> dict:
@@ -251,8 +285,8 @@ def compare(parent: Path, change: Path) -> dict:
         times: dict[str, list] = {"parent": [], "change": []}
         for k in range(PROCS):
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-                name, seconds = _case_in_fresh_process(sides[side], index)
-                times[side].append(seconds)
+                name, value = _case_in_fresh_process(sides[side], index)
+                times[side].append(value)
         medians = {side: statistics.median(ts) for side, ts in times.items()}
         cases[name] = {
             **medians,
@@ -262,7 +296,10 @@ def compare(parent: Path, change: Path) -> dict:
     return {
         "procs": PROCS,
         "runs": RUNS,
-        "statistic": "per side, the median over fresh processes of each one's median seconds",
+        "statistic": (
+            "per side, the median over fresh processes of each one's median seconds,"
+            " or of its tracemalloc peak for the peak MB rows"
+        ),
         **_machine(),
         "cases": cases,
     }
@@ -281,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.path.insert(0, str(src))
         if args.case is not None:
             # One case, in a process of its own, for compare().
-            print(json.dumps(_run_case(CASES[args.case])))
+            print(json.dumps(CASES[args.case]()))
             return 0
         result = measure()
     print(json.dumps(result, indent=2))

@@ -96,7 +96,8 @@ def cmd_tree(args) -> None:
         f"branching up to p = {clustertree.max_branching_level(tree)}",
         file=sys.stderr,
     )
-    print(clustertree.export_tree(tree, args.format))
+    clustertree.export_tree(tree, args.format, sys.stdout)
+    sys.stdout.write("\n")
 
 
 def cmd_debruijn_count(args) -> None:

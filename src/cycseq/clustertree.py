@@ -3,10 +3,12 @@ built by repeated lowering, with DOT/JSON/Newick export."""
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TextIO
 
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector, index_word, word_index
@@ -19,12 +21,16 @@ from .seqcore import level1_cluster_size  # noqa: F401
 from .seqcore import necklace_count
 
 # Largest n of build_tree per alphabet size l, else int(16 / log2(l)). At the
-# cap (2-core Intel Xeon VM, Python 3.11) l = 2, 3, 4 (n = 16, 9, 8) build in
-# at most 0.35, 0.07, 0.20 s; l = 32 (n = 3) in 0.37 s, plus 1.3 s of JSON.
+# cap (2-core Intel Xeon VM, Python 3.11, JSON written to a file) l = 2, 3, 4
+# (n = 16, 9, 8) build in 0.26, 0.08, 0.24 s and export in 0.09, 0.05, 0.20 s,
+# at a max RSS of 24, 18, 25 MB. l = 32 (n = 3) builds in 0.47 s at 27 MB,
+# but its 32 MB of dense level-2 vectors still take 1.3 s to export. Past
+# the cap, binary n = 18 and 20 take 1.1 + 0.5 s at 48 MB and 5.1 + 1.7 s
+# at 142 MB, nearly all of it the tree itself.
 CAPS = {2: 16, 3: 9}
 
 
-@dataclass
+@dataclass(slots=True)
 class ClusterNode:
     p: int
     freq: FrequencyVector
@@ -198,15 +204,6 @@ def predicted_max_branching_level(n: int) -> int:
     return (n - 3) // 2 + 1
 
 
-def _node_to_obj(node: ClusterNode) -> dict:
-    return {
-        "p": node.p,
-        "freq": node.freq.to_obj(),
-        "count": str(node.count),
-        "children": [_node_to_obj(c) for c in node.children],
-    }
-
-
 def _node_from_obj(obj: dict) -> ClusterNode:
     return ClusterNode(
         p=int(obj["p"]),
@@ -216,10 +213,93 @@ def _node_from_obj(obj: dict) -> ClusterNode:
     )
 
 
+def _push_children(stack: list, children: list, sep: str) -> None:
+    """Push children onto stack, with sep between them, so that they pop
+    in order."""
+    for k in range(len(children) - 1, 0, -1):
+        stack.append(children[k])
+        stack.append(sep)
+    if children:
+        stack.append(children[0])
+
+
+def _json_pieces(tree: ClusterTree):
+    """The text of json.dumps({"n", "l", "root"}), each node the object
+    {"p", "freq", "count", "children"} with its count as a string (so any
+    size survives JSON), one piece per node or bracket."""
+    yield f'{{"n": {tree.n}, "l": {tree.l}, "root": '
+    stack: list = [tree.root]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            yield item
+            continue
+        yield (
+            f'{{"p": {item.p}, "freq": {item.freq.to_json()}, '
+            f'"count": "{item.count}", "children": ['
+        )
+        stack.append("]}")
+        _push_children(stack, item.children, ", ")
+    yield "}"
+
+
+def _dot_pieces(tree: ClusterTree):
+    """DOT with circle nodes labeled by member counts, numbered in
+    preorder; the edge to a node follows its subtree."""
+    yield "digraph clusters {\n  node [shape=circle];"
+    ids = itertools.count()
+    stack: list = [(tree.root, None)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            yield item
+            continue
+        node, parent = item
+        my_id = next(ids)
+        yield f'\n  n{my_id} [label="{node.count}"];'
+        if parent is not None:
+            stack.append(f"\n  n{parent} -> n{my_id};")
+        for c in reversed(node.children):
+            stack.append((c, my_id))
+    yield "\n}"
+
+
+def _newick_pieces(tree: ClusterTree):
+    """Newick text with unit branch length per level, labels = counts; the
+    root carries no branch."""
+    stack: list = [tree.root]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            yield item
+        elif not item.children:
+            yield str(item.count)
+        else:
+            yield "("
+            stack.append(f":1){item.count}")
+            _push_children(stack, item.children, ":1,")
+    yield ";"
+
+
+_WRITERS = {"json": _json_pieces, "dot": _dot_pieces, "newick": _newick_pieces}
+
+
+def export_tree(tree: ClusterTree, fmt: str, out: TextIO | None = None) -> str | None:
+    """The tree as JSON, DOT or Newick text. With a text stream `out` the
+    text is written to it node by node, so that neither the whole text
+    nor a nested copy of the tree is held, and None is returned;
+    otherwise the text is returned."""
+    pieces = _WRITERS.get(fmt)
+    if pieces is None:
+        raise DomainError(f"unknown export format {fmt!r}")
+    sink = io.StringIO() if out is None else out
+    for piece in pieces(tree):
+        sink.write(piece)
+    return sink.getvalue() if out is None else None
+
+
 def tree_to_json(tree: ClusterTree) -> str:
-    return json.dumps(
-        {"n": tree.n, "l": tree.l, "root": _node_to_obj(tree.root)}
-    )
+    return export_tree(tree, "json")
 
 
 def tree_from_json(text: str) -> ClusterTree:
@@ -227,44 +307,9 @@ def tree_from_json(text: str) -> ClusterTree:
     return ClusterTree(int(obj["n"]), int(obj["l"]), _node_from_obj(obj["root"]))
 
 
-def _dot_lines(node: ClusterNode, lines: list, ids) -> int:
-    """Append the DOT lines of node's subtree, numbered in preorder from
-    the iterator `ids`; returns node's number."""
-    my_id = next(ids)
-    lines.append(f'  n{my_id} [label="{node.count}"];')
-    for c in node.children:
-        cid = _dot_lines(c, lines, ids)
-        lines.append(f"  n{my_id} -> n{cid};")
-    return my_id
-
-
 def tree_to_dot(tree: ClusterTree) -> str:
-    """DOT with circle nodes labeled by member counts."""
-    lines = ["digraph clusters {", "  node [shape=circle];"]
-    _dot_lines(tree.root, lines, itertools.count())
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _newick(node: ClusterNode) -> str:
-    """Newick text of node's subtree, without its branch length."""
-    if not node.children:
-        return str(node.count)
-    inner = ",".join(_newick(c) + ":1" for c in node.children)
-    return f"({inner}){node.count}"
+    return export_tree(tree, "dot")
 
 
 def tree_to_newick(tree: ClusterTree) -> str:
-    """Newick text with unit branch length per level, labels = counts; the
-    root carries no branch."""
-    return _newick(tree.root) + ";"
-
-
-def export_tree(tree: ClusterTree, fmt: str) -> str:
-    if fmt == "json":
-        return tree_to_json(tree)
-    if fmt == "dot":
-        return tree_to_dot(tree)
-    if fmt == "newick":
-        return tree_to_newick(tree)
-    raise DomainError(f"unknown export format {fmt!r}")
+    return export_tree(tree, "newick")

@@ -3,6 +3,7 @@ p-closeness, and the ultrametric distance they induce."""
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from typing import Iterable, Mapping, Sequence
@@ -68,13 +69,13 @@ def index_word(j: int, p: int, l: int) -> tuple[int, ...]:
 class FrequencyVector:
     """Counts of length-p cyclic windows of a length-n sequence.
 
-    Stored sparsely as a map from 0-based window index to a positive count;
-    entries sum to n. Level p = 0 is the single-entry vector [n]. The sorted
-    items are computed once and the hash on first use, since vectors are
-    immutable.
+    Stored sparsely, once: a tuple of (0-based window index, positive count)
+    pairs in index order, whose counts sum to n. Level p = 0 is the
+    single-entry vector [n]. The hash is computed on first use, since
+    vectors are immutable.
     """
 
-    __slots__ = ("p", "n", "l", "_counts", "_items", "_hash")
+    __slots__ = ("p", "n", "l", "_items", "_hash")
 
     def __init__(self, p: int, n: int, l: int, counts: Mapping[int, int]):
         if p < 0 or n < 1 or l < 2:
@@ -103,7 +104,6 @@ class FrequencyVector:
         self.p = p
         self.n = n
         self.l = l
-        self._counts = cleaned
         self._items = items
         self._hash = None
 
@@ -114,7 +114,9 @@ class FrequencyVector:
 
     def entry(self, j: int) -> int:
         """Count at 0-based index j."""
-        return self._counts.get(j, 0)
+        items = self._items
+        k = bisect.bisect_left(items, (j,))
+        return items[k][1] if k < len(items) and items[k][0] == j else 0
 
     def items(self) -> tuple[tuple[int, int], ...]:
         """Nonzero (0-based index, count) pairs in index order."""
@@ -122,7 +124,7 @@ class FrequencyVector:
 
     def dense(self) -> list[int]:
         out = [0] * (self.l**self.p)
-        for j, c in self._counts.items():
+        for j, c in self._items:
             out[j] = c
         return out
 

@@ -1,7 +1,11 @@
+import contextlib
 import gc
 import hashlib
+import io
+import itertools
 import json
 import math
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -354,6 +358,92 @@ def test_build_tree_leaves_no_cyclic_garbage():
             assert gc.collect() == 0, read.__name__
     finally:
         gc.enable()
+
+
+def _old_node_obj(node):
+    return {
+        "p": node.p,
+        "freq": node.freq.to_obj(),
+        "count": str(node.count),
+        "children": [_old_node_obj(c) for c in node.children],
+    }
+
+
+def _old_json(tree):
+    """The JSON export as it was written before streaming: one json.dumps
+    of the nested-object form."""
+    return json.dumps({"n": tree.n, "l": tree.l, "root": _old_node_obj(tree.root)})
+
+
+def _old_dot(tree):
+    """The DOT export as a list of lines, numbered in preorder."""
+    lines = ["digraph clusters {", "  node [shape=circle];"]
+    ids = itertools.count()
+
+    def visit(node):
+        my_id = next(ids)
+        lines.append(f'  n{my_id} [label="{node.count}"];')
+        for c in node.children:
+            lines.append(f"  n{my_id} -> n{visit(c)};")
+        return my_id
+
+    visit(tree.root)
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _old_newick(tree):
+    def text(node):
+        if not node.children:
+            return str(node.count)
+        return "(" + ",".join(text(c) + ":1" for c in node.children) + f"){node.count}"
+
+    return text(tree.root) + ";"
+
+
+OLD_EXPORTS = {"json": _old_json, "dot": _old_dot, "newick": _old_newick}
+ORACLE_TREES = [(n, 2, half) for n in range(1, 11) for half in (False, True)]
+ORACLE_TREES += [(n, 3, False) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("n, l, half", ORACLE_TREES)
+def test_streamed_exports_equal_the_old_serializers(n, l, half):
+    tree = build_tree(n, l, half_tree=half)
+    for fmt, old in OLD_EXPORTS.items():
+        want = old(tree)
+        assert export_tree(tree, fmt) == want, fmt
+        out = io.StringIO()
+        assert export_tree(tree, fmt, out) is None
+        assert out.getvalue() == want, fmt
+    text = tree_to_json(tree)
+    assert tree_from_json(text) == tree
+    assert tree_to_json(tree_from_json(text)) == text
+
+
+def test_tree_command_holds_little_beyond_the_tree():
+    # the export streams node by node: past the tree itself, `tree --n 15
+    # --format json` holds less than three times its text (the StringIO
+    # that takes the text included), where the nested objects, the
+    # encoder's chunks and the joined string used to take 7.5 MB
+    main(["tree", "--n", "4"])  # imports and first-call set-up, untraced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tree = build_tree(15, 2)
+        tree_size = tracemalloc.get_traced_memory()[0] - base
+        del tree
+        gc.collect()
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["tree", "--n", "15", "--format", "json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    text = out.getvalue()
+    assert peak - tree_size < 3 * len(text), (peak, tree_size, len(text))
 
 
 # sha256 of the stdout of `cycseq tree --n N --alphabet L --format F [--half]`,

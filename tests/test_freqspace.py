@@ -230,3 +230,27 @@ def test_index_range_and_serialization_are_exact():
             obj = FrequencyVector(p, 1, l, {0: 1}).to_obj()
             assert ("dense" in obj) == (size <= 4096), (l, p)
 
+
+
+@st.composite
+def small_vectors(draw):
+    """A vector at level 0 to 4 over 2 or 3 letters with random support."""
+    l = draw(st.sampled_from([2, 3]))
+    p = draw(st.integers(0, 4))
+    counts = draw(
+        st.dictionaries(st.integers(0, l**p - 1), st.integers(1, 5), min_size=1, max_size=l**p)
+    )
+    return FrequencyVector(p, sum(counts.values()), l, counts)
+
+
+@given(small_vectors())
+def test_one_sorted_item_tuple_answers_every_read(x):
+    # the vector keeps only its sorted items; entry, dense and to_obj read them
+    items = x.items()
+    assert list(items) == sorted(items) and all(c > 0 for _, c in items)
+    counts = dict(items)
+    dense = [counts.get(j, 0) for j in range(x.l**x.p)]
+    assert [x.entry(j) for j in range(len(dense))] == dense
+    assert x.dense() == dense
+    assert x.to_obj() == {"p": x.p, "n": x.n, "l": x.l, "dense": dense}
+    assert FrequencyVector.from_obj(x.to_obj()) == x
