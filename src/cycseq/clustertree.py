@@ -1,5 +1,6 @@
 """Hierarchical cluster trees of cyclic sequences under p-closeness,
-built by repeated lowering, with DOT/JSON/Newick export."""
+built by grouping the listed members of each letter composition, with
+DOT/JSON/Newick export."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TextIO
 
+from . import debruijn
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector, index_word, word_index
 from .lowering import _children
@@ -22,12 +24,17 @@ from .seqcore import necklace_count
 
 # Largest n of build_tree per alphabet size l, else int(16 / log2(l)). At the
 # cap (2-core Intel Xeon VM, Python 3.11, JSON written to a file) l = 2, 3, 4
-# (n = 16, 9, 8) build in 0.26, 0.08, 0.24 s and export in 0.09, 0.05, 0.20 s,
-# at a max RSS of 24, 18, 25 MB. l = 32 (n = 3) builds in 0.47 s at 27 MB,
-# but its 32 MB of dense level-2 vectors still take 1.3 s to export. Past
-# the cap, binary n = 18 and 20 take 1.1 + 0.5 s at 48 MB and 5.1 + 1.7 s
-# at 142 MB, nearly all of it the tree itself.
+# (n = 16, 9, 8) build in 0.15, 0.03, 0.12 s and export in 0.09, 0.03, 0.15 s,
+# at a max RSS of 24, 18, 24 MB. l = 32 (n = 3) builds in 0.3 s at 27 MB,
+# but its 32 MB of dense level-2 vectors still take 1.0 s to export. Past
+# the cap, binary n = 18 and 20 take 0.55 + 0.3 s at 48 MB and 3.0 + 1.5 s
+# at 142 MB, nearly all of it the tree itself. Every level-1 class the cap
+# admits must be listable within SEQUENCE_CAP and SEQUENCE_COUNT_CAP.
 CAPS = {2: 16, 3: 9}
+
+
+def _max_n(l: int) -> int:
+    return CAPS.get(l, int(16 / math.log2(l)))
 
 
 @dataclass(slots=True)
@@ -48,23 +55,22 @@ class ClusterTree:
 def build_tree(n: int, l: int, max_p: int | None = None, half_tree: bool = False) -> ClusterTree:
     """Cluster tree rooted at the level-0 vector [n].
 
-    Children are produced by the lowering operator; refinement stops once a
-    cluster is a singleton or max_p is reached. half_tree (l = 2 only) keeps
-    the level-1 compositions with at most floor(n/2) ones, and its root
-    count is their sum whatever max_p is. n past CAPS is refused.
+    The root's children are the level-1 compositions, counted by
+    level1_cluster_size. Below them each node's children are its members
+    grouped by their level-(p+1) window counts (_split_members); refinement
+    stops once a cluster is a singleton or max_p is reached. half_tree
+    (l = 2 only) keeps the compositions with at most floor(n/2) ones, and
+    its root count is their sum whatever max_p is. n past CAPS (_max_n)
+    is refused.
 
-    Relabelling the letters or reversing a sequence maps the hierarchy onto
-    itself: for g in S_l x {id, reversal}, project(g(s), p) = g(project(s, p))
-    and g is a bijection on necklaces, so lower(g(y)) = g(lower(y)) with
-    equal counts. Hence only one level-1 subtree per orbit of compositions
-    under letter permutations is refined; the others are its image. Within
-    it, a node whose reversal was lowered already takes the reversed
-    children. Children are re-sorted after either map, so the tree is the
-    one that lowering every node gives.
+    A letter map g in S_l maps the hierarchy onto itself: project(g(s), p)
+    = g(project(s, p)) and g permutes the necklaces. Hence one level-1
+    subtree per orbit of compositions is refined, and the others are its
+    image with children re-sorted: the tree that lowering every node gives.
     """
     if l < 2:
         raise DomainError("alphabet size must be >= 2")
-    max_n = CAPS.get(l, int(16 / math.log2(l)))
+    max_n = _max_n(l)
     if n > max_n:
         raise ResourceCapError(f"n exceeds the cap {max_n} for this alphabet size")
     if half_tree and l != 2:
@@ -78,69 +84,64 @@ def build_tree(n: int, l: int, max_p: int | None = None, half_tree: bool = False
     # whenever max_p allows. A half tree's root count is the sum over its
     # level-1 children, so those are found whatever max_p is.
     if max_p > 0 or half_tree:
-        # Block solutions of step 1, by margins; shared by every lowering.
-        blocks: dict = {}
-        # Lowered children by (p, items), until the reversal takes them.
-        lowered: dict = {}
-        # Window-index images by (g, p): g a letter map, or None for reversal.
-        images: dict = {}
         root.children = [
             ClusterNode(1, z, count)
-            for z, count in _children(root_freq, blocks)
+            for z, count in _children(root_freq, {})
             if not (half_tree and z.entry(1) > n // 2)
         ]
+        total = sum(c.count for c in root.children)
         if half_tree:
-            root.count = sum(c.count for c in root.children)
-        else:
-            _check_partition(root)
+            root.count = total
+        elif total != root.count:
+            raise ArithmeticError(f"partition violated at the root: {total} != {root.count}")
         if max_p <= 0:
             root.children = []
+        images: dict = {}  # window-index images by (letter map, p)
         refined: dict = {}  # sorted composition -> its refined level-1 node
         for child in root.children:
             rep = refined.setdefault(tuple(sorted(child.freq.dense())), child)
             if rep is child:
-                _refine(child, max_p, blocks, lowered, images)
+                _split_members(child, max_p)
             else:
                 letters = _letter_map(rep.freq.dense(), child.freq.dense())
                 _mirror(rep, child, letters, images)
     return ClusterTree(n, l, root)
 
 
-def _check_partition(node: ClusterNode) -> None:
-    total = sum(c.count for c in node.children)
-    if total != node.count:
-        raise ArithmeticError(
-            f"partition violated at p={node.p}: {total} != {node.count}"
-        )
+def _split_members(top: ClusterNode, max_p: int) -> None:
+    """Refine the subtree of the level-1 node top down to singletons or
+    level max_p from its members, which must number top.count.
 
-
-def _refine(top: ClusterNode, max_p: int, blocks: dict, lowered: dict, images: dict) -> None:
-    """Refine the subtree of top down to singletons or level max_p.
-
-    A node's children are its reversal's, reversed, when that node was
-    lowered before (its entry in `lowered` is taken then, since every
-    vector occurs once in a tree); otherwise they come from _children.
+    Each member keeps the indices of its windows, the one starting at i
+    first; a level deeper, window w becomes w * l + s[i + p], so a node's
+    children are the groups of its members with equal sorted indices.
     """
-    stack = [top]
+    if top.count <= 1 or top.p >= max_p:
+        return
+    members = debruijn.enumerate_sequences_with_frequency(top.freq)
+    if len(members) != top.count:
+        raise ArithmeticError(f"{len(members)} members listed for a class of {top.count}")
+    n, l = top.freq.n, top.freq.l
+    stack = [(top, [(s.symbols, s.symbols) for s in members])]
     while stack:
-        node = stack.pop()
-        if node.count <= 1 or node.p >= max_p:
-            continue
-        y = node.freq
-        key = (y.p, y.items())
-        mirror_key = (y.p, _image_items(y, None, images))
-        pairs = lowered.pop(mirror_key, None)
-        if pairs is None:
-            pairs = _children(y, blocks)
-            if mirror_key != key:
-                lowered[key] = pairs
-        else:
-            pairs = [(_image(z, None, images), count) for z, count in pairs]
-            if len(pairs) > 1:
-                pairs.sort(key=lambda pair: pair[0].sort_key())
-        node.children = [ClusterNode(z.p, z, count) for z, count in pairs]
-        _check_partition(node)
-        stack.extend(node.children)
+        node, group = stack.pop()
+        p = node.p
+        groups: dict = {}
+        for s, windows in group:
+            windows = [w * l + a for w, a in zip(windows, s[p:] + s[:p])]
+            groups.setdefault(tuple(sorted(windows)), []).append((s, windows))
+        kids = []
+        for key, group in groups.items():
+            counts: dict = {}
+            for w in key:
+                counts[w] = counts.get(w, 0) + 1
+            kid = ClusterNode(p + 1, FrequencyVector(p + 1, n, l, counts), len(group))
+            kids.append(kid)
+            if len(group) > 1 and p + 1 < max_p:
+                stack.append((kid, group))
+        if len(kids) > 1:
+            kids.sort(key=lambda c: c.freq.sort_key())
+        node.children = kids
 
 
 def _mirror(src: ClusterNode, dst: ClusterNode, letters: tuple, images: dict) -> None:
@@ -166,25 +167,17 @@ def _letter_map(source: list, target: list) -> tuple:
     return tuple(sigma)
 
 
-def _image_items(y: FrequencyVector, g: tuple | None, images: dict) -> tuple:
-    """The items of g(y); window images are kept in `images` per (g, y.p)."""
-    table = images.get((g, y.p))
-    if table is None:
-        table = images[g, y.p] = {}
-    out = []
+def _image(y: FrequencyVector, g: tuple, images: dict) -> FrequencyVector:
+    """g(y) for the letter map g; window images are kept in `images` per
+    (g, y.p)."""
+    table = images.setdefault((g, y.p), {})
+    counts = {}
     for j, c in y.items():
         k = table.get(j)
         if k is None:
-            w = index_word(j + 1, y.p, y.l)
-            w = w[::-1] if g is None else [g[a] for a in w]
-            k = table[j] = word_index(w, y.l) - 1
-        out.append((k, c))
-    out.sort()
-    return tuple(out)
-
-
-def _image(y: FrequencyVector, g: tuple | None, images: dict) -> FrequencyVector:
-    return FrequencyVector(y.p, y.n, y.l, dict(_image_items(y, g, images)))
+            k = table[j] = word_index([g[a] for a in index_word(j + 1, y.p, y.l)], y.l) - 1
+        counts[k] = c
+    return FrequencyVector(y.p, y.n, y.l, counts)
 
 
 def max_branching_level(tree: ClusterTree) -> int:

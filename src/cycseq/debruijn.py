@@ -507,27 +507,32 @@ def enumerate_sequences_with_frequency(z: FrequencyVector) -> list[CyclicSequenc
     for i in range(1, p):
         per = per if word[i] == word[i - per] else i + 1
     found: list[CyclicSequence] = []
-
-    def walk(vertex: int, per: int):
-        i = len(word)
-        if i == n + p - 1:
-            # The closing letters have led back to the start vertex.
-            if n % per == 0:
-                found.append(CyclicSequence(tuple(word[:n]), l))
-            return
-        # Past n letters each step only closes the circuit.
-        top = word[i - per] if i < n else word[i - n]
-        for a in range(top, -1, -1) if i < n else (top,):
-            e = vertex * l + a
-            if remaining.get(e):
-                remaining[e] -= 1
-                word.append(a)
-                walk(e % vsize, per if a == top else i + 1)
-                word.pop()
-                remaining[e] += 1
-
-    walk(start % vsize, per)
+    _walk(word, remaining, found, n + p - 1, n, l, vsize, start % vsize, per)
     return found
+
+
+def _walk(word, remaining, found, end, n, l, vsize, vertex, per) -> None:
+    """The walk of enumerate_sequences_with_frequency from the prefix
+    `word`, which ends at `vertex` and passes the prenecklace test with
+    period `per`: each member spelt by a circuit through the edges left in
+    `remaining` is appended to `found`. It recurses by its module name,
+    not as a closure over itself, so a listing leaves no reference cycle."""
+    i = len(word)
+    if i == end:
+        # The closing letters have led back to the start vertex.
+        if n % per == 0:
+            found.append(CyclicSequence(tuple(word[:n]), l))
+        return
+    # Past n letters each step only closes the circuit.
+    top = word[i - per] if i < n else word[i - n]
+    for a in range(top, -1, -1) if i < n else (top,):
+        e = vertex * l + a
+        if remaining.get(e):
+            remaining[e] -= 1
+            word.append(a)
+            _walk(word, remaining, found, end, n, l, vsize, e % vsize, per if a == top else i + 1)
+            word.pop()
+            remaining[e] += 1
 
 
 def contract_doubled_edges(z: FrequencyVector) -> Multigraph:

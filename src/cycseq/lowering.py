@@ -194,8 +194,8 @@ def lower(y: FrequencyVector) -> list[FrequencyVector]:
     preimage set {project(s, p+1) : project(s, p) = Y}.
 
     It calls solve_step1 by name, so that a tracer wrapping both sees the
-    candidates of every lowering it is asked for; build_tree takes
-    _children instead, which lowers and counts in one pass.
+    candidates of every lowering it is asked for; _children lowers and
+    counts in one pass instead (build_tree takes it for the level-1 split).
     """
     candidates = solve_step1(y)
     l, top = y.l, y.l**y.p
@@ -211,8 +211,8 @@ def lower(y: FrequencyVector) -> list[FrequencyVector]:
 def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, int]]:
     """(z, count) for every z of lower(y), in that order, where count is
     count_sequences_with_frequency(z) (level1_cluster_size at level 1);
-    `blocks` memoizes the block solutions by margins, and a whole cluster
-    tree shares it.
+    `blocks` memoizes the block solutions by margins, and callers that
+    lower many nodes may share it.
 
     A[Z] has the support of y as its vertex set whatever the candidate. The
     frame's forced windows and their share of the count are taken once, and

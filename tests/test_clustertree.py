@@ -29,9 +29,13 @@ from cycseq import (
     tree_to_newick,
 )
 
+from cycseq import debruijn
 from cycseq.cli import main
+from cycseq.clustertree import _max_n
+from cycseq.debruijn import SEQUENCE_CAP, SEQUENCE_COUNT_CAP
 from cycseq.freqspace import index_word, word_index
 from cycseq.lowering import _children, lower
+from cycseq.seqcore import level1_cluster_size
 
 from conftest import all_necklaces
 
@@ -213,7 +217,7 @@ def _internal_nodes(node):
 
 @pytest.mark.parametrize("n, l", [(14, 2), (8, 3)])
 def test_shared_block_cache_gives_fresh_lower_children(n, l):
-    # build_tree shares one block-solution memo across all its lowerings
+    # every internal node's children are the vectors lower gives, in order
     tree = build_tree(n, l)
     for node in _internal_nodes(tree.root):
         assert [c.freq for c in node.children] == lower(node.freq)
@@ -326,10 +330,14 @@ def _lowered_tree(n, l, max_p, half):
 
 
 @pytest.mark.parametrize("max_p", [None, 1, 2, 4])
-@pytest.mark.parametrize("n, l, half", [(12, 2, False), (12, 2, True), (11, 2, True), (7, 3, False), (6, 3, False)])
+@pytest.mark.parametrize(
+    "n, l, half",
+    [(12, 2, False), (12, 2, True), (11, 2, True), (7, 3, False), (6, 3, False), (6, 4, False), (5, 5, False)],
+)
 def test_build_tree_equals_the_tree_lowered_node_by_node(n, l, half, max_p):
-    # the mirrored level-1 subtrees and the reversed children give the same
-    # nodes, counts and child order as lowering every node
+    # the grouped members and the mirrored level-1 subtrees give the same
+    # nodes, counts and child order as lowering every node; (6, 4) and
+    # (5, 5) take the CAPS fallback and the S_4 and S_5 mirrors
     want = [_lowered_tree(n, l, n if max_p is None else max_p, half)]
     got = [build_tree(n, l, max_p=max_p, half_tree=half).root]
     while want:
@@ -338,6 +346,47 @@ def test_build_tree_equals_the_tree_lowered_node_by_node(n, l, half, max_p):
         assert len(node.children) == len(kids), y
         want.extend(kids)
         got.extend(node.children)
+
+
+def test_build_tree_refuses_a_short_member_list(monkeypatch):
+    # a listing that drops a member would give a wrong subtree whose counts
+    # still add up; the count check against the Burnside size refuses it
+    listed = debruijn.enumerate_sequences_with_frequency
+
+    def drop_one(z):
+        return listed(z)[1:]
+
+    monkeypatch.setattr(debruijn, "enumerate_sequences_with_frequency", drop_one)
+    for n, l, half in ((8, 2, False), (8, 2, True), (5, 3, False)):
+        with pytest.raises(ArithmeticError):
+            build_tree(n, l, half_tree=half)
+
+
+def _partitions(n, parts, largest=None):
+    """The partitions of n into at most `parts` parts, each padded with
+    zeros to `parts` entries."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield (0,) * parts
+        return
+    if parts == 0:
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def test_caps_admit_only_listable_classes():
+    # every level-1 class of an admitted tree is listed by the member walk,
+    # so its caps must admit the class: no tree within CAPS may reach them.
+    # A class's size depends only on its sorted composition.
+    for l in range(2, 65):
+        n = _max_n(l)
+        assert 1 <= n <= SEQUENCE_CAP, (l, n)
+        largest = max(level1_cluster_size(c) for c in _partitions(n, l))
+        assert largest <= SEQUENCE_COUNT_CAP, (l, n, largest)
+    assert _max_n(2) == 16 and _max_n(3) == 9
+    assert level1_cluster_size([8, 8]) == 810
 
 
 def test_build_tree_leaves_no_cyclic_garbage():

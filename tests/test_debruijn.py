@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import time
@@ -449,6 +450,22 @@ def test_enumerate_count_cap_boundary(monkeypatch):
     monkeypatch.setattr(debruijn, "SEQUENCE_COUNT_CAP", 1)
     with pytest.raises(ResourceCapError):
         enumerate_sequences_with_frequency(z)
+
+
+def test_enumerate_leaves_no_cyclic_garbage():
+    # the walk recurses by its module name: a walk that was a closure over
+    # its own name made a reference cycle that held the whole listing until
+    # the cyclic collector ran
+    z = project(canonicalize([1, 1, 0, 1, 0, 0, 1, 0, 0, 0], 2), 3)
+    enumerate_sequences_with_frequency(z)
+    gc.collect()
+    gc.disable()
+    try:
+        members = enumerate_sequences_with_frequency(z)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(members) == count_sequences_with_frequency(z) > 1
 
 
 def test_contract_doubled_edges():
