@@ -8,8 +8,9 @@ the median in seconds:
   the Laplacian cofactor;
 - count_sequences_with_frequency over every node of the binary n = 16 half
   tree (levels p >= 1): thousands of small BEST + Burnside counts;
-- build_tree(16, 2) and build_tree(16, 2, half_tree=True): lowering and
-  counting together, as the tree command runs them;
+- build_tree(16, 2) and build_tree(16, 2, half_tree=True): the root's
+  level-1 split and the grouping of listed members below it, as the tree
+  command runs them;
 - twofold_table(4) and twofold_table(5): the per-k Phi, PermNo and
   cofactor rows that `twofold --p 4 --table` and `--p 5 --table` print.
   The cache of the Phi row (twofold._phi_row) is cleared before every
@@ -29,7 +30,7 @@ the median in seconds:
   round of that workload without the CLI around it;
 - lower over the internal nodes of build_tree(12, 2) and build_tree(7, 3),
   and lower on ternary [16, 16, 16] (11,781 step-1 candidates): the public
-  lowering that `lower` runs, which the trees do not call.
+  lowering that `lower` runs, which the trees call only at the root.
 
 For the counting and lowering cases the trees are built once, outside the
 timed region.

@@ -14,13 +14,12 @@ from typing import TextIO
 from . import debruijn
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector, index_word, word_index
-from .lowering import _children
+from .lowering import lower
 
-# Unused here, but bench/spans.py wraps these module attributes by name;
-# they go with the next change to the benchmark.
-from .lowering import count_members, lower  # noqa: F401
-from .seqcore import level1_cluster_size  # noqa: F401
-from .seqcore import necklace_count
+# Unused here, but bench/spans.py wraps this module attribute by name; it
+# goes with the next change to the benchmark.
+from .lowering import count_members  # noqa: F401
+from .seqcore import level1_cluster_size, necklace_count
 
 # Largest n of build_tree per alphabet size l, else int(16 / log2(l)). At the
 # cap (2-core Intel Xeon VM, Python 3.11, JSON written to a file) l = 2, 3, 4
@@ -55,8 +54,8 @@ class ClusterTree:
 def build_tree(n: int, l: int, max_p: int | None = None, half_tree: bool = False) -> ClusterTree:
     """Cluster tree rooted at the level-0 vector [n].
 
-    The root's children are the level-1 compositions, counted by
-    level1_cluster_size. Below them each node's children are its members
+    The root's children are the level-1 compositions, lower(root), counted
+    by level1_cluster_size. Below them each node's children are its members
     grouped by their level-(p+1) window counts (_split_members); refinement
     stops once a cluster is a singleton or max_p is reached. half_tree
     (l = 2 only) keeps the compositions with at most floor(n/2) ones, and
@@ -85,8 +84,8 @@ def build_tree(n: int, l: int, max_p: int | None = None, half_tree: bool = False
     # level-1 children, so those are found whatever max_p is.
     if max_p > 0 or half_tree:
         root.children = [
-            ClusterNode(1, z, count)
-            for z, count in _children(root_freq, {})
+            ClusterNode(1, z, level1_cluster_size(z.dense()))
+            for z in lower(root_freq)
             if not (half_tree and z.entry(1) > n // 2)
         ]
         total = sum(c.count for c in root.children)

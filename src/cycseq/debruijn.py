@@ -219,22 +219,20 @@ def count_eulerian_cycles(g: Multigraph) -> int:
 
 def _best_count(edges: dict[tuple, int]) -> int:
     """BEST count of a connected balanced multigraph given by its edge
-    multiplicities: the half its out-weights fix (_best_frame) times the
-    half its edges fix (_best_cofactor)."""
+    multiplicities: the product of (out-weight - 1)! times the Laplacian
+    cofactor over the branching vertices (out-weight >= 2), rooted at the
+    first. More than BEST_MAX_BRANCHING of them raise ResourceCapError
+    before the Laplacian is built.
+
+    A vertex with out-weight 1 uses its one out-edge in every arborescence,
+    so it is contracted into its successor. With at most one branching
+    vertex the cofactor is empty, so 1.
+    """
     out: dict = {}
     succ: dict = {}
     for (u, v), m in edges.items():
         out[u] = out.get(u, 0) + m
         succ[u] = v
-    factor, branching = _best_frame(out)
-    return factor * _best_cofactor(branching, succ, edges.items())
-
-
-def _best_frame(out: dict) -> tuple[int, list]:
-    """The half of a BEST count that the out-weights {vertex: weight} fix:
-    the product of (weight - 1)! and the branching vertices (weight >= 2),
-    sorted, so that the first is the root of the arborescences. More than
-    BEST_MAX_BRANCHING of them raise ResourceCapError."""
     branching = sorted([v for v, d in out.items() if d > 1])
     if len(branching) > BEST_MAX_BRANCHING:
         raise ResourceCapError(
@@ -242,22 +240,8 @@ def _best_frame(out: dict) -> tuple[int, list]:
         )
     # Out-weight 1 contributes 0! = 1.
     factor = math.prod([math.factorial(out[v] - 1) for v in branching])
-    return factor, branching
-
-
-def _best_cofactor(branching: list, succ: dict, arcs: Iterable) -> int:
-    """The half of a BEST count that the edges fix: the Laplacian cofactor
-    over the branching vertices of _best_frame, rooted at the first.
-
-    `succ` maps each out-weight-1 vertex to the head of its one out-edge;
-    `arcs` gives ((tail, head), multiplicity) of every edge out of a
-    branching vertex other than the root, and may give others, which are
-    skipped. A vertex with out-weight 1 uses its one out-edge in every
-    arborescence, so it is contracted into its successor. With at most one
-    branching vertex the cofactor is empty, so 1.
-    """
     if len(branching) < 2:
-        return 1
+        return factor
     # Every chain of out-weight-1 vertices ends at a branching vertex, its
     # representative: a closed chain would be a whole component without one.
     rep = {v: v for v in branching}
@@ -265,7 +249,7 @@ def _best_cofactor(branching: list, succ: dict, arcs: Iterable) -> int:
     # rows; a self-loop on a representative cancels.
     root = branching[0]
     rows: dict = {v: {} for v in branching[1:]}
-    for (u, v), m in arcs:
+    for (u, v), m in edges.items():
         row = rows.get(u)
         if row is None:
             continue
@@ -285,7 +269,7 @@ def _best_cofactor(branching: list, succ: dict, arcs: Iterable) -> int:
             row[u] = row.get(u, 0) + m
             if r != root:
                 row[r] = row.get(r, 0) - m
-    return _laplacian_cofactor(rows)
+    return factor * _laplacian_cofactor(rows)
 
 
 def _laplacian_cofactor(rows: dict) -> int:

@@ -8,19 +8,13 @@ import math
 from itertools import islice, product
 from typing import Sequence
 
-from .debruijn import (
-    _best_cofactor,
-    _best_frame,
-    _union_find,
-    count_sequences_with_frequency,
-)
+from .debruijn import _union_find, count_sequences_with_frequency
 
 # Unused here, but bench/spans.py wraps this module attribute by name; it
 # goes with the next change to the benchmark.
 from .debruijn import enumerate_sequences_with_frequency  # noqa: F401
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector, check_index_width, check_level
-from .seqcore import _burnside, level1_cluster_size
 
 # Work cap of step 1: the product of the per-block solution counts. No node
 # of the binary n <= 16 or ternary n <= 9 trees has more than 256 candidates.
@@ -97,7 +91,7 @@ def _check_work(candidates: int) -> None:
         )
 
 
-def _frame(y: FrequencyVector, blocks: dict) -> tuple[list, list] | None:
+def _frame(y: FrequencyVector) -> tuple[list, list] | None:
     """The step-1 frame of y (p >= 1): (forced, free), or None when some
     block has no solution. Every block that y's nonzero entries touch is
     solved, in order of mid, and each solution translated once into its
@@ -106,8 +100,8 @@ def _frame(y: FrequencyVector, blocks: dict) -> tuple[list, list] | None:
     windows of each solution of every other block. Window w = b . mid . a
     is the edge of A[Z] from w // l to w mod l^p.
 
-    `blocks` memoizes the solutions, tuples of nonzero (b, a, count)
-    entries, by margins; no more than STEP1_CAP + 1 are listed, which fail
+    The solutions, tuples of nonzero (b, a, count) entries, are listed once
+    per distinct margins; no more than STEP1_CAP + 1 are listed, which fail
     the work check. The margins come from one pass over y's entries, and
     the product of the solution counts so far is checked against STEP1_CAP
     before a block is translated.
@@ -128,6 +122,7 @@ def _frame(y: FrequencyVector, blocks: dict) -> tuple[list, list] | None:
         margins[mid][1][a] = c
     forced: list[tuple[int, int]] = []
     free = []
+    blocks: dict = {}  # solutions by margins
     work = 1
     for mid in sorted(margins):
         rows, cols = margins[mid]
@@ -166,7 +161,7 @@ def solve_step1(y: FrequencyVector) -> list[FrequencyVector]:
         # Level 0 -> 1: any composition of n into l parts.
         _check_work(math.comb(n + l - 1, l - 1))
         return [FrequencyVector.from_dense(1, n, l, comp) for comp in _compositions(n, l)]
-    frame = _frame(y, {})
+    frame = _frame(y)
     if frame is None:
         return []
     forced, free = frame
@@ -181,21 +176,31 @@ def solve_step1(y: FrequencyVector) -> list[FrequencyVector]:
 
 
 def _compositions(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
+    """The compositions of n into `parts` parts >= 0, in lexicographic
+    order. Each is stepped from the one before in place, so the l parts of
+    a large alphabet take no recursion depth."""
+    comp = [0] * (parts - 1) + [n]
+    j = parts - 1 if n else 0  # the last positive part past the first
+    while True:
+        yield tuple(comp)
+        if j == 0:
+            return
+        # Part j gives one to part j - 1, and the rest of it goes last.
+        rest = comp[j] - 1
+        comp[j] = 0
+        comp[j - 1] += 1
+        comp[-1] = rest
+        j = parts - 1 if rest else j - 1
 
 
 def lower(y: FrequencyVector) -> list[FrequencyVector]:
     """Step I candidates filtered by subgraph connectivity; equals the exact
     preimage set {project(s, p+1) : project(s, p) = Y}.
 
-    It calls solve_step1 by name, so that a tracer wrapping both sees the
-    candidates of every lowering it is asked for; _children lowers and
-    counts in one pass instead (build_tree takes it for the level-1 split).
+    At level 0 every window sits on the one vertex of A[Z], so every
+    composition survives, in solve_step1's order. It calls solve_step1 by
+    name, so that a tracer wrapping both sees the candidates of every
+    lowering it is asked for.
     """
     candidates = solve_step1(y)
     l, top = y.l, y.l**y.p
@@ -205,134 +210,6 @@ def lower(y: FrequencyVector) -> list[FrequencyVector]:
         parent, merges = _union_find([(w // l, w % top) for w, _ in z.items()])
         if len(parent) - merges == 1:
             out.append(z)
-    return out
-
-
-def _children(y: FrequencyVector, blocks: dict) -> list[tuple[FrequencyVector, int]]:
-    """(z, count) for every z of lower(y), in that order, where count is
-    count_sequences_with_frequency(z) (level1_cluster_size at level 1);
-    `blocks` memoizes the block solutions by margins, and callers that
-    lower many nodes may share it.
-
-    A[Z] has the support of y as its vertex set whatever the candidate. The
-    frame's forced windows and their share of the count are taken once, and
-    their edges merged once into a union-find over that support. Each free
-    solution is taken once into its share and the merges it makes between
-    the forced components; a candidate is connected iff its merges join
-    them into one, and only then is it counted and made a vector.
-
-    Every candidate z has out- and in-weight y_w at each vertex w of A[Z]
-    (R z = L z = y), so the half of its BEST count that the out-weights fix
-    (_best_frame) is found once per node. The share of a set of edges
-    (tail, head, multiplicity v) is its flow delta, prod v!, the successors
-    of its out-weight-1 tails and its edges out of branching tails: with
-    them a candidate's count is the d = 1 Burnside term. The other terms
-    need d | gcd(z), and gcd(z) divides gcd(y); the rare child whose counts
-    share a factor is counted by count_sequences_with_frequency instead.
-    """
-    p, n, l = y.p + 1, y.n, y.l
-    if y.p == 0:
-        return [(z, level1_cluster_size(z.dense())) for z in solve_step1(y)]
-    frame = _frame(y, blocks)
-    if frame is None:
-        return []
-    top = l**y.p
-    weight = dict(y.items())
-    factor, branching = _best_frame(weight)
-    periodic = math.gcd(*weight.values()) > 1
-    # Flow deltas are packed into one integer each, vertex w's net flow x_w
-    # at bit offset shift[w]. A candidate's vector sums to n, so each
-    # |x_w| <= n < 2^(width - 1), and a sum of deltas is 0 iff every x_w is.
-    width = (2 * n).bit_length()
-    shift = dict(zip(weight, range(0, width * len(weight), width)))
-
-    forced, free = frame
-    base_flow, base_orderings, base_arcs = 0, 1, []
-    # Every solution of a free block names the successor of each
-    # out-weight-1 tail in it, so a candidate overwrites every entry of
-    # this map that it does not share with the forced blocks.
-    succ: dict[int, int] = {}
-    for w, v in forced:
-        t, h = w // l, w % top
-        base_flow += (v << shift[t]) - (v << shift[h])
-        if v > 1:
-            base_orderings *= math.factorial(v)
-        if weight[t] == 1:
-            succ[t] = h
-        else:
-            base_arcs.append(((t, h), v))
-    # The forced edges are the successors and arcs just found.
-    parent, _ = _union_find([*succ.items(), *(e for e, _ in base_arcs)], weight)
-    label: dict[int, int] = {}  # forced component root -> 0..k-1
-    comp = {}
-    for w in parent:
-        r = w
-        while parent[r] != r:
-            r = parent[r]
-        comp[w] = label.setdefault(r, len(label))
-    k = len(label)
-
-    choices = []
-    for options in free:
-        translated = []
-        for windows in options:
-            merges, heads, arcs = set(), [], []
-            flow, orderings = 0, 1
-            for w, v in windows:
-                t, h = w // l, w % top
-                if comp[t] != comp[h]:
-                    merges.add((comp[t], comp[h]))
-                flow += (v << shift[t]) - (v << shift[h])
-                if v > 1:
-                    orderings *= math.factorial(v)
-                if weight[t] == 1:
-                    heads.append((t, h))
-                else:
-                    arcs.append(((t, h), v))
-            translated.append((windows, merges, flow, orderings, heads, arcs))
-        choices.append(translated)
-
-    base = dict(forced)
-    out = []
-    for choice in product(*choices):
-        if k > 1:
-            # A union-find over the forced components, inlined: this runs
-            # once per step-1 candidate. k is at most the n entries of y, so
-            # the finds climb without compressing paths.
-            link = list(range(k))
-            left = k
-            for _, merges, _, _, _, _ in choice:
-                for u, v in merges:
-                    while link[u] != u:
-                        u = link[u]
-                    while link[v] != v:
-                        v = link[v]
-                    if u != v:
-                        link[u] = v
-                        left -= 1
-            if left != 1:
-                continue
-        counts = dict(base)
-        flow, orderings, arcs = base_flow, base_orderings, list(base_arcs)
-        for windows, _, delta, share, heads, edges in choice:
-            counts.update(windows)
-            flow += delta
-            orderings *= share
-            succ.update(heads)
-            arcs += edges
-        z = FrequencyVector(p, n, l, counts)
-        if flow:
-            raise DomainError("frequency vector is not flow-balanced")
-        if periodic and math.gcd(*counts.values()) > 1:
-            count = count_sequences_with_frequency(z)
-        else:
-            cofactor = _best_cofactor(branching, succ, arcs)
-            count = _burnside(n, [(1, n * factor * cofactor, orderings)])
-        out.append((z, count))
-    if len(free) > 1:
-        # With one free block the candidates come in the order of its
-        # solutions, which is the order of their dense entries.
-        out.sort(key=lambda pair: pair[0].sort_key())
     return out
 
 

@@ -553,9 +553,50 @@ def vector_texts(draw):
     return json.dumps(obj)
 
 
+def size_flags(small, past):
+    """Text of an integer flag: a small valid value (drawn twice as often),
+    a negative one, one just past a cap, or a huge one."""
+    return st.one_of(
+        st.integers(*small),
+        st.integers(*small),
+        st.integers(-3, -1),
+        st.sampled_from(past),
+        st.integers(10**6, 10**30),
+    ).map(str)
+
+
+# The sized commands: each integer flag with its small valid values and the
+# values just past its caps (CAPS of the tree, the listing and printing caps
+# of the counts, Phi's block cap, the vertex cap of euler-count), and each
+# switch. The small values keep every admitted run well under a second.
+SIZED_COMMANDS = {
+    "tree": (
+        {"--n": ((0, 7), [17, 10, 9]), "--alphabet": ((1, 4), [65537]), "--max-p": ((0, 4), [17])},
+        ["--half"],
+    ),
+    "necklaces": (
+        {"--n": ((0, 8), [25, 16, 13, 14286]), "--alphabet": ((1, 4), [10**6])},
+        ["--list"],
+    ),
+    "twofold": ({"--p": ((0, 4), [6, 14])}, ["--table"]),
+    "phi-table": ({"--p": ((0, 4), [6, 14])}, []),
+    "euler-count": ({"--alphabet": ((1, 4), [17, 257]), "--p": ((0, 4), [9, 6])}, []),
+    "debruijn-count": (
+        {"--alphabet": ((1, 4), [4301]), "--p": ((0, 6), [15]), "--fold": ((1, 4), [8601])},
+        [],
+    ),
+}
+
+
 @st.composite
 def cli_argvs(draw):
-    command = draw(st.sampled_from(["raise", "lower", "project", "members"]))
+    command = draw(st.sampled_from(["raise", "lower", "project", "members", *SIZED_COMMANDS]))
+    if command in SIZED_COMMANDS:
+        flags, switches = SIZED_COMMANDS[command]
+        argv = [command]
+        for flag, (small, past) in flags.items():
+            argv += [flag, draw(size_flags(small, past))]
+        return argv + [switch for switch in switches if draw(st.booleans())]
     if command == "project":
         l = draw(st.integers(1, 4))
         word = "".join(map(str, draw(st.lists(st.integers(0, max(l - 1, 0)), max_size=10))))
@@ -572,7 +613,7 @@ def cli_argvs(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=600, deadline=None, derandomize=True)
 @given(cli_argvs())
 def test_cli_fuzz_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()

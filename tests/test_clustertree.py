@@ -34,7 +34,7 @@ from cycseq.cli import main
 from cycseq.clustertree import _max_n
 from cycseq.debruijn import SEQUENCE_CAP, SEQUENCE_COUNT_CAP
 from cycseq.freqspace import index_word, word_index
-from cycseq.lowering import _children, lower
+from cycseq.lowering import lower
 from cycseq.seqcore import level1_cluster_size
 
 from conftest import all_necklaces
@@ -216,32 +216,23 @@ def _internal_nodes(node):
 
 
 @pytest.mark.parametrize("n, l", [(14, 2), (8, 3)])
-def test_shared_block_cache_gives_fresh_lower_children(n, l):
+def test_tree_children_are_the_vectors_lower_gives(n, l):
     # every internal node's children are the vectors lower gives, in order
     tree = build_tree(n, l)
     for node in _internal_nodes(tree.root):
         assert [c.freq for c in node.children] == lower(node.freq)
 
 
-@pytest.mark.parametrize("l, max_n, half", [(2, 14, False), (2, 14, True), (3, 8, False)])
-def test_children_edge_maps_and_counts(l, max_n, half):
-    # every child of every internal node: the count taken in the lowering
-    # pass is the primitive's and the tree's
-    blocks = {}
-    for n in range(2, max_n + 1):
-        for node in _internal_nodes(build_tree(n, l, half_tree=half).root):
-            pairs = _children(node.freq, blocks)
-            assert [z for z, _ in pairs] == lower(node.freq)
-            kids = {c.freq: c.count for c in node.children}
-            for z, count in pairs:
-                assert count == count_sequences_with_frequency(z) == kids.get(z, count), (n, z)
-
-
-@pytest.mark.parametrize("l, max_n, half", [(2, 14, False), (2, 14, True), (3, 8, False)])
+@pytest.mark.parametrize(
+    "l, max_n, half",
+    [(2, 14, False), (2, 14, True), (3, 8, False), (2, 16, True), (3, 9, False)],
+)
 def test_children_share_their_parents_invariants(l, max_n, half):
-    # what _children computes once per node holds for every child z of y:
-    # A[Z] has out-weight y_w at each vertex w, gcd(z) divides gcd(y), and
-    # the count the tree took for z is the primitive's
+    # every child z of every internal node y: A[Z] has out-weight y_w at
+    # each vertex w, gcd(z) divides gcd(y), and the count the tree took for
+    # z is the primitive's, also where z's counts share a factor (periodic
+    # children of periodic nodes, which some node of every shape has)
+    periodic_children = 0
     for n in range(2, max_n + 1):
         for node in _internal_nodes(build_tree(n, l, half_tree=half).root):
             y = node.freq
@@ -254,21 +245,7 @@ def test_children_share_their_parents_invariants(l, max_n, half):
                 assert out == dict(y.items()), (n, z)
                 assert g % math.gcd(*(c for _, c in z.items())) == 0, (n, z)
                 assert child.count == count_sequences_with_frequency(z), (n, z)
-
-
-@pytest.mark.parametrize("n, l, half", [(16, 2, True), (9, 3, False)])
-def test_children_of_periodic_nodes_count_as_the_primitive(n, l, half):
-    # at a node with gcd(y) > 1 a child whose counts share a factor takes
-    # count_sequences_with_frequency; every other child the d = 1 term
-    periodic_children = 0
-    blocks = {}
-    for node in _internal_nodes(build_tree(n, l, half_tree=half).root):
-        y = node.freq
-        if y.p == 0 or math.gcd(*(c for _, c in y.items())) == 1:
-            continue
-        for z, count in _children(y, blocks):
-            assert count == count_sequences_with_frequency(z), z
-            periodic_children += math.gcd(*(c for _, c in z.items())) > 1
+                periodic_children += y.p > 0 and math.gcd(*(c for _, c in z.items())) > 1
     assert periodic_children > 0
 
 
@@ -286,6 +263,12 @@ def _act(y, letters, reverse):
     return FrequencyVector(y.p, y.n, y.l, counts)
 
 
+def _counted_lower(y):
+    """(z, count) for every z of lower(y), in that order, each counted by
+    the definitional primitive."""
+    return [(z, count_sequences_with_frequency(z)) for z in lower(y)]
+
+
 def _group(l):
     return [(g, r) for g in permutations(range(l)) for r in (False, True)]
 
@@ -298,27 +281,27 @@ def test_children_are_equivariant_under_letter_maps_and_reversal():
     nodes = set()
     for l, n, half in cases:
         nodes.update(node.freq for node in _internal_nodes(build_tree(n, l, half_tree=half).root))
-    blocks = {}
     for y in nodes:
-        pairs = _children(y, blocks)
+        pairs = _counted_lower(y)
         for letters, reverse in _group(y.l):
             image = sorted(
                 ((_act(z, letters, reverse), count) for z, count in pairs),
                 key=lambda pair: pair[0].sort_key(),
             )
-            assert _children(_act(y, letters, reverse), blocks) == image, (y, letters, reverse)
+            assert _counted_lower(_act(y, letters, reverse)) == image, (y, letters, reverse)
 
 
 def _lowered_tree(n, l, max_p, half):
-    """(freq, count, children) of the tree that lowers every node with
-    _children, with no use of symmetry."""
+    """(freq, count, children) of the tree that lowers every node and
+    counts every child with the counting primitive, with no use of
+    symmetry."""
 
     def grow(y, count):
         kids = []
         if count > 1 and y.p < max_p:
             kids = [
                 grow(z, k)
-                for z, k in _children(y, {})
+                for z, k in _counted_lower(y)
                 if not (half and z.p == 1 and z.entry(1) > n // 2)
             ]
         return (y, count, kids)

@@ -78,3 +78,30 @@ def test_every_unused_import_is_one_the_benchmark_wraps():
                     dead.append(f"{path.name}:{node.lineno} {name}")
     assert marked
     assert dead == []
+
+
+def test_every_import_is_used():
+    # a name a module imports and never reads is dead; the exceptions are
+    # the package's re-exports in __init__.py and the imports marked for the
+    # benchmark's tracer, which the test above ties to bench/spans.py
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            span = lines[node.lineno - 1 : node.end_lineno]
+            if any("# noqa: F401" in line for line in span):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

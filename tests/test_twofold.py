@@ -105,6 +105,10 @@ def test_phi_closed_forms():
         assert phi(p, blocks - 1) == 2**p - 2
         assert phi(p, blocks - 2) == 2 * (blocks - 1) * (blocks - 2) - (1 if p == 3 else 0)
         assert phi(p, 1) == 2 ** (blocks - 1)
+    # Phi(p, 0) = 2^(2^(p-1) - p): the configurations with no uniform block
+    # that are connected, 1, 1, 2, 16, 2048
+    for p in range(1, 6):
+        assert phi(p, 0) == 2 ** (2 ** (p - 1) - p)
 
 
 def _phi_scan(p, k, prune):
