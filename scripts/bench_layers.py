@@ -20,8 +20,10 @@ the median in seconds:
   graph G_2(8).
 - enumerate_necklaces(20, 2): FKM generation with a checked CyclicSequence
   per necklace, as the library lists them;
-- necklace_strings(11, 3): FKM generation with the same checks, straight to
-  the strings that `necklaces --list` prints;
+- necklace_strings(11, 3) and necklace_strings(20, 2), the largest shape
+  of the benchmark's `necklaces` workload: FKM generation straight to the
+  strings that `necklaces --list` prints, the whole listing checked at
+  once;
 - enumerate_sequences_with_frequency on binary [10, 10] (9,252 members)
   and ternary [15, 3, 2] (7,752 members): the member listing of
   `members`, at the largest lists that SEQUENCE_COUNT_CAP admits;
@@ -155,10 +157,10 @@ def _necklaces():
     return "enumerate_necklaces(20, 2)", lambda: enumerate_necklaces(20, 2), None
 
 
-def _necklace_strings():
+def _necklace_strings(n: int, l: int):
     from cycseq.seqcore import necklace_strings
 
-    return "necklace_strings(11, 3)", lambda: necklace_strings(11, 3), None
+    return f"necklace_strings({n}, {l})", lambda: necklace_strings(n, l), None
 
 
 def _members():
@@ -234,7 +236,8 @@ TIMED_SETUPS = (
         lambda: _twofold_table(5),
         _twofold_exact,
         _necklaces,
-        _necklace_strings,
+        lambda: _necklace_strings(11, 3),
+        lambda: _necklace_strings(20, 2),
         _members,
         _tree_round,
         _lower_tree_nodes,

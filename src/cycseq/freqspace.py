@@ -150,16 +150,30 @@ class FrequencyVector:
         differ, and the list with a nonzero entry there is the larger."""
         return tuple([(-j, c) for j, c in self._items])
 
+    def _is_dense(self) -> bool:
+        """Whether the serialized vector is written densely."""
+        # l >= 2, so l^p <= the limit only when 2^p is.
+        return (
+            self.p < DENSE_SERIALIZATION_LIMIT.bit_length()
+            and self.l**self.p <= DENSE_SERIALIZATION_LIMIT
+        )
+
     def to_json(self) -> str:
-        return json.dumps(self.to_obj())
+        """json.dumps(self.to_obj()), with the dense list written by runs of
+        zeros instead of from l^p ints."""
+        if not self._is_dense():
+            return json.dumps(self.to_obj())
+        parts, nxt = [], 0
+        for j, c in self._items:
+            parts.append(f"{'0, ' * (j - nxt)}{c}, ")
+            nxt = j + 1
+        parts.append("0, " * (self.l**self.p - nxt))
+        dense = "".join(parts)[:-2]
+        return f'{{"p": {self.p}, "n": {self.n}, "l": {self.l}, "dense": [{dense}]}}'
 
     def to_obj(self) -> dict:
         obj: dict = {"p": self.p, "n": self.n, "l": self.l}
-        # l >= 2, so l^p <= the limit only when 2^p is.
-        if (
-            self.p < DENSE_SERIALIZATION_LIMIT.bit_length()
-            and self.l**self.p <= DENSE_SERIALIZATION_LIMIT
-        ):
+        if self._is_dense():
             obj["dense"] = self.dense()
         else:
             obj["sparse"] = {str(j + 1): c for j, c in self.items()}

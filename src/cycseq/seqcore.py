@@ -6,16 +6,22 @@ the level-1 clusters (sequences sharing a letter composition).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ResourceCapError, brief
 
-# Widest necklace listing, as n log2(l) bits of l^n. At the cap, `necklaces
-# --list` at binary n = 24, ternary n = 15 and quaternary n = 12 took 2.5-3.3 s,
-# up to 157 MB of RSS and 22 MB of output (2-core Intel Xeon VM, Python 3.11).
-ENUM_CAP_BITS = 24
+# Most necklaces one listing returns (enumerate_necklaces, necklace_strings).
+# At the cap, `necklaces --list` at binary n = 24 (699,252 necklaces) and
+# ternary n = 15 (956,635) took 1.1-1.2 s at up to 139 MB of RSS and 20 MB of
+# output; the comma form at n = 2, l = 1,447 and n = 1, l = 2^20 took 2.1-2.7 s
+# at up to 127 MB. Quaternary n = 12 (1,398,500) took 3.8 s at 156 MB and is
+# refused (2-core Intel Xeon VM, Python 3.11). Every admitted letter chr(48 + a)
+# is below U+110000.
+LIST_MAX_NECKLACES = 1 << 20
 
 # Widest necklace_count, as n log2(l) bits of l^n. At the cap the count took
 # at most 0.12 s for l in {2, 3, 5, 7, 1000003}; at 2^22 bits up to 0.9 s,
@@ -264,62 +270,135 @@ def level1_cluster_size(counts: Sequence[int]) -> int:
     return _burnside(n, terms)
 
 
-def _necklace_words(n: int, l: int):
+def _necklace_letters(n: int, l: int):
     """Each necklace of length n over l letters as its maximal rotation,
-    strictly descending by index.
+    strictly descending, as a string whose letter a is chr(48 + a): for
+    l <= 10 that is the digit string.
 
     The FKM algorithm (Fredricksen, Kessler, Maiorana; in the form of
     Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 37, 2000) on
     complemented letters a -> l-1-a: it visits the prenecklaces in
     lexicographic order and keeps those whose period p divides n, in
-    constant amortized time per necklace.
+    constant amortized time per necklace. The next prenecklace decrements
+    the last letter that is not 0 and repeats the prefix it ends.
     """
-    a = [l - 1] * n
+    word = chr(47 + l) * n
     p = 1
     while True:
         if n % p == 0:
-            yield tuple(a)
-        j = n - 1
-        while j >= 0 and a[j] == 0:
-            j -= 1
-        if j < 0:
+            yield word
+        prefix = word.rstrip("0")
+        if not prefix:
             return
-        a[j] -= 1
-        p = j + 1
-        if p < n:
-            # a[i] = a[i - p] for i >= p: a plain copy of the prefix when
-            # it is at least as long as the tail, else its repetitions.
-            a[p:] = a[: n - p] if 2 * p >= n else (a[:p] * (n // p))[: n - p]
+        p = len(prefix)
+        prefix = prefix[:-1] + chr(ord(prefix[-1]) - 1)
+        word = prefix if p == n else (prefix * (n // p + 1))[:n]
 
 
-def _check_enumerable(n: int, l: int, cap_bits: int = ENUM_CAP_BITS) -> None:
-    """The arguments and the n*log2(l) <= cap_bits guard of a listing."""
+def _letters(word: str) -> list[int]:
+    """The letters of a _necklace_letters word."""
+    return [ord(c) - 48 for c in word]
+
+
+def _check_enumerable(n: int, l: int, cap_bits: int) -> None:
+    """The arguments and the n*log2(l) <= cap_bits guard of a scan."""
     if n < 1 or l < 2:
         raise DomainError("need n >= 1 and l >= 2")
     if _exceeds_bits(n, l, cap_bits):
         raise ResourceCapError(f"enumeration of l^n words exceeds the {cap_bits}-bit cap")
 
 
+def _check_listable(n: int, l: int) -> None:
+    """The arguments and the necklace_count(n, l) <= LIST_MAX_NECKLACES guard
+    of a listing. There are at least l^n / n necklaces, more than the cap
+    whenever l^n has more than twice its bits, so a larger count is never
+    computed."""
+    cap = LIST_MAX_NECKLACES
+    _check_enumerable(n, l, 2 * cap.bit_length())
+    if necklace_count(n, l) > cap:
+        raise ResourceCapError(f"listing more than {cap} necklaces exceeds the listing cap")
+
+
 def enumerate_necklaces(n: int, l: int) -> list[CyclicSequence]:
     """All canonical representatives, sorted descending by index.
 
-    Generated by FKM, at a cost proportional to the output; guarded by
-    n*log2(l) <= ENUM_CAP_BITS.
+    Generated by FKM, at a cost proportional to the output, each word
+    checked by the CyclicSequence constructor; refused past
+    LIST_MAX_NECKLACES necklaces.
     """
-    _check_enumerable(n, l)
-    return [CyclicSequence(word, l) for word in _necklace_words(n, l)]
+    _check_listable(n, l)
+    return [CyclicSequence(tuple(_letters(word)), l) for word in _necklace_letters(n, l)]
 
 
 def necklace_strings(n: int, l: int) -> list[str]:
     """[str(s) for s in enumerate_necklaces(n, l)], without a CyclicSequence
-    per necklace: each FKM word passes the constructor's checks and goes
-    straight to its string."""
-    _check_enumerable(n, l)
-    out = []
-    for word in _necklace_words(n, l):
-        _check_word(word, l)
-        out.append(_word_to_string(word, l))
-    return out
+    per necklace; refused past LIST_MAX_NECKLACES necklaces.
+
+    The FKM words must be strictly descending and as many as
+    necklace_count(n, l), so that once each is checked the list is every
+    necklace exactly once. For l <= 10 they are the digit strings
+    themselves, checked all at once by _check_digit_words; past 10 letters
+    each is checked by _check_word and replaced by its comma form.
+    """
+    _check_listable(n, l)
+    words = list(_necklace_letters(n, l))
+    if len(words) != necklace_count(n, l) or not all(
+        map(operator.gt, words, itertools.islice(words, 1, None))
+    ):
+        raise DomainError("the listing is not every necklace once, descending")
+    if l <= 10:
+        _check_digit_words(words, n, l)
+        return words
+    for i, word in enumerate(words):
+        letters = _letters(word)
+        _check_word(letters, l)
+        words[i] = _word_to_string(letters, l)
+    return words
+
+
+def _check_digit_words(words: list[str], n: int, l: int) -> None:
+    """DomainError unless every word is the digit string of a necklace's
+    maximal rotation: n ASCII digits, letters below l <= 10, and no
+    rotation larger than the word.
+
+    The words, joined by a "0" guard letter, are read as one integer in
+    base 2^b, b the bit length of l - 1, so that each word is the low n b
+    bits of a field of (n + 1) b bits. One subtraction then compares every
+    field of one such integer with the same field of another: with a free
+    bit above each field's value set in the first, that bit survives iff
+    the field is at least the other's, and no field borrows from the next
+    (Lamport, CACM 18, 1975). That compares each word with each of its
+    n - 1 other rotations, and its first letter, the largest of a maximal
+    rotation, with l - 1.
+    """
+    # "?" for each non-ASCII letter: int() would take "_", spaces and
+    # non-ASCII digits, but bytes.isdigit() only "0" to "9".
+    joined = "0".join(words).encode("ascii", "replace")
+    if set(map(len, words)) != {n} or not joined.isdigit():
+        raise DomainError(f"a listed word is not {n} digits")
+    b = (l - 1).bit_length()
+    try:
+        x = int(joined, 1 << b)
+    except ValueError:
+        raise DomainError(f"a listed letter is out of range for alphabet of size {l}") from None
+    width = (n + 1) * b
+    ones = ((1 << width * len(words)) - 1) // ((1 << width) - 1)  # 1 in each field
+    top = ones << (n * b)
+    for r in range(1, n):
+        low = ((1 << r * b) - 1) * ones
+        high = ((1 << n * b) - 1) * ones - low
+        rotated = ((x << r * b) & high) | ((x >> (n - r) * b) & low)
+        if not _fields_at_least(x, rotated, top):
+            raise DomainError("a listed word is not in canonical rotation")
+    first = (x >> (n - 1) * b) & (((1 << b) - 1) * ones)
+    if not _fields_at_least((l - 1) * ones, first, ones << b):
+        raise DomainError(f"a listed letter is out of range for alphabet of size {l}")
+
+
+def _fields_at_least(a: int, b: int, top: int) -> bool:
+    """True iff each field of a is at least the same field of b, where top
+    has one bit set in each field, above that field's value in a and b."""
+    return ((a | top) - b) & top == top
 
 
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")

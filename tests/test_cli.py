@@ -67,11 +67,12 @@ def test_necklaces_list_output_is_pinned(capsys, n, l, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("words", [((1, 1, 1), (0, 1, 1)), ((1, 1, 1), (2, 1, 0))],
+@pytest.mark.parametrize("words", [("111", "110", "100", "001"), ("210", "110", "100", "000")],
                          ids=["not-maximal", "out-of-range"])
 def test_necklaces_list_checks_every_word(capsys, monkeypatch, words):
-    # a generator that yields a word the constructor would refuse
-    monkeypatch.setattr(seqcore, "_necklace_words", lambda n, l: iter(words))
+    # a generator that yields, in a listing of the right length and order,
+    # a word the constructor would refuse
+    monkeypatch.setattr(seqcore, "_necklace_letters", lambda n, l: iter(words))
     code, out, err = run(capsys, "necklaces", "--n", "3", "--list")
     assert (code, out) == (3, "")
     assert err.startswith("error:") and "Traceback" not in err

@@ -227,8 +227,10 @@ def test_index_range_and_serialization_are_exact():
                 FrequencyVector(p, 1, l, {size: 1})
             with pytest.raises(DomainError):
                 FrequencyVector(p, 1, l, {-1: 1})
-            obj = FrequencyVector(p, 1, l, {0: 1}).to_obj()
+            x = FrequencyVector(p, 1, l, {0: 1})
+            obj = x.to_obj()
             assert ("dense" in obj) == (size <= 4096), (l, p)
+            assert x.to_json() == json.dumps(obj)
 
 
 
@@ -245,7 +247,8 @@ def small_vectors(draw):
 
 @given(small_vectors())
 def test_one_sorted_item_tuple_answers_every_read(x):
-    # the vector keeps only its sorted items; entry, dense and to_obj read them
+    # the vector keeps only its sorted items; entry, dense, to_obj and to_json
+    # read them
     items = x.items()
     assert list(items) == sorted(items) and all(c > 0 for _, c in items)
     counts = dict(items)
@@ -254,3 +257,5 @@ def test_one_sorted_item_tuple_answers_every_read(x):
     assert x.dense() == dense
     assert x.to_obj() == {"p": x.p, "n": x.n, "l": x.l, "dense": dense}
     assert FrequencyVector.from_obj(x.to_obj()) == x
+    # to_json writes the zeros by runs, byte for byte as json.dumps does
+    assert x.to_json() == json.dumps(x.to_obj())

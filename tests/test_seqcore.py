@@ -189,6 +189,30 @@ def test_enumerate_cap_on_huge_sizes():
             listing(10**400, 3)
 
 
+def test_listing_cap_at_its_edges(monkeypatch):
+    # the largest shapes the count cap admits and the next ones up, n = 1
+    # included; the refusals come before any word is listed
+    cap = seqcore.LIST_MAX_NECKLACES
+    for n, l in ((24, 2), (15, 3), (11, 4), (7, 9), (8, 7), (2, 1447), (1, cap)):
+        assert necklace_count(n, l) <= cap
+        seqcore._check_listable(n, l)
+    for n, l in ((25, 2), (16, 3), (12, 4), (7, 10), (8, 8), (2, 1448), (1, cap + 1)):
+        assert necklace_count(n, l) > cap
+        for listing in LISTINGS:
+            start = time.perf_counter()
+            with pytest.raises(ResourceCapError, match="listing cap"):
+                listing(n, l)
+            assert time.perf_counter() - start < 1.0
+    # at a small cap the edge itself is listed: necklace_count(7, 2) == 20
+    monkeypatch.setattr(seqcore, "LIST_MAX_NECKLACES", 20)
+    for listing in LISTINGS:
+        assert len(listing(7, 2)) == 20
+        assert [str(s) for s in listing(1, 20)] == [str(a) for a in range(19, -1, -1)]
+        for n, l in ((8, 2), (1, 21)):
+            with pytest.raises(ResourceCapError, match="listing cap"):
+                listing(n, l)
+
+
 @pytest.mark.parametrize("l, max_n", [(2, 16), (3, 9), (4, 6), (5, 5), (11, 3), (12, 3)])
 def test_necklace_strings_match_the_printed_necklaces(l, max_n):
     # l = 11 and 12 print in the comma form
@@ -196,17 +220,92 @@ def test_necklace_strings_match_the_printed_necklaces(l, max_n):
         assert necklace_strings(n, l) == [str(s) for s in enumerate_necklaces(n, l)]
 
 
-# Words a faulty generator could yield for n = 3, l = 2: a rotation that is
-# not maximal, and a letter past the alphabet.
-BAD_WORDS = [((1, 1, 1), (0, 1, 1)), ((1, 1, 1), (2, 1, 0))]
+# Listings a faulty generator could yield for n = 3, l = 2, each as long and
+# as descending as the true one: a rotation that is not maximal, and a letter
+# past the alphabet.
+BAD_WORDS = [("111", "110", "100", "001"), ("210", "110", "100", "000")]
 
 
 @pytest.mark.parametrize("words", BAD_WORDS, ids=["not-maximal", "out-of-range"])
 @pytest.mark.parametrize("listing", LISTINGS)
 def test_listings_check_every_word(monkeypatch, listing, words):
-    monkeypatch.setattr(seqcore, "_necklace_words", lambda n, l: iter(words))
-    with pytest.raises(DomainError):
+    monkeypatch.setattr(seqcore, "_necklace_letters", lambda n, l: iter(words))
+    with pytest.raises(DomainError, match="canonical rotation|out of range"):
         listing(3, 2)
+
+
+def test_necklace_strings_check_the_listing_as_a_whole(monkeypatch):
+    # true words, but one missing, one repeated or two swapped
+    full = necklace_strings(3, 2)
+    for words in (full[:-1], full[:1] + full[:-1], [full[1], full[0], *full[2:]]):
+        monkeypatch.setattr(seqcore, "_necklace_letters", lambda n, l: iter(words))
+        with pytest.raises(DomainError, match="every necklace once"):
+            necklace_strings(3, 2)
+
+
+def _passes_check_word(word, n, l):
+    if len(word) != n or not all(c in "0123456789" for c in word):
+        return False
+    try:
+        seqcore._check_word([int(c) for c in word], l)
+    except DomainError:
+        return False
+    return True
+
+
+# letters a planted word may take: digits, and what int() also reads in some
+# base: "_", a space, non-ASCII digits, "a" (base 16) and a sign
+PLANT_LETTERS = "0123456789" * 3 + "_ \u0663\u00b2a-"
+
+
+@pytest.mark.parametrize("l", range(2, 11))
+def test_whole_list_check_agrees_with_check_word(l):
+    # one planted word at a random place among necklaces: the whole-list
+    # check raises iff that word fails _check_word or is not n digits
+    rng = random.Random(l)
+    for n in range(1, 11):
+        for _ in range(40):
+            base = [str(canonicalize([rng.randrange(l) for _ in range(n)], l))
+                    for _ in range(rng.randint(0, 30))]
+            top = str(canonicalize([rng.randrange(l) for _ in range(n)], l))
+            kind, i = rng.randrange(4), rng.randrange(n)
+            if kind == 0:  # a random word, letters up to l
+                word = "".join(str(rng.randint(0, min(l, 9))) for _ in range(n))
+            elif kind == 1:  # a rotation of a necklace
+                word = top[i:] + top[:i]
+            elif kind == 2:  # a necklace with one letter replaced
+                word = top[:i] + rng.choice(PLANT_LETTERS) + top[i + 1 :]
+            else:  # a necklace a letter too long or too short
+                word = top + str(rng.randrange(l)) if rng.random() < 0.5 else top[:-1]
+            words = list(base)
+            words.insert(rng.randint(0, len(words)), word)
+            if _passes_check_word(word, n, l):
+                seqcore._check_digit_words(words, n, l)
+            else:
+                with pytest.raises(DomainError):
+                    seqcore._check_digit_words(words, n, l)
+
+
+@pytest.mark.parametrize(
+    "n, l, place, word",
+    [
+        (20, 2, -1, "0" * 19 + "1"),  # the last word, a rotation that is not maximal
+        (20, 2, 0, "1_" + "1" * 18),  # int() reads "1_1" as "11"
+        (20, 2, 7, "1" * 19 + " "),
+        (20, 2, 0, "1" * 19 + "\u0661"),  # ARABIC-INDIC DIGIT ONE
+        (20, 2, 3, "2" + "1" * 19),  # not a base-2 digit
+        (11, 3, 0, "3" + "2" * 10),  # a base-4 digit, but not a letter of 3
+        (11, 3, -1, "0" * 10 + "1"),
+        (11, 3, 100, "2" * 10),  # a letter short
+        (6, 5, 0, "5" + "4" * 5),  # a base-8 digit, but not a letter of 5
+    ],
+)
+def test_whole_list_check_on_full_listings(n, l, place, word):
+    words = necklace_strings(n, l)
+    seqcore._check_digit_words(words, n, l)
+    words[place] = word
+    with pytest.raises(DomainError):
+        seqcore._check_digit_words(words, n, l)
 
 
 def test_necklace_strings_build_no_sequence(monkeypatch):
