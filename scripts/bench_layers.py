@@ -8,9 +8,10 @@ the median in seconds:
   the Laplacian cofactor;
 - count_sequences_with_frequency over every node of the binary n = 16 half
   tree (levels p >= 1): thousands of small BEST + Burnside counts;
-- build_tree(16, 2) and build_tree(16, 2, half_tree=True): the root's
-  level-1 split and the grouping of listed members below it, as the tree
-  command runs them;
+- build_tree(16, 2), build_tree(16, 2, half_tree=True) and
+  build_tree(2, 180), the admitted tree with the most level-1 classes
+  (16,290): the checked necklace listing grouped from the root, as the
+  tree command runs it;
 - twofold_table(4) and twofold_table(5): the per-k Phi, PermNo and
   cofactor rows that `twofold --p 4 --table` and `--p 5 --table` print.
   The cache of the Phi row (twofold._phi_row) is cleared before every
@@ -32,7 +33,7 @@ the median in seconds:
   round of that workload without the CLI around it;
 - lower over the internal nodes of build_tree(12, 2) and build_tree(7, 3),
   and lower on ternary [16, 16, 16] (11,781 step-1 candidates): the public
-  lowering that `lower` runs, which the trees call only at the root.
+  lowering that `lower` runs, which the trees do not call.
 
 For the counting and lowering cases the trees are built once, outside the
 timed region.
@@ -87,7 +88,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import TREE_SHAPES  # noqa: E402
 
 EULER_CASES = [(2, 7), (2, 8), (2, 9), (3, 4), (3, 5), (8, 3), (16, 2)]
-TREE_CASES = [(16, 2, False), (16, 2, True)]
+TREE_CASES = [(16, 2, False), (16, 2, True), (2, 180, False)]
 LOWER_TREES = [(12, 2), (7, 3)]
 RUNS = 5
 PROCS = 5

@@ -1,6 +1,6 @@
 """Hierarchical cluster trees of cyclic sequences under p-closeness,
-built by grouping the listed members of each letter composition, with
-DOT/JSON/Newick export."""
+built by grouping the listed necklaces from the root, with DOT/JSON/Newick
+export."""
 
 from __future__ import annotations
 
@@ -11,24 +11,25 @@ import math
 from dataclasses import dataclass, field
 from typing import TextIO
 
-from . import debruijn
 from .errors import DomainError, ResourceCapError
-from .freqspace import FrequencyVector, index_word, word_index
-from .lowering import lower
+from .freqspace import FrequencyVector
+from .lowering import STEP1_CAP
 
-# Unused here, but bench/spans.py wraps this module attribute by name; it
-# goes with the next change to the benchmark.
-from .lowering import count_members  # noqa: F401
-from .seqcore import level1_cluster_size, necklace_count
+# Unused here, but bench/spans.py wraps these module attributes by name;
+# they go with the next change to the benchmark.
+from .lowering import count_members, lower  # noqa: F401
+from .seqcore import _checked_necklaces, _letters, level1_cluster_size, necklace_count
 
 # Largest n of build_tree per alphabet size l, else int(16 / log2(l)). At the
 # cap (2-core Intel Xeon VM, Python 3.11, JSON written to a file) l = 2, 3, 4
-# (n = 16, 9, 8) build in 0.15, 0.03, 0.12 s and export in 0.09, 0.03, 0.15 s,
-# at a max RSS of 24, 18, 24 MB. l = 32 (n = 3) builds in 0.3 s at 27 MB,
-# but its 32 MB of dense level-2 vectors still take 1.0 s to export. Past
-# the cap, binary n = 18 and 20 take 0.55 + 0.3 s at 48 MB and 3.0 + 1.5 s
-# at 142 MB, nearly all of it the tree itself. Every level-1 class the cap
-# admits must be listable within SEQUENCE_CAP and SEQUENCE_COUNT_CAP.
+# (n = 16, 9, 8) build in 0.14, 0.04, 0.13 s and export in 0.07, 0.02, 0.06 s,
+# at a max RSS of 25, 19, 25 MB; l = 32 (n = 3) builds in 0.17 s and exports
+# in 0.06 s at 26 MB. Past the cap, binary n = 18 and 20 take 0.6 + 0.15 s
+# at 50 MB and 3.1 + 0.8 s at 152 MB, nearly all of it the tree itself.
+# Every tree the cap admits lists its necklaces within
+# seqcore.LIST_MAX_NECKLACES. Those with more than lowering.STEP1_CAP
+# level-1 classes (n = 2 with l > 180, n = 1 with l > 16,384) are refused;
+# the largest admitted, (1, 16384) and (2, 180), build in 0.15 and 0.23 s.
 CAPS = {2: 16, 3: 9}
 
 
@@ -54,18 +55,16 @@ class ClusterTree:
 def build_tree(n: int, l: int, max_p: int | None = None, half_tree: bool = False) -> ClusterTree:
     """Cluster tree rooted at the level-0 vector [n].
 
-    The root's children are the level-1 compositions, lower(root), counted
-    by level1_cluster_size. Below them each node's children are its members
-    grouped by their level-(p+1) window counts (_split_members); refinement
+    Every necklace of length n is listed once (seqcore's checked FKM
+    listing) and the listing is grouped from the root down by
+    _split_members: a node's children are its members grouped by their
+    level-(p+1) window counts, so the root's children are the letter
+    compositions, each counted as level1_cluster_size says. Refinement
     stops once a cluster is a singleton or max_p is reached. half_tree
-    (l = 2 only) keeps the compositions with at most floor(n/2) ones, and
-    its root count is their sum whatever max_p is. n past CAPS (_max_n)
-    is refused.
-
-    A letter map g in S_l maps the hierarchy onto itself: project(g(s), p)
-    = g(project(s, p)) and g permutes the necklaces. Hence one level-1
-    subtree per orbit of compositions is refined, and the others are its
-    image with children re-sorted: the tree that lowering every node gives.
+    (l = 2 only) keeps the necklaces with at most floor(n/2) ones, and its
+    root count is theirs whatever max_p is. n past CAPS (_max_n), and more
+    level-1 classes than lowering.STEP1_CAP, are refused before any
+    necklace is listed.
     """
     if l < 2:
         raise DomainError("alphabet size must be >= 2")
@@ -77,60 +76,56 @@ def build_tree(n: int, l: int, max_p: int | None = None, half_tree: bool = False
     if max_p is None:
         max_p = n
 
-    root_freq = FrequencyVector(0, n, l, {0: n})
-    root = ClusterNode(0, root_freq, necklace_count(n, l))
-    # The root holds at least the l constant sequences, so it is refined
-    # whenever max_p allows. A half tree's root count is the sum over its
-    # level-1 children, so those are found whatever max_p is.
-    if max_p > 0 or half_tree:
-        root.children = [
-            ClusterNode(1, z, level1_cluster_size(z.dense()))
-            for z in lower(root_freq)
-            if not (half_tree and z.entry(1) > n // 2)
-        ]
-        total = sum(c.count for c in root.children)
-        if half_tree:
-            root.count = total
-        elif total != root.count:
-            raise ArithmeticError(f"partition violated at the root: {total} != {root.count}")
-        if max_p <= 0:
-            root.children = []
-        images: dict = {}  # window-index images by (letter map, p)
-        refined: dict = {}  # sorted composition -> its refined level-1 node
+    root = ClusterNode(0, FrequencyVector(0, n, l, {0: n}), necklace_count(n, l))
+    if math.comb(n + l - 1, l - 1) > STEP1_CAP:
+        raise ResourceCapError(f"the tree would have more than {STEP1_CAP} level-1 classes")
+    words = _checked_necklaces(n, l)
+    if half_tree:
+        words = [w for w in words if w.count("1") <= n // 2]
+        root.count = len(words)
+    # The root is split whenever max_p allows, even when it holds one
+    # necklace (the half tree at n = 1).
+    if max_p > 0:
+        _split_members(root, words, max_p)
         for child in root.children:
-            rep = refined.setdefault(tuple(sorted(child.freq.dense())), child)
-            if rep is child:
-                _split_members(child, max_p)
-            else:
-                letters = _letter_map(rep.freq.dense(), child.freq.dense())
-                _mirror(rep, child, letters, images)
+            size = level1_cluster_size([c for _, c in child.freq.items()])
+            if child.count != size:
+                raise ArithmeticError(f"{child.count} necklaces listed for a class of {size}")
     return ClusterTree(n, l, root)
 
 
-def _split_members(top: ClusterNode, max_p: int) -> None:
-    """Refine the subtree of the level-1 node top down to singletons or
-    level max_p from its members, which must number top.count.
+_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
-    Each member keeps the indices of its windows, the one starting at i
-    first; a level deeper, window w becomes w * l + s[i + p], so a node's
-    children are the groups of its members with equal sorted indices.
+
+def _split_members(root: ClusterNode, words: list, max_p: int) -> None:
+    """Refine the tree below root, whose members are the listed necklaces
+    `words`, down to singletons or level max_p.
+
+    Each member keeps its letters twice over, so that its rotation by p
+    starts at p, and the indices of its windows, the one starting at i
+    first: at level 0 all are 0; a level deeper, window w becomes
+    w * l + s[i + p], so a node's children are the groups of its members
+    with equal sorted indices. Of two such sorted tuples the larger is the
+    vector with the smaller sort_key, so the children come in sort_key
+    order when their tuples are taken in descending order.
     """
-    if top.count <= 1 or top.p >= max_p:
-        return
-    members = debruijn.enumerate_sequences_with_frequency(top.freq)
-    if len(members) != top.count:
-        raise ArithmeticError(f"{len(members)} members listed for a class of {top.count}")
-    n, l = top.freq.n, top.freq.l
-    stack = [(top, [(s.symbols, s.symbols) for s in members])]
+    n, l = root.freq.n, root.freq.l
+    zeros = [0] * n
+    if l <= 10:
+        group = [((word + word).encode().translate(_FROM_DIGITS), zeros) for word in words]
+    else:
+        group = [(tuple(_letters(word + word)), zeros) for word in words]
+    stack = [(root, group)]
     while stack:
         node, group = stack.pop()
         p = node.p
         groups: dict = {}
         for s, windows in group:
-            windows = [w * l + a for w, a in zip(windows, s[p:] + s[:p])]
+            windows = [w * l + a for w, a in zip(windows, s[p:])]
             groups.setdefault(tuple(sorted(windows)), []).append((s, windows))
         kids = []
-        for key, group in groups.items():
+        for key in sorted(groups, reverse=True):
+            group = groups[key]
             counts: dict = {}
             for w in key:
                 counts[w] = counts.get(w, 0) + 1
@@ -138,45 +133,7 @@ def _split_members(top: ClusterNode, max_p: int) -> None:
             kids.append(kid)
             if len(group) > 1 and p + 1 < max_p:
                 stack.append((kid, group))
-        if len(kids) > 1:
-            kids.sort(key=lambda c: c.freq.sort_key())
         node.children = kids
-
-
-def _mirror(src: ClusterNode, dst: ClusterNode, letters: tuple, images: dict) -> None:
-    """Give dst the subtree of src mapped through the letter map `letters`
-    (dst.freq is its image of src.freq), children re-sorted."""
-    stack = [(src, dst)]
-    while stack:
-        a, b = stack.pop()
-        kids = [ClusterNode(c.p, _image(c.freq, letters, images), c.count) for c in a.children]
-        stack.extend(zip(a.children, kids))
-        if len(kids) > 1:
-            kids.sort(key=lambda c: c.freq.sort_key())
-        b.children = kids
-
-
-def _letter_map(source: list, target: list) -> tuple:
-    """A letter permutation sigma with target[sigma[a]] = source[a]: it maps
-    a sequence of composition `source` to one of composition `target`."""
-    sigma = [0] * len(source)
-    by_count = sorted(range(len(target)), key=target.__getitem__)
-    for a, b in zip(sorted(range(len(source)), key=source.__getitem__), by_count):
-        sigma[a] = b
-    return tuple(sigma)
-
-
-def _image(y: FrequencyVector, g: tuple, images: dict) -> FrequencyVector:
-    """g(y) for the letter map g; window images are kept in `images` per
-    (g, y.p)."""
-    table = images.setdefault((g, y.p), {})
-    counts = {}
-    for j, c in y.items():
-        k = table.get(j)
-        if k is None:
-            k = table[j] = word_index([g[a] for a in index_word(j + 1, y.p, y.l)], y.l) - 1
-        counts[k] = c
-    return FrequencyVector(y.p, y.n, y.l, counts)
 
 
 def max_branching_level(tree: ClusterTree) -> int:

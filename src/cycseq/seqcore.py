@@ -319,26 +319,15 @@ def _check_listable(n: int, l: int) -> None:
         raise ResourceCapError(f"listing more than {cap} necklaces exceeds the listing cap")
 
 
-def enumerate_necklaces(n: int, l: int) -> list[CyclicSequence]:
-    """All canonical representatives, sorted descending by index.
+def _checked_necklaces(n: int, l: int) -> list[str]:
+    """Every necklace of length n over l letters once, as the
+    _necklace_letters words, checked; refused past LIST_MAX_NECKLACES
+    necklaces.
 
-    Generated by FKM, at a cost proportional to the output, each word
-    checked by the CyclicSequence constructor; refused past
-    LIST_MAX_NECKLACES necklaces.
-    """
-    _check_listable(n, l)
-    return [CyclicSequence(tuple(_letters(word)), l) for word in _necklace_letters(n, l)]
-
-
-def necklace_strings(n: int, l: int) -> list[str]:
-    """[str(s) for s in enumerate_necklaces(n, l)], without a CyclicSequence
-    per necklace; refused past LIST_MAX_NECKLACES necklaces.
-
-    The FKM words must be strictly descending and as many as
-    necklace_count(n, l), so that once each is checked the list is every
-    necklace exactly once. For l <= 10 they are the digit strings
-    themselves, checked all at once by _check_digit_words; past 10 letters
-    each is checked by _check_word and replaced by its comma form.
+    The words must be strictly descending and as many as necklace_count(n,
+    l), so that once each is checked the list is every necklace exactly
+    once. For l <= 10 they are the digit strings, checked all at once by
+    _check_digit_words; past 10 letters each is checked by _check_word.
     """
     _check_listable(n, l)
     words = list(_necklace_letters(n, l))
@@ -348,11 +337,26 @@ def necklace_strings(n: int, l: int) -> list[str]:
         raise DomainError("the listing is not every necklace once, descending")
     if l <= 10:
         _check_digit_words(words, n, l)
-        return words
-    for i, word in enumerate(words):
-        letters = _letters(word)
-        _check_word(letters, l)
-        words[i] = _word_to_string(letters, l)
+    else:
+        for word in words:
+            _check_word(_letters(word), l)
+    return words
+
+
+def enumerate_necklaces(n: int, l: int) -> list[CyclicSequence]:
+    """All canonical representatives, sorted descending by index: the
+    _checked_necklaces listing, at a cost proportional to the output."""
+    return [CyclicSequence(tuple(_letters(word)), l) for word in _checked_necklaces(n, l)]
+
+
+def necklace_strings(n: int, l: int) -> list[str]:
+    """[str(s) for s in enumerate_necklaces(n, l)], without a CyclicSequence
+    per necklace: for l <= 10 the _checked_necklaces words themselves, past
+    10 letters their comma forms."""
+    words = _checked_necklaces(n, l)
+    if l > 10:
+        for i, word in enumerate(words):
+            words[i] = _word_to_string(_letters(word), l)
     return words
 
 

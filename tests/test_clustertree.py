@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import time
 import tracemalloc
 from itertools import permutations
 
@@ -29,13 +30,12 @@ from cycseq import (
     tree_to_newick,
 )
 
-from cycseq import debruijn
+from cycseq import clustertree, seqcore
 from cycseq.cli import main
 from cycseq.clustertree import _max_n
-from cycseq.debruijn import SEQUENCE_CAP, SEQUENCE_COUNT_CAP
 from cycseq.freqspace import index_word, word_index
-from cycseq.lowering import lower
-from cycseq.seqcore import level1_cluster_size
+from cycseq.lowering import STEP1_CAP, lower
+from cycseq.seqcore import LIST_MAX_NECKLACES
 
 from conftest import all_necklaces
 
@@ -275,7 +275,8 @@ def _group(l):
 
 def test_children_are_equivariant_under_letter_maps_and_reversal():
     # lower(g(y)) = g(lower(y)) with equal counts, for g in S_l x {id, rev}:
-    # what build_tree relies on to lower one node per symmetry class
+    # a letter map or a reversal maps the hierarchy onto itself, checked at
+    # every internal node of these trees
     cases = [(2, n, half) for n in range(2, 13) for half in (False, True)]
     cases += [(3, n, False) for n in range(2, 8)]
     nodes = set()
@@ -308,19 +309,23 @@ def _lowered_tree(n, l, max_p, half):
 
     root = grow(FrequencyVector(0, n, l, {0: n}), necklace_count(n, l))
     if half:
-        root = (root[0], sum(k[1] for k in root[2]), root[2])
+        # the half root counts its level-1 classes whatever max_p is
+        kept = [k for z, k in _counted_lower(root[0]) if z.entry(1) <= n // 2]
+        root = (root[0], sum(kept), root[2])
     return root
 
 
-@pytest.mark.parametrize("max_p", [None, 1, 2, 4])
+@pytest.mark.parametrize("max_p", [None, 1, 2, 4, 0])
 @pytest.mark.parametrize(
     "n, l, half",
-    [(12, 2, False), (12, 2, True), (11, 2, True), (7, 3, False), (6, 3, False), (6, 4, False), (5, 5, False)],
+    [(12, 2, False), (12, 2, True), (11, 2, True), (7, 3, False), (6, 3, False), (6, 4, False), (5, 5, False)]
+    + [(n, 2, half) for n in (1, 2, 3) for half in (False, True)],
 )
 def test_build_tree_equals_the_tree_lowered_node_by_node(n, l, half, max_p):
-    # the grouped members and the mirrored level-1 subtrees give the same
-    # nodes, counts and child order as lowering every node; (6, 4) and
-    # (5, 5) take the CAPS fallback and the S_4 and S_5 mirrors
+    # the necklace listing grouped from the root gives the same nodes,
+    # counts and child order as lowering every node; (6, 4) and (5, 5) take
+    # the CAPS fallback, and the half tree at n = 1 has a root of one
+    # necklace that is still split
     want = [_lowered_tree(n, l, n if max_p is None else max_p, half)]
     got = [build_tree(n, l, max_p=max_p, half_tree=half).root]
     while want:
@@ -331,45 +336,66 @@ def test_build_tree_equals_the_tree_lowered_node_by_node(n, l, half, max_p):
         got.extend(node.children)
 
 
+def _dropping_one(listing):
+    """listing without its third word from the end: 10001000 at n = 8, 10100
+    at n = 5, each in a class of more than one necklace that the half tree
+    keeps."""
+
+    def listed(n, l):
+        words = list(listing(n, l))
+        return words[:-3] + words[-2:]
+
+    return listed
+
+
 def test_build_tree_refuses_a_short_member_list(monkeypatch):
-    # a listing that drops a member would give a wrong subtree whose counts
-    # still add up; the count check against the Burnside size refuses it
-    listed = debruijn.enumerate_sequences_with_frequency
-
-    def drop_one(z):
-        return listed(z)[1:]
-
-    monkeypatch.setattr(debruijn, "enumerate_sequences_with_frequency", drop_one)
-    for n, l, half in ((8, 2, False), (8, 2, True), (5, 3, False)):
-        with pytest.raises(ArithmeticError):
+    # a listing that drops a necklace would give a wrong subtree whose counts
+    # still add up: the listing's count check refuses it, and past that
+    # check the Burnside size of each level-1 class
+    cases = ((8, 2, False), (8, 2, True), (5, 3, False))
+    with monkeypatch.context() as patch:
+        patch.setattr(seqcore, "_necklace_letters", _dropping_one(seqcore._necklace_letters))
+        for n, l, half in cases:
+            with pytest.raises(DomainError, match="every necklace once"):
+                build_tree(n, l, half_tree=half)
+    monkeypatch.setattr(clustertree, "_checked_necklaces", _dropping_one(seqcore._checked_necklaces))
+    for n, l, half in cases:
+        with pytest.raises(ArithmeticError, match="class of"):
             build_tree(n, l, half_tree=half)
 
 
-def _partitions(n, parts, largest=None):
-    """The partitions of n into at most `parts` parts, each padded with
-    zeros to `parts` entries."""
-    largest = n if largest is None else largest
-    if n == 0:
-        yield (0,) * parts
-        return
-    if parts == 0:
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, parts - 1, first):
-            yield (first,) + rest
-
-
 def test_caps_admit_only_listable_classes():
-    # every level-1 class of an admitted tree is listed by the member walk,
-    # so its caps must admit the class: no tree within CAPS may reach them.
-    # A class's size depends only on its sorted composition.
-    for l in range(2, 65):
-        n = _max_n(l)
-        assert 1 <= n <= SEQUENCE_CAP, (l, n)
-        largest = max(level1_cluster_size(c) for c in _partitions(n, l))
-        assert largest <= SEQUENCE_COUNT_CAP, (l, n, largest)
+    # every tree within CAPS lists its necklaces within the listing cap, and
+    # has at most STEP1_CAP level-1 classes but for the shapes build_tree
+    # refuses for that: n = 2 with l = 181..256 and n = 1 with l =
+    # 16,385..65,536, the last alphabet CAPS admits
+    refused = set()
+    l = 2
+    while _max_n(l) >= 1:
+        for n in range(1, _max_n(l) + 1):
+            assert necklace_count(n, l) <= LIST_MAX_NECKLACES, (n, l)
+            if math.comb(n + l - 1, l - 1) > STEP1_CAP:
+                refused.add((n, l))
+        l += 1
+    assert l == 65537
+    assert refused == {(2, l) for l in range(181, 257)} | {(1, l) for l in range(16385, 65537)}
     assert _max_n(2) == 16 and _max_n(3) == 9
-    assert level1_cluster_size([8, 8]) == 810
+
+
+def test_largest_level1_splits_build_quickly():
+    # the admitted trees with the most level-1 classes, 16,384 and 16,290,
+    # are built from their listings; one letter more is refused at once
+    for n, l in ((1, 16384), (2, 180)):
+        start = time.perf_counter()
+        tree = build_tree(n, l)
+        assert time.perf_counter() - start < 5.0, (n, l)
+        assert len(tree.root.children) == math.comb(n + l - 1, l - 1)
+        assert conservation_ok(tree.root)
+    for n, l in ((1, 16385), (2, 181)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="level-1 classes"):
+            build_tree(n, l)
+        assert time.perf_counter() - start < 1.0, (n, l)
 
 
 def test_build_tree_leaves_no_cyclic_garbage():

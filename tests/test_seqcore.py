@@ -235,12 +235,14 @@ def test_listings_check_every_word(monkeypatch, listing, words):
 
 
 def test_necklace_strings_check_the_listing_as_a_whole(monkeypatch):
-    # true words, but one missing, one repeated or two swapped
+    # true words, but one missing, one repeated or two swapped, refused by
+    # both listings
     full = necklace_strings(3, 2)
     for words in (full[:-1], full[:1] + full[:-1], [full[1], full[0], *full[2:]]):
         monkeypatch.setattr(seqcore, "_necklace_letters", lambda n, l: iter(words))
-        with pytest.raises(DomainError, match="every necklace once"):
-            necklace_strings(3, 2)
+        for listing in LISTINGS:
+            with pytest.raises(DomainError, match="every necklace once"):
+                listing(3, 2)
 
 
 def _passes_check_word(word, n, l):
