@@ -8,10 +8,12 @@ the median in seconds:
   the Laplacian cofactor;
 - count_sequences_with_frequency over every node of the binary n = 16 half
   tree (levels p >= 1): thousands of small BEST + Burnside counts;
-- build_tree(16, 2), build_tree(16, 2, half_tree=True) and
+- build_tree(16, 2), build_tree(16, 2, half_tree=True),
   build_tree(2, 180), the admitted tree with the most level-1 classes
-  (16,290): the checked necklace listing grouped from the root, as the
-  tree command runs it;
+  (16,290), and build_tree(3, 32), which the CAPS fallback admits and whose
+  necklaces (10,944) are written in letters past the ten digits: the
+  checked necklace listing grouped from the root by the columns of each
+  necklace's sorted-rotation matrix, as the tree command runs it;
 - twofold_table(4) and twofold_table(5): the per-k Phi, PermNo and
   cofactor rows that `twofold --p 4 --table` and `--p 5 --table` print.
   The cache of the Phi row (twofold._phi_row) is cleared before every
@@ -88,7 +90,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import TREE_SHAPES  # noqa: E402
 
 EULER_CASES = [(2, 7), (2, 8), (2, 9), (3, 4), (3, 5), (8, 3), (16, 2)]
-TREE_CASES = [(16, 2, False), (16, 2, True), (2, 180, False)]
+TREE_CASES = [(16, 2, False), (16, 2, True), (2, 180, False), (3, 32, False)]
 LOWER_TREES = [(12, 2), (7, 3)]
 RUNS = 5
 PROCS = 5

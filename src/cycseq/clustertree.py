@@ -18,18 +18,20 @@ from .lowering import STEP1_CAP
 # Unused here, but bench/spans.py wraps these module attributes by name;
 # they go with the next change to the benchmark.
 from .lowering import count_members, lower  # noqa: F401
-from .seqcore import _checked_necklaces, _letters, level1_cluster_size, necklace_count
+from .seqcore import _checked_necklaces, level1_cluster_size, necklace_count
 
 # Largest n of build_tree per alphabet size l, else int(16 / log2(l)). At the
-# cap (2-core Intel Xeon VM, Python 3.11, JSON written to a file) l = 2, 3, 4
-# (n = 16, 9, 8) build in 0.14, 0.04, 0.13 s and export in 0.07, 0.02, 0.06 s,
-# at a max RSS of 25, 19, 25 MB; l = 32 (n = 3) builds in 0.17 s and exports
-# in 0.06 s at 26 MB. Past the cap, binary n = 18 and 20 take 0.6 + 0.15 s
-# at 50 MB and 3.1 + 0.8 s at 152 MB, nearly all of it the tree itself.
-# Every tree the cap admits lists its necklaces within
+# cap (2-core Intel Xeon VM, Python 3.11, JSON written to a file; the median
+# of five builds in each of two processes) l = 2, 3, 4 (n = 16, 9, 8) build
+# in 0.09-0.11, 0.04, 0.14-0.16 s and export in 0.04-0.05, 0.02, 0.06-0.07 s,
+# at a max RSS of 25, 19, 26 MB; l = 32 (n = 3) builds in 0.12-0.20 s and
+# exports in 0.06-0.10 s at 26 MB. Past the cap, binary n = 18 and 20 take
+# 0.4 + 0.15 s at 50 MB and 1.7-2.5 + 0.6-0.8 s at 148 MB, most of it the
+# tree itself. Every tree the cap admits lists its necklaces within
 # seqcore.LIST_MAX_NECKLACES. Those with more than lowering.STEP1_CAP
 # level-1 classes (n = 2 with l > 180, n = 1 with l > 16,384) are refused;
-# the largest admitted, (1, 16384) and (2, 180), build in 0.15 and 0.23 s.
+# the largest admitted, (1, 16384) and (2, 180), build in 0.16-0.19 and
+# 0.19-0.21 s.
 CAPS = {2: 16, 3: 9}
 
 
@@ -94,45 +96,49 @@ def build_tree(n: int, l: int, max_p: int | None = None, half_tree: bool = False
     return ClusterTree(n, l, root)
 
 
-_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
-
-
 def _split_members(root: ClusterNode, words: list, max_p: int) -> None:
     """Refine the tree below root, whose members are the listed necklaces
     `words`, down to singletons or level max_p.
 
-    Each member keeps its letters twice over, so that its rotation by p
-    starts at p, and the indices of its windows, the one starting at i
-    first: at level 0 all are 0; a level deeper, window w becomes
-    w * l + s[i + p], so a node's children are the groups of its members
-    with equal sorted indices. Of two such sorted tuples the larger is the
-    vector with the smaller sort_key, so the children come in sort_key
-    order when their tuples are taken in descending order.
+    Each member is its sorted-rotation matrix M (the Burrows-Wheeler
+    matrix): its n rotations, with letter a written as chr(a) (the
+    listing writes chr(48 + a)), sorted and joined row by row into one
+    string. Sorting the rotations sorts their length-p prefixes too, so
+    the sorted level-p windows are the first p columns of M, row by row,
+    and one level deeper the sorted window indices are
+    [w * l + a for w, a in zip(W, M[p::n])], W being the sorted level-p
+    indices and M[p::n] column p. The members of a node share W, so its
+    children are the groups of its members with equal column p; the
+    equal rows of a periodic necklace are interchangeable. Two columns
+    compare as the sorted window lists they give, and of two such lists
+    the larger is the vector with the smaller sort_key, so the children
+    come in sort_key order when their columns are taken in descending
+    order.
     """
     n, l = root.freq.n, root.freq.l
-    zeros = [0] * n
-    if l <= 10:
-        group = [((word + word).encode().translate(_FROM_DIGITS), zeros) for word in words]
-    else:
-        group = [(tuple(_letters(word + word)), zeros) for word in words]
-    stack = [(root, group)]
+    letters = {48 + a: a for a in range(l)}
+    group = []
+    for word in words:
+        ww = (word + word).translate(letters)
+        group.append("".join(sorted([ww[r:r + n] for r in range(n)])))
+    stack = [(root, [0] * n, group)]
     while stack:
-        node, group = stack.pop()
+        node, parent_windows, group = stack.pop()
         p = node.p
         groups: dict = {}
-        for s, windows in group:
-            windows = [w * l + a for w, a in zip(windows, s[p:])]
-            groups.setdefault(tuple(sorted(windows)), []).append((s, windows))
+        for m in group:
+            groups.setdefault(m[p::n], []).append(m)
         kids = []
-        for key in sorted(groups, reverse=True):
-            group = groups[key]
+        for column in sorted(groups, reverse=True):
+            group = groups[column]
+            windows = [w * l + a for w, a in zip(parent_windows, map(ord, column))]
             counts: dict = {}
-            for w in key:
+            for w in windows:
                 counts[w] = counts.get(w, 0) + 1
             kid = ClusterNode(p + 1, FrequencyVector(p + 1, n, l, counts), len(group))
             kids.append(kid)
             if len(group) > 1 and p + 1 < max_p:
-                stack.append((kid, group))
+                stack.append((kid, windows, group))
         node.children = kids
 
 

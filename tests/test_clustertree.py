@@ -71,12 +71,14 @@ def test_leaves_are_singletons():
     assert conservation_ok(tree.root)
 
 
-def test_tree_matches_exhaustive_clustering():
+@pytest.mark.parametrize("n, l", [(7, 2), (12, 2), (8, 3), (6, 4)])
+def test_tree_matches_exhaustive_clustering(n, l):
     # at every level p the tree nodes are exactly the realized frequency
-    # vectors, with member counts equal to the fiber sizes
-    n = 7
-    tree = build_tree(n, 2)
-    necklaces = all_necklaces(n, 2)
+    # vectors, with member counts equal to the fiber sizes; the periodic
+    # necklaces of (12, 2), (8, 3) and (6, 4) repeat rotations, so rows of
+    # their sorted-rotation matrices repeat
+    tree = build_tree(n, l)
+    necklaces = all_necklaces(n, l)
 
     def collect(node, by_level):
         by_level.setdefault(node.p, {})[node.freq] = node.count
@@ -319,12 +321,14 @@ def _lowered_tree(n, l, max_p, half):
 @pytest.mark.parametrize(
     "n, l, half",
     [(12, 2, False), (12, 2, True), (11, 2, True), (7, 3, False), (6, 3, False), (6, 4, False), (5, 5, False)]
+    + [(2, 11, False), (3, 11, False), (2, 16, False), (1, 300, False)]
     + [(n, 2, half) for n in (1, 2, 3) for half in (False, True)],
 )
 def test_build_tree_equals_the_tree_lowered_node_by_node(n, l, half, max_p):
     # the necklace listing grouped from the root gives the same nodes,
     # counts and child order as lowering every node; (6, 4) and (5, 5) take
-    # the CAPS fallback, and the half tree at n = 1 has a root of one
+    # the CAPS fallback, 11, 16 and 300 letters go past the ten digits (300
+    # past one byte a letter), and the half tree at n = 1 has a root of one
     # necklace that is still split
     want = [_lowered_tree(n, l, n if max_p is None else max_p, half)]
     got = [build_tree(n, l, max_p=max_p, half_tree=half).root]
