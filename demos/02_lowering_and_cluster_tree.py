@@ -9,7 +9,7 @@ from the root [n] builds the whole ultrametric tree.
 from cycseq import (
     FrequencyVector,
     build_tree,
-    count_members,
+    count_sequences_with_frequency,
     enumerate_sequences_with_frequency,
     lower,
     max_branching_level,
@@ -31,7 +31,7 @@ for z in lower(y):
 print("\ncluster [8, 3] of length-11 sequences splits into:")
 y = FrequencyVector.from_dense(1, 11, 2, [8, 3])
 for z in lower(y):
-    print("  ", z.dense(), "with", count_members(z), "members")
+    print("  ", z.dense(), "with", count_sequences_with_frequency(z), "members")
 
 # The full half tree for n = 11 (compositions with at most five 1s).
 tree = build_tree(11, 2, half_tree=True)

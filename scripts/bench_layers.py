@@ -9,11 +9,11 @@ the median in seconds:
 - count_sequences_with_frequency over every node of the binary n = 16 half
   tree (levels p >= 1): thousands of small BEST + Burnside counts;
 - build_tree(16, 2), build_tree(16, 2, half_tree=True),
-  build_tree(2, 180), the admitted tree with the most level-1 classes
-  (16,290), and build_tree(3, 32), which the CAPS fallback admits and whose
-  necklaces (10,944) are written in letters past the ten digits: the
-  checked necklace listing grouped from the root by the columns of each
-  necklace's sorted-rotation matrix, as the tree command runs it;
+  build_tree(2, 180), a tree of 16,290 level-1 classes, and
+  build_tree(3, 32), whose necklaces (10,944) are written in letters past
+  the ten digits: the checked necklace listing grouped from the root by
+  the columns of each necklace's sorted-rotation matrix, as the tree
+  command runs it;
 - twofold_table(4) and twofold_table(5): the per-k Phi, PermNo and
   cofactor rows that `twofold --p 4 --table` and `--p 5 --table` print.
   The cache of the Phi row (twofold._phi_row) is cleared before every

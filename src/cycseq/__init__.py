@@ -43,7 +43,6 @@ from .freqspace import (
 )
 from .lowering import (
     WaveletBasis,
-    count_members,
     lower,
     lowering_incidence_action,
     raising_matrix_action,

@@ -126,25 +126,9 @@ def _check_debruijn_printable(l: int, p: int, f: int = 1) -> None:
     )
 
 
-# Largest vertex count l^p of G_l(p) that euler-count admits. Twin merging
-# collapses G_l(p) level by level, so the sparse cofactor takes at most
-# 7 ms up to the cap, at (16, 2), and past it 6-10 ms at (2, 10), (3, 6)
-# and (5, 4), 11 ms at (8, 3), 18 ms at (10, 3) and 74 ms at (32, 2)
-# (in-process, 2-core Intel Xeon VM). Graphs without twins still fill in:
-# 512 hubs joined by random long cycles take 27 s, so the cap stays until
-# one budget on the fill-in replaces both it and debruijn.BEST_MAX_BRANCHING.
-EULER_COUNT_MAX_VERTICES = 256
-
-
 def cmd_euler_count(args) -> None:
     l, p = args.alphabet, args.p
     if p >= 0 and l >= 2:
-        cap = EULER_COUNT_MAX_VERTICES
-        # l >= 2, so l^k > cap once k reaches the bit length of cap.
-        if l ** min(p, cap.bit_length()) > cap:
-            raise ResourceCapError(
-                f"G_{l}({p}) has more than {cap} vertices, the cap for euler-count"
-            )
         # ec(G_l(p)) is the number of de Bruijn sequences of order p + 1.
         _check_debruijn_printable(l, p + 1)
     g = debruijn.full_graph(l, p)

@@ -7,36 +7,28 @@ from __future__ import annotations
 import io
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import TextIO
 
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError
 from .freqspace import FrequencyVector
-from .lowering import STEP1_CAP
 
 # Unused here, but bench/spans.py wraps these module attributes by name;
 # they go with the next change to the benchmark.
-from .lowering import count_members, lower  # noqa: F401
-from .seqcore import _checked_necklaces, level1_cluster_size, necklace_count
+from .debruijn import count_sequences_with_frequency as count_members  # noqa: F401
+from .lowering import lower  # noqa: F401
+from .seqcore import _check_listable, _checked_necklaces, level1_cluster_size, necklace_count
 
-# Largest n of build_tree per alphabet size l, else int(16 / log2(l)). At the
-# cap (2-core Intel Xeon VM, Python 3.11, JSON written to a file; the median
-# of five builds in each of two processes) l = 2, 3, 4 (n = 16, 9, 8) build
-# in 0.09-0.11, 0.04, 0.14-0.16 s and export in 0.04-0.05, 0.02, 0.06-0.07 s,
-# at a max RSS of 25, 19, 26 MB; l = 32 (n = 3) builds in 0.12-0.20 s and
-# exports in 0.06-0.10 s at 26 MB. Past the cap, binary n = 18 and 20 take
-# 0.4 + 0.15 s at 50 MB and 1.7-2.5 + 0.6-0.8 s at 148 MB, most of it the
-# tree itself. Every tree the cap admits lists its necklaces within
-# seqcore.LIST_MAX_NECKLACES. Those with more than lowering.STEP1_CAP
-# level-1 classes (n = 2 with l > 180, n = 1 with l > 16,384) are refused;
-# the largest admitted, (1, 16384) and (2, 180), build in 0.16-0.19 and
-# 0.19-0.21 s.
-CAPS = {2: 16, 3: 9}
-
-
-def _max_n(l: int) -> int:
-    return CAPS.get(l, int(16 / math.log2(l)))
+# Most necklaces build_tree lists; a tree's cost follows necklace_count(n, l)
+# times its depth. At the cap (2-core Intel Xeon VM, Python 3.11, JSON written
+# to /dev/null) the largest trees of l = 2, 3, 4, 5, at n = 19, 11, 9, 7
+# (27,596, 16,107, 29,144, 11,165 necklaces), build in 1.39, 0.47, 0.80,
+# 0.23 s and export in 0.54, 0.20, 0.30, 0.10 s at a max RSS of 82, 38, 49,
+# 27 MB; the widest, (3, 46), (2, 255) and (1, 32768), build in 0.51-0.72 s
+# and export in 0.17-0.36 s at 40-42 MB. Past it binary n = 20 (52,488) takes
+# 2.2 + 1.1 s at 148 MB. It bounds the level-1 classes too: l at n = 1 and
+# l(l + 1)/2 at n = 2 are the necklace counts, and at n >= 3 there are fewer.
+TREE_MAX_NECKLACES = 1 << 15
 
 
 @dataclass(slots=True)
@@ -64,23 +56,16 @@ def build_tree(n: int, l: int, max_p: int | None = None, half_tree: bool = False
     compositions, each counted as level1_cluster_size says. Refinement
     stops once a cluster is a singleton or max_p is reached. half_tree
     (l = 2 only) keeps the necklaces with at most floor(n/2) ones, and its
-    root count is theirs whatever max_p is. n past CAPS (_max_n), and more
-    level-1 classes than lowering.STEP1_CAP, are refused before any
-    necklace is listed.
+    root count is theirs whatever max_p is. More than TREE_MAX_NECKLACES
+    necklaces are refused before any is listed.
     """
-    if l < 2:
-        raise DomainError("alphabet size must be >= 2")
-    max_n = _max_n(l)
-    if n > max_n:
-        raise ResourceCapError(f"n exceeds the cap {max_n} for this alphabet size")
+    _check_listable(n, l, TREE_MAX_NECKLACES)
     if half_tree and l != 2:
         raise DomainError("half_tree is defined for the binary alphabet only")
     if max_p is None:
         max_p = n
 
     root = ClusterNode(0, FrequencyVector(0, n, l, {0: n}), necklace_count(n, l))
-    if math.comb(n + l - 1, l - 1) > STEP1_CAP:
-        raise ResourceCapError(f"the tree would have more than {STEP1_CAP} level-1 classes")
     words = _checked_necklaces(n, l)
     if half_tree:
         words = [w for w in words if w.count("1") <= n // 2]

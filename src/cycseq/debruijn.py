@@ -32,8 +32,8 @@ SEQUENCE_COUNT_CAP = 10_000
 
 # Cap of full_graph: the l^(p+1) windows of G_l(p), checked before any is
 # built. At the cap G_2(15) builds in 0.13 s at 44 MB of RSS, and G_2(16)
-# would take 0.21 s and 68 MB, doubling with each p. The cap admits every
-# graph that euler-count admits (l^p <= 256, so l^(p+1) <= 256^2).
+# would take 0.21 s and 68 MB, doubling with each p. Every vertex of G_l(p)
+# branches, so this cap and BEST_MAX_BRANCHING are what bound euler-count.
 FULL_GRAPH_MAX_WINDOWS = 1 << 16
 
 # Size cap of one BEST count: the branching vertices (out-weight >= 2) left

@@ -263,14 +263,24 @@ def p_close(a: CyclicSequence, b: CyclicSequence, p: int) -> bool:
 
 
 def gamma_max(a: CyclicSequence, b: CyclicSequence) -> int:
-    """Largest p in 0..n-1 with a p-close to b (0 always qualifies)."""
+    """Largest p in 0..n-1 with a p-close to b (0 always qualifies).
+
+    p-closeness holds at every level below one where it holds, since
+    raising project(s, p) gives project(s, p - 1), so p is found by
+    bisection with O(log n) projections."""
     _check_compatible(a, b)
     if a == b:
         raise DomainError("gamma_max requires distinct sequences")
-    for p in range(a.n - 1, -1, -1):
-        if project(a, p) == project(b, p):
-            return p
-    raise ArithmeticError("level 0 projections always coincide")
+    if project(a, 0) != project(b, 0):
+        raise ArithmeticError("level 0 projections always coincide")
+    lo, hi = 0, a.n - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if project(a, mid) == project(b, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def ultrametric_distance(a: CyclicSequence, b: CyclicSequence) -> float:

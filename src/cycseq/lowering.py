@@ -8,7 +8,7 @@ import math
 from itertools import islice, product
 from typing import Sequence
 
-from .debruijn import _union_find, count_sequences_with_frequency
+from .debruijn import _union_find
 
 # Unused here, but bench/spans.py wraps this module attribute by name; it
 # goes with the next change to the benchmark.
@@ -211,11 +211,6 @@ def lower(y: FrequencyVector) -> list[FrequencyVector]:
         if len(parent) - merges == 1:
             out.append(z)
     return out
-
-
-def count_members(z: FrequencyVector) -> int:
-    """Number of distinct cyclic sequences realizing z; 0 iff disconnected."""
-    return count_sequences_with_frequency(z)
 
 
 class WaveletBasis:

@@ -308,12 +308,13 @@ def _check_enumerable(n: int, l: int, cap_bits: int) -> None:
         raise ResourceCapError(f"enumeration of l^n words exceeds the {cap_bits}-bit cap")
 
 
-def _check_listable(n: int, l: int) -> None:
-    """The arguments and the necklace_count(n, l) <= LIST_MAX_NECKLACES guard
-    of a listing. There are at least l^n / n necklaces, more than the cap
-    whenever l^n has more than twice its bits, so a larger count is never
-    computed."""
-    cap = LIST_MAX_NECKLACES
+def _check_listable(n: int, l: int, cap: int | None = None) -> None:
+    """The arguments and the necklace_count(n, l) <= cap guard of a listing,
+    cap being LIST_MAX_NECKLACES unless given. There are at least l^n / n
+    necklaces, more than the cap whenever l^n has more than twice its bits,
+    so a larger count is never computed."""
+    if cap is None:
+        cap = LIST_MAX_NECKLACES
     _check_enumerable(n, l, 2 * cap.bit_length())
     if necklace_count(n, l) > cap:
         raise ResourceCapError(f"listing more than {cap} necklaces exceeds the listing cap")

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycseq import count_twofold_exact, enumerate_necklaces, gamma_max, seqcore, ultrametric_distance
-from cycseq.cli import EULER_COUNT_MAX_VERTICES, main
+from cycseq.cli import main
+from cycseq.debruijn import BEST_MAX_BRANCHING
 
 from conftest import naive_window_counts
 
@@ -193,7 +194,7 @@ def test_tree_dot_and_newick(capsys):
 
 
 def test_tree_cap(capsys):
-    code, _, _ = run(capsys, "tree", "--n", "17")
+    code, _, _ = run(capsys, "tree", "--n", "20")
     assert code == 4
 
 
@@ -514,13 +515,14 @@ def test_levels_past_n_are_a_domain_error(capsys, argv):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("l, p", [(2, 7), (3, 4), (2, 8), (16, 2)])
+@pytest.mark.parametrize("l, p", [(2, 7), (3, 4), (2, 8), (16, 2), (2, 9), (8, 3), (17, 2)])
 def test_euler_count_below_the_cap(capsys, l, p):
-    # ec(G_l(p)) is the number of de Bruijn sequences of order p + 1
+    # ec(G_l(p)) is the number of de Bruijn sequences of order p + 1; every
+    # vertex of G_l(p) branches, so the BEST cap bounds euler-count
     euler = run_json(capsys, "euler-count", "--alphabet", str(l), "--p", str(p))
     debruijn = run_json(capsys, "debruijn-count", "--alphabet", str(l), "--p", str(p + 1))
     assert euler == debruijn
-    assert l**p <= EULER_COUNT_MAX_VERTICES
+    assert l**p <= BEST_MAX_BRANCHING
 
 
 # Malformed values for a vector field; sizes stay small (l^p is not capped).
@@ -567,12 +569,13 @@ def size_flags(small, past):
 
 
 # The sized commands: each integer flag with its small valid values and the
-# values just past its caps (CAPS of the tree, the listing and printing caps
-# of the counts, Phi's block cap, the vertex cap of euler-count), and each
-# switch. The small values keep every admitted run well under a second.
+# values just past its caps (the tree's necklace budget, the listing and
+# printing caps of the counts, Phi's block cap, the window and BEST caps of
+# euler-count), and each switch. The small values keep every admitted run
+# well under a second.
 SIZED_COMMANDS = {
     "tree": (
-        {"--n": ((0, 7), [17, 10, 9]), "--alphabet": ((1, 4), [65537]), "--max-p": ((0, 4), [17])},
+        {"--n": ((0, 7), [20]), "--alphabet": ((1, 4), [32769, 256, 47]), "--max-p": ((0, 4), [17])},
         ["--half"],
     ),
     "necklaces": (
@@ -581,7 +584,7 @@ SIZED_COMMANDS = {
     ),
     "twofold": ({"--p": ((0, 4), [6, 14])}, ["--table"]),
     "phi-table": ({"--p": ((0, 4), [6, 14])}, []),
-    "euler-count": ({"--alphabet": ((1, 4), [17, 257]), "--p": ((0, 4), [9, 6])}, []),
+    "euler-count": ({"--alphabet": ((1, 4), [23, 257]), "--p": ((0, 4), [10, 6])}, []),
     "debruijn-count": (
         {"--alphabet": ((1, 4), [4301]), "--p": ((0, 6), [15]), "--fold": ((1, 4), [8601])},
         [],

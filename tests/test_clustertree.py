@@ -32,10 +32,9 @@ from cycseq import (
 
 from cycseq import clustertree, seqcore
 from cycseq.cli import main
-from cycseq.clustertree import _max_n
+from cycseq.clustertree import TREE_MAX_NECKLACES
 from cycseq.freqspace import index_word, word_index
-from cycseq.lowering import STEP1_CAP, lower
-from cycseq.seqcore import LIST_MAX_NECKLACES
+from cycseq.lowering import lower
 
 from conftest import all_necklaces
 
@@ -176,9 +175,9 @@ def test_half_root_count_does_not_depend_on_max_p(capsys):
 
 def test_caps_and_domain_errors():
     with pytest.raises(ResourceCapError):
-        build_tree(17, 2)
+        build_tree(20, 2)
     with pytest.raises(ResourceCapError):
-        build_tree(10, 3)
+        build_tree(12, 3)
     with pytest.raises(DomainError):
         build_tree(6, 3, half_tree=True)
     for l in (1, 0, -1):
@@ -326,8 +325,8 @@ def _lowered_tree(n, l, max_p, half):
 )
 def test_build_tree_equals_the_tree_lowered_node_by_node(n, l, half, max_p):
     # the necklace listing grouped from the root gives the same nodes,
-    # counts and child order as lowering every node; (6, 4) and (5, 5) take
-    # the CAPS fallback, 11, 16 and 300 letters go past the ten digits (300
+    # counts and child order as lowering every node; (6, 4) and (5, 5) have
+    # more than three letters, 11, 16 and 300 go past the ten digits (300
     # past one byte a letter), and the half tree at n = 1 has a root of one
     # necklace that is still split
     want = [_lowered_tree(n, l, n if max_p is None else max_p, half)]
@@ -368,36 +367,20 @@ def test_build_tree_refuses_a_short_member_list(monkeypatch):
             build_tree(n, l, half_tree=half)
 
 
-def test_caps_admit_only_listable_classes():
-    # every tree within CAPS lists its necklaces within the listing cap, and
-    # has at most STEP1_CAP level-1 classes but for the shapes build_tree
-    # refuses for that: n = 2 with l = 181..256 and n = 1 with l =
-    # 16,385..65,536, the last alphabet CAPS admits
-    refused = set()
-    l = 2
-    while _max_n(l) >= 1:
-        for n in range(1, _max_n(l) + 1):
-            assert necklace_count(n, l) <= LIST_MAX_NECKLACES, (n, l)
-            if math.comb(n + l - 1, l - 1) > STEP1_CAP:
-                refused.add((n, l))
-        l += 1
-    assert l == 65537
-    assert refused == {(2, l) for l in range(181, 257)} | {(1, l) for l in range(16385, 65537)}
-    assert _max_n(2) == 16 and _max_n(3) == 9
-
-
-def test_largest_level1_splits_build_quickly():
-    # the admitted trees with the most level-1 classes, 16,384 and 16,290,
-    # are built from their listings; one letter more is refused at once
-    for n, l in ((1, 16384), (2, 180)):
+def test_necklace_budget_at_its_edges():
+    # the widest trees of one, two and three positions the budget admits
+    # build, with every level-1 class; one letter more, or binary n = 20, is
+    # refused before any necklace is listed
+    for n, l in ((1, 32768), (2, 255), (3, 46)):
+        assert necklace_count(n, l) <= TREE_MAX_NECKLACES < necklace_count(n, l + 1)
         start = time.perf_counter()
         tree = build_tree(n, l)
         assert time.perf_counter() - start < 5.0, (n, l)
         assert len(tree.root.children) == math.comb(n + l - 1, l - 1)
         assert conservation_ok(tree.root)
-    for n, l in ((1, 16385), (2, 181)):
+    for n, l in ((1, 32769), (2, 256), (3, 47), (20, 2)):
         start = time.perf_counter()
-        with pytest.raises(ResourceCapError, match="level-1 classes"):
+        with pytest.raises(ResourceCapError, match="listing cap"):
             build_tree(n, l)
         assert time.perf_counter() - start < 1.0, (n, l)
 

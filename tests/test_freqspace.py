@@ -168,6 +168,30 @@ def test_gamma_max_raises_arithmetic_error_when_no_level_agrees(monkeypatch):
         gamma_max(canonicalize([1, 0, 0], 2), canonicalize([1, 1, 0], 2))
 
 
+def test_gamma_max_equals_the_downward_scan():
+    # on every pair of distinct binary necklaces up to length 10, against
+    # the first level from n - 1 down at which the window counts agree
+    for n in range(2, 11):
+        necklaces = all_necklaces(n, 2)
+        levels = [[project(s, p) for p in range(n)] for s in necklaces]
+        for i, a in enumerate(necklaces):
+            for j in range(i + 1, len(necklaces)):
+                scan = next(p for p in range(n - 1, -1, -1) if levels[i][p] == levels[j][p])
+                assert gamma_max(a, necklaces[j]) == scan, (a, necklaces[j])
+
+
+def test_gamma_max_of_a_long_transposition_is_quick():
+    # 1^a 0 1^b 0 1^c 0 against 1^a 0 1^c 0 1^b 0 at n = 1,997 agree up to
+    # level 1,329; a scan down from n - 1 projects both at 668 levels
+    a, b, c = 661, 666, 667
+    s = canonicalize([1] * a + [0] + [1] * b + [0] + [1] * c + [0], 2)
+    t = canonicalize([1] * a + [0] + [1] * c + [0] + [1] * b + [0], 2)
+    start = time.perf_counter()
+    assert gamma_max(s, t) == 1329
+    assert time.perf_counter() - start < 1.5
+    assert project(s, 1329) == project(t, 1329) and project(s, 1330) != project(t, 1330)
+
+
 def test_strong_triangle_inequality_exhaustive_n6():
     necklaces = all_necklaces(6, 2)
     gammas = {}

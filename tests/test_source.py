@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import cycseq
@@ -105,3 +106,25 @@ def test_every_import_is_used():
                 if name not in read:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+# module.NAME for a cycseq module, not followed by a file suffix
+MODULE_REFERENCE = re.compile(
+    r"\b(cli|clustertree|debruijn|freqspace|lowering|seqcore|twofold)\.(?!py\b)([A-Za-z_]\w*)"
+)
+
+
+def test_every_module_reference_in_the_docs_exists():
+    # a constant or function named in the README, a docstring, a comment or
+    # a script must still be there, so that no text names a deleted cap
+    paths = [ROOT / "README.md", *sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]
+    seen, missing = 0, []
+    for path in paths:
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            for match in MODULE_REFERENCE.finditer(line):
+                seen += 1
+                module = importlib.import_module(f"cycseq.{match[1]}")
+                if not hasattr(module, match[2]):
+                    missing.append(f"{path.name}:{number} {match[0]}")
+    assert seen
+    assert missing == []
