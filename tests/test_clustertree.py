@@ -35,6 +35,7 @@ from cycseq.cli import main
 from cycseq.clustertree import TREE_MAX_NECKLACES
 from cycseq.freqspace import index_word, word_index
 from cycseq.lowering import lower
+from cycseq.seqcore import LIST_MAX_NECKLACES
 
 from conftest import all_necklaces
 
@@ -367,7 +368,28 @@ def test_build_tree_refuses_a_short_member_list(monkeypatch):
             build_tree(n, l, half_tree=half)
 
 
-def test_necklace_budget_at_its_edges():
+def test_caps_admit_only_listable_classes():
+    # every tree within the necklace budget lists its necklaces within the
+    # listing cap, and has no more level-1 classes than necklaces, so the
+    # budget bounds the classes too; the walk ends at the first alphabet
+    # whose one-position tree is refused
+    assert TREE_MAX_NECKLACES <= LIST_MAX_NECKLACES
+    largest = {}
+    l = 2
+    while necklace_count(1, l) <= TREE_MAX_NECKLACES:
+        n = 1
+        while necklace_count(n, l) <= TREE_MAX_NECKLACES:
+            assert math.comb(n + l - 1, l - 1) <= necklace_count(n, l), (n, l)
+            n += 1
+        largest[l] = n - 1
+        l += 1
+    assert l == 32769
+    assert [largest[l] for l in (2, 3, 4, 5)] == [19, 11, 9, 7]
+    assert max(l for l, n in largest.items() if n >= 2) == 255
+    assert max(l for l, n in largest.items() if n >= 3) == 46
+
+
+def test_largest_level1_splits_build_quickly():
     # the widest trees of one, two and three positions the budget admits
     # build, with every level-1 class; one letter more, or binary n = 20, is
     # refused before any necklace is listed
