@@ -27,6 +27,10 @@ the median in seconds:
   of the benchmark's `necklaces` workload: FKM generation straight to the
   strings that `necklaces --list` prints, the whole listing checked at
   once;
+- necklace_strings(24, 2) and necklace_strings(15, 3), the largest digit
+  listings LIST_MAX_NECKLACES admits, and necklace_strings(2, 1447), the
+  largest at n = 2, in the comma form: past 64 letters the listing reuses
+  no suffix completions, and each word is checked and converted on its own;
 - enumerate_sequences_with_frequency on binary [10, 10] (9,252 members)
   and ternary [15, 3, 2] (7,752 members): the member listing of
   `members`, at the largest lists that SEQUENCE_COUNT_CAP admits;
@@ -241,6 +245,9 @@ TIMED_SETUPS = (
         _necklaces,
         lambda: _necklace_strings(11, 3),
         lambda: _necklace_strings(20, 2),
+        lambda: _necklace_strings(24, 2),
+        lambda: _necklace_strings(15, 3),
+        lambda: _necklace_strings(2, 1447),
         _members,
         _tree_round,
         _lower_tree_nodes,

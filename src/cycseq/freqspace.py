@@ -266,14 +266,18 @@ def gamma_max(a: CyclicSequence, b: CyclicSequence) -> int:
     """Largest p in 0..n-1 with a p-close to b (0 always qualifies).
 
     p-closeness holds at every level below one where it holds, since
-    raising project(s, p) gives project(s, p - 1), so p is found by
-    bisection with O(log n) projections."""
+    raising project(s, p) gives project(s, p - 1). So levels 1, 2, 4, ...
+    are tried up to the first that is not close, and p is found by
+    bisection below it: O(log p) projections, none above level max(2p, 1)."""
     _check_compatible(a, b)
     if a == b:
         raise DomainError("gamma_max requires distinct sequences")
     if project(a, 0) != project(b, 0):
         raise ArithmeticError("level 0 projections always coincide")
-    lo, hi = 0, a.n - 1
+    lo, hi, step = 0, a.n - 1, 1
+    while step <= hi and project(a, step) == project(b, step):
+        lo, step = step, 2 * step
+    hi = min(hi, step - 1)
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if project(a, mid) == project(b, mid):

@@ -16,11 +16,15 @@ from .debruijn import enumerate_sequences_with_frequency  # noqa: F401
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector, check_index_width, check_level
 
-# Work cap of step 1: the product of the per-block solution counts. No node
-# of the binary n <= 16 or ternary n <= 9 trees has more than 256 candidates.
-# On a 2-core Intel Xeon VM (Python 3.11) lowering ternary [16, 16, 16]
-# (11,781 candidates) takes about 0.3 s, and reaching the cap on
-# [100, 100, 100] about 0.08 s.
+# Work cap of step 1: the product of the per-block solution counts, checked
+# before any candidate is built. It bounds the public lower and solve_step1
+# (the `lower` command; cluster trees do not lower), which cost about 25 us
+# and 1.9 kB of traced memory per candidate. On a 2-core Intel Xeon VM
+# (Python 3.11) lowering ternary [16, 16, 16] (11,781 candidates) takes
+# about 0.3 s, and the largest equal composition admitted, [17, 17, 17]
+# (14,706), 0.27-0.38 s, or 0.43-0.53 s at 47 MB of RSS as a command;
+# with the cap lifted [24, 24, 24] (52,975) took 1.4 s and 101 MB traced.
+# Reaching the cap on [100, 100, 100] takes about 0.08 s.
 STEP1_CAP = 1 << 14
 
 

@@ -16,11 +16,12 @@ from .errors import DomainError, ResourceCapError, brief
 
 # Most necklaces one listing returns (enumerate_necklaces, necklace_strings).
 # At the cap, `necklaces --list` at binary n = 24 (699,252 necklaces) and
-# ternary n = 15 (956,635) took 1.1-1.2 s at up to 139 MB of RSS and 20 MB of
-# output; the comma form at n = 2, l = 1,447 and n = 1, l = 2^20 took 2.1-2.7 s
-# at up to 127 MB. Quaternary n = 12 (1,398,500) took 3.8 s at 156 MB and is
-# refused (2-core Intel Xeon VM, Python 3.11). Every admitted letter chr(48 + a)
-# is below U+110000.
+# ternary n = 15 (956,635) took 0.96-1.20 s at up to 140 MB of RSS and 20 MB
+# of output; the comma form at n = 2, l = 1,447 and n = 1, l = 2^20 took
+# 2.0-4.7 s at up to 128 MB, its time spreading that widely from run to run.
+# Quaternary n = 12 (1,398,500) took 0.85 s at 181 MB and is refused (2-core
+# Intel Xeon VM, Python 3.11). Every admitted letter chr(48 + a) is below
+# U+110000.
 LIST_MAX_NECKLACES = 1 << 20
 
 # Widest necklace_count, as n log2(l) bits of l^n. At the cap the count took
@@ -270,29 +271,113 @@ def level1_cluster_size(counts: Sequence[int]) -> int:
     return _burnside(n, terms)
 
 
-def _necklace_letters(n: int, l: int):
-    """Each necklace of length n over l letters as its maximal rotation,
-    strictly descending, as a string whose letter a is chr(48 + a): for
-    l <= 10 that is the digit string.
+def _suffix_length(n: int, l: int) -> int:
+    """m, the length of the suffixes whose completions _necklace_letters
+    reuses: ceil(n / 4), and 0 (no reuse) at n = 1 or past 64 letters.
+
+    Generator times over m = 0..n/2 put the fastest m at or next to
+    ceil(n/4) for binary n = 16..22, ternary n = 10..13, and (9, 4),
+    (10, 4), (8, 5), (9, 5), (7, 7), (6, 9), (6, 10) and (5, 16), at
+    0.28-0.50 of the m = 0 time there. Past 64 letters only n <= 3 is
+    listable, and at n = 2 each prefix is a single letter whose completions
+    are never reused.
+    """
+    return 0 if n == 1 or l > 64 else (n + 3) // 4
+
+
+def _prenecklaces(h: int, l: int):
+    """Each prenecklace of length h over l letters, strictly descending,
+    with its period p, as (word, p); the letters are those of
+    _necklace_letters.
 
     The FKM algorithm (Fredricksen, Kessler, Maiorana; in the form of
     Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 37, 2000) on
-    complemented letters a -> l-1-a: it visits the prenecklaces in
-    lexicographic order and keeps those whose period p divides n, in
-    constant amortized time per necklace. The next prenecklace decrements
-    the last letter that is not 0 and repeats the prefix it ends.
+    complemented letters a -> l-1-a, in constant amortized time per word:
+    the next prenecklace decrements the last letter that is not 0 and
+    repeats the prefix it ends, whose length is the new period.
     """
-    word = chr(47 + l) * n
+    word = chr(47 + l) * h
     p = 1
     while True:
-        if n % p == 0:
-            yield word
+        yield word, p
         prefix = word.rstrip("0")
         if not prefix:
             return
         p = len(prefix)
         prefix = prefix[:-1] + chr(ord(prefix[-1]) - 1)
-        word = prefix if p == n else (prefix * (n // p + 1))[:n]
+        word = prefix if p == h else (prefix * (h // p + 1))[:h]
+
+
+def _completions(r: str, head: str, whole: bool) -> list[str]:
+    """The suffixes s, descending, for which prefix + s is a necklace, where
+    prefix is a prenecklace of period p at least as long as s, r is its
+    last p letters repeated out to len(s) letters, head = prefix[:len(s) -
+    1] and whole says whether p divides len(prefix + s); _necklace_letters
+    shows why these decide s.
+
+    The FKM step of _prenecklaces run on the suffix alone: r first, then
+    each next suffix decrements its last letter that is not 0, at position
+    j, and copies head after it. A suffix is kept when it is r and whole,
+    or when j is its last position.
+    """
+    m = len(r)
+    out = [r] if whole else []
+    s = r
+    while True:
+        t = s.rstrip("0")
+        if not t:
+            return out
+        j = len(t)
+        s = t[:-1] + chr(ord(t[-1]) - 1) + head[: m - j]
+        if j == m:
+            out.append(s)
+
+
+def _necklace_letters(n: int, l: int):
+    """Each necklace of length n over l letters as its maximal rotation,
+    strictly descending, as a string whose letter a is chr(48 + a): for
+    l <= 10 that is the digit string.
+
+    With m = _suffix_length(n, l) = 0 this is the FKM loop of _prenecklaces
+    at length n, keeping the prenecklaces whose period p divides n; it keeps
+    a loop of its own, since filtering the (word, p) pairs of _prenecklaces
+    took 20-30% longer on the comma-form listings. Past that, each
+    prenecklace of length h = n - m (descending, so the words come out
+    descending) is followed by its _completions, which depend only on the
+    key (r, head, n % p == 0), r being the prefix's last p letters repeated
+    out to m letters and head = prefix[:m - 1]; each key's completions are
+    computed once per listing.
+
+    Why the key is enough, in positions 1..n: a word is a prenecklace iff
+    each letter w[t] is at most w[t - p], p the period so far, which a
+    smaller letter (a decrement at t) makes t; it is a necklace iff the
+    final period divides n. In the suffix, before any decrement, w[t - p]
+    continues the prefix's period: the letters of r. After a decrement at
+    s > h, w[t - s] has t - s <= n - h - 1 = m - 1 <= h, a letter of head.
+    The final period is p if the suffix has no decrement, else its last
+    decrement s, and s divides n only at s = n, since m <= n/2 puts s > h
+    >= n/2. So r, head and whether p divides n decide every completion.
+    """
+    m = _suffix_length(n, l)
+    if m == 0:
+        word = chr(47 + l) * n
+        p = 1
+        while True:
+            if n % p == 0:
+                yield word
+            prefix = word.rstrip("0")
+            if not prefix:
+                return
+            p = len(prefix)
+            prefix = prefix[:-1] + chr(ord(prefix[-1]) - 1)
+            word = prefix if p == n else (prefix * (n // p + 1))[:n]
+    cache: dict[tuple[str, str, bool], list[str]] = {}
+    for prefix, p in _prenecklaces(n - m, l):
+        key = ((prefix[-p:] * m)[:m], prefix[: m - 1], n % p == 0)
+        suffixes = cache.get(key)
+        if suffixes is None:
+            suffixes = cache[key] = _completions(*key)
+        yield from map(prefix.__add__, suffixes)
 
 
 def _letters(word: str) -> list[int]:

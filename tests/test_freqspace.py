@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import time
 from itertools import product
 
@@ -190,6 +191,26 @@ def test_gamma_max_of_a_long_transposition_is_quick():
     assert gamma_max(s, t) == 1329
     assert time.perf_counter() - start < 1.5
     assert project(s, 1329) == project(t, 1329) and project(s, 1330) != project(t, 1330)
+
+
+def test_gamma_max_projects_no_level_far_above_gamma(monkeypatch):
+    # two random binary words of length 20,000 differ at level 1 already:
+    # no level above 2 gamma + 2 is projected, where a bisection from the
+    # middle of 0..n-1 projected both words at levels near n / 2
+    from cycseq import freqspace
+
+    rng = random.Random(1)
+    a, b = (canonicalize([rng.randrange(2) for _ in range(20_000)], 2) for _ in range(2))
+    levels = []
+
+    def counting_project(s, p):
+        levels.append(p)
+        return project(s, p)
+
+    monkeypatch.setattr(freqspace, "project", counting_project)
+    gamma = gamma_max(a, b)
+    assert gamma == 0
+    assert max(levels) <= 2 * gamma + 2
 
 
 def test_strong_triangle_inequality_exhaustive_n6():

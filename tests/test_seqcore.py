@@ -153,13 +153,21 @@ def test_necklace_count_matches_enumeration():
     [(2, n) for n in range(1, 13)]
     + [(3, n) for n in range(1, 8)]
     + [(4, n) for n in range(1, 6)]
-    + [(5, n) for n in range(1, 5)],
+    + [(5, n) for n in range(1, 5)]
+    + [(l, n) for l in (11, 12) for n in range(1, 4)],
 )
-def test_enumerate_necklaces_sorted_and_complete(l, n):
-    # the generator's order, not just its set: descending by index
-    got = enumerate_necklaces(n, l)
-    assert got == sorted(all_necklaces(n, l), key=CyclicSequence.index, reverse=True)
-    assert len(got) == necklace_count(n, l)
+def test_enumerate_necklaces_sorted_and_complete(monkeypatch, l, n):
+    # the generator's order, not just its set: descending by index, at
+    # every suffix length m the generator may reuse completions for
+    want = sorted(all_necklaces(n, l), key=CyclicSequence.index, reverse=True)
+    assert len(want) == necklace_count(n, l)
+    assert 0 <= seqcore._suffix_length(n, l) <= n // 2
+    monkeypatch.setattr(seqcore, "_suffix_length", lambda n, l: 0)
+    unsplit = list(seqcore._necklace_letters(n, l))
+    for m in range(n // 2 + 1):
+        monkeypatch.setattr(seqcore, "_suffix_length", lambda n, l: m)
+        assert list(seqcore._necklace_letters(n, l)) == unsplit, m
+        assert enumerate_necklaces(n, l) == want, m
 
 
 def test_enumerate_necklaces_ternary():
