@@ -29,8 +29,8 @@ the median in seconds:
   once;
 - necklace_strings(24, 2) and necklace_strings(15, 3), the largest digit
   listings LIST_MAX_NECKLACES admits, and necklace_strings(2, 1447), the
-  largest at n = 2, in the comma form: past 64 letters the listing reuses
-  no suffix completions, and each word is checked and converted on its own;
+  largest at n = 2, in the comma form: at n = 2 the listing reuses no
+  suffix completions, and each word is checked and converted on its own;
 - enumerate_sequences_with_frequency on binary [10, 10] (9,252 members)
   and ternary [15, 3, 2] (7,752 members): the member listing of
   `members`, at the largest lists that SEQUENCE_COUNT_CAP admits;

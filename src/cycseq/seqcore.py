@@ -16,7 +16,7 @@ from .errors import DomainError, ResourceCapError, brief
 
 # Most necklaces one listing returns (enumerate_necklaces, necklace_strings).
 # At the cap, `necklaces --list` at binary n = 24 (699,252 necklaces) and
-# ternary n = 15 (956,635) took 0.96-1.20 s at up to 140 MB of RSS and 20 MB
+# ternary n = 15 (956,635) took 0.74-1.20 s at up to 140 MB of RSS and 20 MB
 # of output; the comma form at n = 2, l = 1,447 and n = 1, l = 2^20 took
 # 2.0-4.7 s at up to 128 MB, its time spreading that widely from run to run.
 # Quaternary n = 12 (1,398,500) took 0.85 s at 181 MB and is refused (2-core
@@ -271,41 +271,18 @@ def level1_cluster_size(counts: Sequence[int]) -> int:
     return _burnside(n, terms)
 
 
-def _suffix_length(n: int, l: int) -> int:
+def _suffix_length(n: int) -> int:
     """m, the length of the suffixes whose completions _necklace_letters
-    reuses: ceil(n / 4), and 0 (no reuse) at n = 1 or past 64 letters.
+    reuses: ceil(n / 4), and 0 (no reuse) at n <= 2.
 
     Generator times over m = 0..n/2 put the fastest m at or next to
     ceil(n/4) for binary n = 16..22, ternary n = 10..13, and (9, 4),
-    (10, 4), (8, 5), (9, 5), (7, 7), (6, 9), (6, 10) and (5, 16), at
-    0.28-0.50 of the m = 0 time there. Past 64 letters only n <= 3 is
-    listable, and at n = 2 each prefix is a single letter whose completions
-    are never reused.
+    (10, 4), (8, 5), (9, 5), (7, 7), (6, 9), (6, 10), (5, 16), (3, 100)
+    and (3, 146), at 0.28-0.50 of the m = 0 time there. A completion is
+    reused only when two prefixes share a key, which needs n >= 3: at
+    n = 2 each prefix is a single letter, its own key.
     """
-    return 0 if n == 1 or l > 64 else (n + 3) // 4
-
-
-def _prenecklaces(h: int, l: int):
-    """Each prenecklace of length h over l letters, strictly descending,
-    with its period p, as (word, p); the letters are those of
-    _necklace_letters.
-
-    The FKM algorithm (Fredricksen, Kessler, Maiorana; in the form of
-    Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 37, 2000) on
-    complemented letters a -> l-1-a, in constant amortized time per word:
-    the next prenecklace decrements the last letter that is not 0 and
-    repeats the prefix it ends, whose length is the new period.
-    """
-    word = chr(47 + l) * h
-    p = 1
-    while True:
-        yield word, p
-        prefix = word.rstrip("0")
-        if not prefix:
-            return
-        p = len(prefix)
-        prefix = prefix[:-1] + chr(ord(prefix[-1]) - 1)
-        word = prefix if p == h else (prefix * (h // p + 1))[:h]
+    return 0 if n <= 2 else (n + 3) // 4
 
 
 def _completions(r: str, head: str, whole: bool) -> list[str]:
@@ -315,10 +292,10 @@ def _completions(r: str, head: str, whole: bool) -> list[str]:
     1] and whole says whether p divides len(prefix + s); _necklace_letters
     shows why these decide s.
 
-    The FKM step of _prenecklaces run on the suffix alone: r first, then
-    each next suffix decrements its last letter that is not 0, at position
-    j, and copies head after it. A suffix is kept when it is r and whole,
-    or when j is its last position.
+    The FKM step of _necklace_letters run on the suffix alone: r first,
+    then each next suffix decrements its last letter that is not 0, at
+    position j, and copies head after it. A suffix is kept when it is r and
+    whole, or when j is its last position.
     """
     m = len(r)
     out = [r] if whole else []
@@ -338,12 +315,14 @@ def _necklace_letters(n: int, l: int):
     strictly descending, as a string whose letter a is chr(48 + a): for
     l <= 10 that is the digit string.
 
-    With m = _suffix_length(n, l) = 0 this is the FKM loop of _prenecklaces
-    at length n, keeping the prenecklaces whose period p divides n; it keeps
-    a loop of its own, since filtering the (word, p) pairs of _prenecklaces
-    took 20-30% longer on the comma-form listings. Past that, each
-    prenecklace of length h = n - m (descending, so the words come out
-    descending) is followed by its _completions, which depend only on the
+    The FKM algorithm (Fredricksen, Kessler, Maiorana; in the form of
+    Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 37, 2000) on
+    complemented letters a -> l-1-a, in constant amortized time per word,
+    lists the prenecklaces of length h = n - m, m = _suffix_length(n),
+    descending: the next decrements the last letter that is not 0 and
+    repeats the prefix it ends, whose length is the new period p. At m = 0
+    the prenecklaces whose period divides n are the necklaces. Past that,
+    each prefix is followed by its _completions, which depend only on the
     key (r, head, n % p == 0), r being the prefix's last p letters repeated
     out to m letters and head = prefix[:m - 1]; each key's completions are
     computed once per listing.
@@ -358,26 +337,26 @@ def _necklace_letters(n: int, l: int):
     decrement s, and s divides n only at s = n, since m <= n/2 puts s > h
     >= n/2. So r, head and whether p divides n decide every completion.
     """
-    m = _suffix_length(n, l)
-    if m == 0:
-        word = chr(47 + l) * n
-        p = 1
-        while True:
-            if n % p == 0:
-                yield word
-            prefix = word.rstrip("0")
-            if not prefix:
-                return
-            p = len(prefix)
-            prefix = prefix[:-1] + chr(ord(prefix[-1]) - 1)
-            word = prefix if p == n else (prefix * (n // p + 1))[:n]
+    m = _suffix_length(n)
+    h = n - m
     cache: dict[tuple[str, str, bool], list[str]] = {}
-    for prefix, p in _prenecklaces(n - m, l):
-        key = ((prefix[-p:] * m)[:m], prefix[: m - 1], n % p == 0)
-        suffixes = cache.get(key)
-        if suffixes is None:
-            suffixes = cache[key] = _completions(*key)
-        yield from map(prefix.__add__, suffixes)
+    word = chr(47 + l) * h
+    p = 1
+    while True:
+        if m:
+            key = ((word[-p:] * m)[:m], word[: m - 1], n % p == 0)
+            suffixes = cache.get(key)
+            if suffixes is None:
+                suffixes = cache[key] = _completions(*key)
+            yield from map(word.__add__, suffixes)
+        elif n % p == 0:
+            yield word
+        prefix = word.rstrip("0")
+        if not prefix:
+            return
+        p = len(prefix)
+        prefix = prefix[:-1] + chr(ord(prefix[-1]) - 1)
+        word = prefix if p == h else (prefix * (h // p + 1))[:h]
 
 
 def _letters(word: str) -> list[int]:

@@ -161,11 +161,11 @@ def test_enumerate_necklaces_sorted_and_complete(monkeypatch, l, n):
     # every suffix length m the generator may reuse completions for
     want = sorted(all_necklaces(n, l), key=CyclicSequence.index, reverse=True)
     assert len(want) == necklace_count(n, l)
-    assert 0 <= seqcore._suffix_length(n, l) <= n // 2
-    monkeypatch.setattr(seqcore, "_suffix_length", lambda n, l: 0)
+    assert 0 <= seqcore._suffix_length(n) <= n // 2
+    monkeypatch.setattr(seqcore, "_suffix_length", lambda n: 0)
     unsplit = list(seqcore._necklace_letters(n, l))
     for m in range(n // 2 + 1):
-        monkeypatch.setattr(seqcore, "_suffix_length", lambda n, l: m)
+        monkeypatch.setattr(seqcore, "_suffix_length", lambda n: m)
         assert list(seqcore._necklace_letters(n, l)) == unsplit, m
         assert enumerate_necklaces(n, l) == want, m
 
