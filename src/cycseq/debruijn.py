@@ -12,6 +12,7 @@ from .seqcore import (
     FACTORIAL_MAX_N,
     CyclicSequence,
     _burnside,
+    _prenecklace,
     check_factorial_n,
     divisors,
     euler_totient,
@@ -481,15 +482,13 @@ def enumerate_sequences_with_frequency(z: FrequencyVector) -> list[CyclicSequenc
     remaining = dict(z.items())
     # A maximal rotation starts with its largest window, so every member's
     # is spelt from that window on, letters in descending order. A prefix is
-    # kept while it passes the prenecklace test of seqcore._is_max_rotation,
-    # one letter at a time: none may exceed word[i - per], per the period.
-    # The window begins every member's maximal rotation, so it passes.
+    # kept while it passes the scan of seqcore._prenecklace, one letter at a
+    # time: none may exceed word[i - per], per the period. The window begins
+    # every member's maximal rotation, so it passes.
     start = max(remaining)
     remaining[start] -= 1
     word = list(index_word(start + 1, p, l))
-    per = 1
-    for i in range(1, p):
-        per = per if word[i] == word[i - per] else i + 1
+    per = _prenecklace(word)[1]
     found: list[CyclicSequence] = []
     _walk(word, remaining, found, n + p - 1, n, l, vsize, start % vsize, per)
     return found

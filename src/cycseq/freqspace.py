@@ -228,7 +228,6 @@ def project(s: CyclicSequence, p: int) -> FrequencyVector:
     if p == 0:
         return FrequencyVector(0, n, l, {0: n})
     counts: dict[int, int] = {}
-    size = l**p
     # Rolling window: index of window starting at i, as a base-l number.
     v = 0
     for k in range(p):

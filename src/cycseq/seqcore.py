@@ -18,7 +18,7 @@ from .errors import DomainError, ResourceCapError, brief
 # At the cap, `necklaces --list` at binary n = 24 (699,252 necklaces) and
 # ternary n = 15 (956,635) took 0.74-1.20 s at up to 140 MB of RSS and 20 MB
 # of output; the comma form at n = 2, l = 1,447 and n = 1, l = 2^20 took
-# 2.0-4.7 s at up to 128 MB, its time spreading that widely from run to run.
+# 2.6-4.4 s at up to 128 MB, its time spreading that widely from run to run.
 # Quaternary n = 12 (1,398,500) took 0.85 s at 181 MB and is refused (2-core
 # Intel Xeon VM, Python 3.11). Every admitted letter chr(48 + a) is below
 # U+110000.
@@ -70,50 +70,49 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _prenecklace(word: Sequence, start: int = 0, stop: int | None = None) -> tuple[int, int]:
+    """(j, p): word[start:j] is the longest prefix of word[start:stop] that
+    is a prenecklace under the reversed letter order, p its period.
+
+    Duval's scan (1983), the step of FKM (Cattell et al., 2000): no letter
+    may exceed the one p back, and a smaller one makes the prefix so far
+    the period. A word is its own maximal rotation iff j is its length and
+    p divides it, p then being its minimal period. The letters need only
+    compare as 0..l-1 do, as the listings' chr(48 + a) do. O(j - start).
+    """
+    if stop is None:
+        stop = len(word)
+    p = 1
+    for j in range(start + 1, stop):
+        a = word[j]
+        b = word[j - p]
+        if a != b:
+            if a > b:
+                return j, p
+            p = j + 1 - start
+    return stop, p
+
+
 def _max_rotation_offset(word: Sequence[int]) -> int:
     """Offset k such that word[k:]+word[:k] is the maximal rotation.
 
-    Booth's least-rotation algorithm run on the negated word (negation
-    reverses the letter order, so the least rotation of the negated word
-    is the maximal rotation of the original). O(n).
+    Scans the rotations of the word written twice from i = 0: the one at i
+    is maximal iff its scan takes all n letters with a period p dividing n.
+    Otherwise no start from i to the end e of the last whole period scanned
+    is: a start i + t p loses to the one p later where the scan ended (at
+    the larger letter it stopped at, or at the wrap, where the period meets
+    a smaller rotation of itself), and one between them begins with a
+    proper suffix of the period, smaller than its prefix. Each step skips
+    over half of what it scanned: O(n).
     """
-    s = [-x for x in word] + [-x for x in word]
-    n2 = len(s)
-    f = [-1] * n2
-    k = 0
-    for j in range(1, n2):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k
-
-
-def _is_max_rotation(word: Sequence[int]) -> bool:
-    """True when word is its own maximal rotation, in one forward pass.
-
-    The prenecklace test of FKM (Cattell et al., 2000; Duval, 1983) with
-    the letter order reversed: p is the period of the longest prenecklace
-    prefix, and the word is a necklace's maximal rotation iff it is a
-    prenecklace whose period divides its length. O(n).
-    """
-    p = 1
-    for i in range(1, len(word)):
-        a = word[i]
-        b = word[i - p]
-        if a != b:
-            if a > b:
-                return False
-            p = i + 1
-    return len(word) % p == 0
+    n = len(word)
+    s = word + word
+    i = 0
+    while True:
+        j, p = _prenecklace(s, i, i + n)
+        if j - i == n and n % p == 0:
+            return i
+        i += (j - i) // p * p
 
 
 def _check_word(word: Sequence[int], l: int) -> None:
@@ -125,7 +124,8 @@ def _check_word(word: Sequence[int], l: int) -> None:
     fails takes the slow path, which names an out-of-range letter before
     it reports a rotation that is not maximal.
     """
-    if _is_max_rotation(word) and word[0] < l and min(word) >= 0:
+    j, p = _prenecklace(word)
+    if j == len(word) and j % p == 0 and word[0] < l and min(word) >= 0:
         return
     for a in word:
         if not (0 <= a < l):
@@ -191,12 +191,9 @@ def shift(s: CyclicSequence, k: int) -> list[int]:
 
 
 def minimal_period(s: CyclicSequence) -> int:
-    """Smallest d dividing n with shift(s, d) == s."""
-    n = s.n
-    for d in divisors(n):
-        if all(s.symbols[i] == s.symbols[(i + d) % n] for i in range(n)):
-            return d
-    return n
+    """Smallest d dividing n with shift(s, d) == s: the period of the
+    stored maximal rotation's scan."""
+    return _prenecklace(s.symbols)[1]
 
 
 def _exceeds_bits(n: int, l: int, cap_bits: int) -> bool:
@@ -392,7 +389,10 @@ def _checked_necklaces(n: int, l: int) -> list[str]:
     The words must be strictly descending and as many as necklace_count(n,
     l), so that once each is checked the list is every necklace exactly
     once. For l <= 10 they are the digit strings, checked all at once by
-    _check_digit_words; past 10 letters each is checked by _check_word.
+    _check_digit_words. Past 10 letters each word is scanned as it stands
+    (chr(48 + a) sorts as a does): n letters, its own maximal rotation, its
+    first (largest) letter at most chr(47 + l) and none below "0", or it is
+    named by _check_word or by its length.
     """
     _check_listable(n, l)
     words = list(_necklace_letters(n, l))
@@ -403,8 +403,12 @@ def _checked_necklaces(n: int, l: int) -> list[str]:
     if l <= 10:
         _check_digit_words(words, n, l)
     else:
+        top = chr(47 + l)
         for word in words:
-            _check_word(_letters(word), l)
+            j, p = _prenecklace(word)
+            if len(word) != n or j != n or n % p or word[0] > top or min(word) < "0":
+                _check_word(_letters(word), l)
+                raise DomainError(f"a listed word is not {n} letters")
     return words
 
 

@@ -24,7 +24,8 @@ from .debruijn import (
 from .debruijn import count_eulerian_cycles  # noqa: F401
 from .errors import DomainError, ResourceCapError
 from .freqspace import FrequencyVector, project
-from .seqcore import CyclicSequence, _check_enumerable, enumerate_necklaces
+from .seqcore import FACTORIAL_MAX_N, CyclicSequence, _check_enumerable, check_factorial_n
+from .seqcore import enumerate_necklaces
 
 
 class BlockChoice(Enum):
@@ -272,12 +273,6 @@ def count_twofold(p: int) -> int:
     return sum(row["cofactor"] * row["phi"] for row in twofold_table(p))
 
 
-# Largest p of count_twofold_exact. On a 2-core Intel Xeon VM (Python 3.11)
-# p = 8 takes 12 ms, p = 9 46 ms and p = 10 0.21 s; at p = 11 the doubled
-# graph has 1,024 branching vertices, past debruijn.BEST_MAX_BRANCHING.
-EXACT_MAX_P = 10
-
-
 def count_twofold_exact(p: int) -> int:
     """Two-fold count without the generic-minor assumption: the number of
     binary necklaces of length 2^(p+1) whose level-p window counts are all 2.
@@ -287,12 +282,13 @@ def count_twofold_exact(p: int) -> int:
     configurations (first seen at p = 3), where the actual minor has more
     Eulerian cycles. This is one BEST + Burnside count on the doubled graph,
     count_sequences_with_frequency; it equals the sum of BEST counts over
-    each configuration's own contracted minor.
+    each configuration's own contracted minor. debruijn.BEST_MAX_BRANCHING
+    refuses p = 11 to 15; past 15, 2^(p+1) passes seqcore.FACTORIAL_MAX_N
+    and is refused before it is built.
     """
     if p < 1:
         raise DomainError("need p >= 1")
-    if p > EXACT_MAX_P:
-        raise ResourceCapError(f"p exceeds the cap {EXACT_MAX_P}")
+    check_factorial_n(2 ** min(p + 1, FACTORIAL_MAX_N.bit_length()))
     return count_sequences_with_frequency(
         FrequencyVector(p, 2 ** (p + 1), 2, {j: 2 for j in range(2**p)})
     )

@@ -24,7 +24,7 @@ from cycseq import (
     shift,
 )
 from cycseq import seqcore
-from cycseq.seqcore import NECKLACE_COUNT_MAX_BITS, _is_max_rotation, _max_rotation_offset
+from cycseq.seqcore import NECKLACE_COUNT_MAX_BITS, _max_rotation_offset, _prenecklace
 
 from conftest import all_necklaces, naive_canonical
 
@@ -93,11 +93,28 @@ def test_range_error_names_first_bad_symbol():
         CyclicSequence((2, -1), 3)
 
 
+def _check_rotation_scan(word, l):
+    # the offset, validation and minimal period the scan gives, against the
+    # naive maximal rotation; the scan reads the listing's chr(48 + a)
+    # strings as it reads the letters
+    top = naive_canonical(word)
+    k = _max_rotation_offset(word)
+    assert tuple(word[k:]) + tuple(word[:k]) == top, word
+    assert _prenecklace("".join(chr(48 + a) for a in word)) == _prenecklace(word), word
+    if tuple(word) == top:
+        n = len(word)
+        period = min(d for d in divisors(n) if top[d:] + top[:d] == top)
+        assert minimal_period(CyclicSequence(top, l)) == period, word
+    else:
+        with pytest.raises(DomainError, match="canonical rotation"):
+            CyclicSequence(tuple(word), l)
+
+
 @pytest.mark.parametrize("l, max_n", [(2, 14), (3, 9), (4, 7)])
 def test_is_max_rotation_matches_booth_on_every_word(l, max_n):
     for n in range(1, max_n + 1):
         for word in product(range(l), repeat=n):
-            assert _is_max_rotation(word) == (_max_rotation_offset(word) == 0), word
+            _check_rotation_scan(word, l)
 
 
 def test_is_max_rotation_matches_booth_on_random_words():
@@ -107,13 +124,14 @@ def test_is_max_rotation_matches_booth_on_random_words():
     for _ in range(300):
         l = rng.randint(2, 5)
         w = [rng.randrange(l) for _ in range(rng.randint(1, rng.choice((12, 200))))]
-        k = _max_rotation_offset(w)
-        top = w[k:] + w[:k]
+        top = list(naive_canonical(w))
         power = top * rng.randint(1, 200 // len(top))
-        cases = [w, top, power, power[: rng.randint(1, len(power))]]
+        cut = rng.randint(1, len(power))
+        assert _prenecklace(power[:cut])[0] == cut
+        cases = [w, top, power, power[:cut]]
         cases += [power[r:] + power[:r] for r in rng.sample(range(len(power)), min(5, len(power)))]
         for word in cases:
-            assert _is_max_rotation(word) == (_max_rotation_offset(word) == 0), word
+            _check_rotation_scan(word, l)
 
 
 def test_index_examples():
@@ -240,6 +258,28 @@ def test_listings_check_every_word(monkeypatch, listing, words):
     monkeypatch.setattr(seqcore, "_necklace_letters", lambda n, l: iter(words))
     with pytest.raises(DomainError, match="canonical rotation|out of range"):
         listing(3, 2)
+
+
+@pytest.mark.parametrize(
+    "place, word, message",
+    [
+        (-1, "001", "canonical rotation"),
+        (0, ";;;", "symbol 11 out of range"),  # chr(48 + 11)
+        (-1, "///", "symbol -1 out of range"),
+        (-1, "00", "not 3 letters"),
+        (0, "::::", "not 3 letters"),
+    ],
+)
+def test_comma_listings_check_every_word(monkeypatch, place, word, message):
+    # the same faults past 10 letters, where each word is scanned as the
+    # chr(48 + a) string it is listed as, planted in place of "000" or
+    # ":::" so that the listing stays descending
+    words = list(seqcore._necklace_letters(3, 11))
+    words[place] = word
+    monkeypatch.setattr(seqcore, "_necklace_letters", lambda n, l: iter(words))
+    for listing in LISTINGS:
+        with pytest.raises(DomainError, match=message):
+            listing(3, 11)
 
 
 def test_necklace_strings_check_the_listing_as_a_whole(monkeypatch):

@@ -128,3 +128,19 @@ def test_every_module_reference_in_the_docs_exists():
                     missing.append(f"{path.name}:{number} {match[0]}")
     assert seen
     assert missing == []
+
+
+def test_every_local_is_read():
+    # a name a function stores and never reads is dead work, such as a
+    # value built on every call and thrown away; "_" marks one on purpose
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = [node for node in ast.walk(func) if isinstance(node, ast.Name)]
+            read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+            for node in names:
+                if isinstance(node.ctx, ast.Store) and node.id != "_" and node.id not in read:
+                    unread.append(f"{path.name}:{node.lineno} {func.name}.{node.id}")
+    assert unread == []

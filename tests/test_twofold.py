@@ -348,6 +348,16 @@ def test_exact_count_default_cap():
     assert time.perf_counter() - start < 0.5
 
 
+def test_exact_count_refuses_long_sequences_at_once():
+    # p = 16 is the first length 2^(p+1) past the factorial cap, refused
+    # before the 2^p windows are built, and 10**9 before 2^(p+1) is
+    for p in (16, 10**9):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="factorial cap"):
+            count_twofold_exact(p)
+        assert time.perf_counter() - start < 0.5
+
+
 def test_members_of_exact_count_are_twofold():
     # every sequence found by brute force has every 3-window exactly twice
     target = FrequencyVector(3, 16, 2, {j: 2 for j in range(8)})
