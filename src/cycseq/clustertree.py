@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import TextIO
 
 from .errors import DomainError
-from .freqspace import FrequencyVector
+from .freqspace import FrequencyVector, _as_int
 
 # Unused here, but bench/spans.py wraps these module attributes by name;
 # they go with the next change to the benchmark.
@@ -144,97 +144,79 @@ def predicted_max_branching_level(n: int) -> int:
     return (n - 3) // 2 + 1
 
 
-def _node_from_obj(obj: dict) -> ClusterNode:
-    return ClusterNode(
-        p=int(obj["p"]),
-        freq=FrequencyVector.from_obj(obj["freq"]),
-        count=int(obj["count"]),
-        children=[_node_from_obj(c) for c in obj["children"]],
+def _node_from_obj(obj) -> ClusterNode:
+    try:
+        p, freq, count, children = obj["p"], obj["freq"], obj["count"], obj["children"]
+    except (KeyError, TypeError):
+        raise DomainError("a cluster node needs the fields p, freq, count and children") from None
+    if not isinstance(children, list):
+        raise DomainError("'children' must be a list of cluster nodes")
+    kids = [_node_from_obj(c) for c in children]
+    return ClusterNode(_as_int(p), FrequencyVector.from_obj(freq), _as_int(count), kids)
+
+
+def _write_json(node: ClusterNode, write) -> None:
+    """node as the object {"p", "freq", "count", "children"}, its count a
+    string (so any size survives JSON), written node by node."""
+    write(
+        f'{{"p": {node.p}, "freq": {node.freq.to_json()}, '
+        f'"count": "{node.count}", "children": ['
     )
+    sep = ""
+    for child in node.children:
+        write(sep)
+        _write_json(child, write)
+        sep = ", "
+    write("]}")
 
 
-def _push_children(stack: list, children: list, sep: str) -> None:
-    """Push children onto stack, with sep between them, so that they pop
-    in order."""
-    for k in range(len(children) - 1, 0, -1):
-        stack.append(children[k])
-        stack.append(sep)
-    if children:
-        stack.append(children[0])
+def _write_dot(node: ClusterNode, parent: int | None, ids, write) -> None:
+    """node and its subtree as DOT lines, numbered in preorder from ids;
+    the edge from parent to node follows node's subtree."""
+    my_id = next(ids)
+    write(f'\n  n{my_id} [label="{node.count}"];')
+    for child in node.children:
+        _write_dot(child, my_id, ids, write)
+    if parent is not None:
+        write(f"\n  n{parent} -> n{my_id};")
 
 
-def _json_pieces(tree: ClusterTree):
-    """The text of json.dumps({"n", "l", "root"}), each node the object
-    {"p", "freq", "count", "children"} with its count as a string (so any
-    size survives JSON), one piece per node or bracket."""
-    yield f'{{"n": {tree.n}, "l": {tree.l}, "root": '
-    stack: list = [tree.root]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            yield item
-            continue
-        yield (
-            f'{{"p": {item.p}, "freq": {item.freq.to_json()}, '
-            f'"count": "{item.count}", "children": ['
-        )
-        stack.append("]}")
-        _push_children(stack, item.children, ", ")
-    yield "}"
-
-
-def _dot_pieces(tree: ClusterTree):
-    """DOT with circle nodes labeled by member counts, numbered in
-    preorder; the edge to a node follows its subtree."""
-    yield "digraph clusters {\n  node [shape=circle];"
-    ids = itertools.count()
-    stack: list = [(tree.root, None)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            yield item
-            continue
-        node, parent = item
-        my_id = next(ids)
-        yield f'\n  n{my_id} [label="{node.count}"];'
-        if parent is not None:
-            stack.append(f"\n  n{parent} -> n{my_id};")
-        for c in reversed(node.children):
-            stack.append((c, my_id))
-    yield "\n}"
-
-
-def _newick_pieces(tree: ClusterTree):
-    """Newick text with unit branch length per level, labels = counts; the
-    root carries no branch."""
-    stack: list = [tree.root]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            yield item
-        elif not item.children:
-            yield str(item.count)
-        else:
-            yield "("
-            stack.append(f":1){item.count}")
-            _push_children(stack, item.children, ":1,")
-    yield ";"
-
-
-_WRITERS = {"json": _json_pieces, "dot": _dot_pieces, "newick": _newick_pieces}
+def _write_newick(node: ClusterNode, write) -> None:
+    """node's Newick subtree, unit branch length per level, labels =
+    counts; node's own branch is left to its parent."""
+    if not node.children:
+        write(str(node.count))
+        return
+    sep = "("
+    for child in node.children:
+        write(sep)
+        _write_newick(child, write)
+        sep = ":1,"
+    write(f":1){node.count}")
 
 
 def export_tree(tree: ClusterTree, fmt: str, out: TextIO | None = None) -> str | None:
     """The tree as JSON, DOT or Newick text. With a text stream `out` the
     text is written to it node by node, so that neither the whole text
     nor a nested copy of the tree is held, and None is returned;
-    otherwise the text is returned."""
-    pieces = _WRITERS.get(fmt)
-    if pieces is None:
+    otherwise the text is returned. The writers recurse by their module
+    names, not as closures, so an export leaves no reference cycle; a
+    listed tree is at most n + 1 <= 20 levels deep."""
+    if fmt not in ("json", "dot", "newick"):
         raise DomainError(f"unknown export format {fmt!r}")
     sink = io.StringIO() if out is None else out
-    for piece in pieces(tree):
-        sink.write(piece)
+    write = sink.write
+    if fmt == "json":
+        write(f'{{"n": {tree.n}, "l": {tree.l}, "root": ')
+        _write_json(tree.root, write)
+        write("}")
+    elif fmt == "dot":
+        write("digraph clusters {\n  node [shape=circle];")
+        _write_dot(tree.root, None, itertools.count(), write)
+        write("\n}")
+    else:
+        _write_newick(tree.root, write)
+        write(";")
     return sink.getvalue() if out is None else None
 
 
@@ -243,8 +225,17 @@ def tree_to_json(tree: ClusterTree) -> str:
 
 
 def tree_from_json(text: str) -> ClusterTree:
-    obj = json.loads(text)
-    return ClusterTree(int(obj["n"]), int(obj["l"]), _node_from_obj(obj["root"]))
+    """The tree of a JSON export. Text that is not JSON, or not a tree of
+    nodes with their fields, raises DomainError."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DomainError(f"tree text is not JSON: {exc}") from None
+    try:
+        n, l, root = obj["n"], obj["l"], obj["root"]
+    except (KeyError, TypeError):
+        raise DomainError("a cluster tree needs the fields n, l and root") from None
+    return ClusterTree(_as_int(n), _as_int(l), _node_from_obj(root))
 
 
 def tree_to_dot(tree: ClusterTree) -> str:

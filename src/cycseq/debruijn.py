@@ -479,14 +479,17 @@ def enumerate_sequences_with_frequency(z: FrequencyVector) -> list[CyclicSequenc
     if not count:
         return []
     p, vsize = z.p, l ** (z.p - 1)
-    remaining = dict(z.items())
+    # The unused out-edges of each vertex, as counts by letter, largest first.
+    remaining: dict[int, dict[int, int]] = {}
+    for e, c in reversed(z.items()):
+        remaining.setdefault(e // l, {})[e % l] = c
     # A maximal rotation starts with its largest window, so every member's
     # is spelt from that window on, letters in descending order. A prefix is
     # kept while it passes the scan of seqcore._prenecklace, one letter at a
     # time: none may exceed word[i - per], per the period. The window begins
     # every member's maximal rotation, so it passes.
-    start = max(remaining)
-    remaining[start] -= 1
+    start = z.items()[-1][0]
+    remaining[start // l][start % l] -= 1
     word = list(index_word(start + 1, p, l))
     per = _prenecklace(word)[1]
     found: list[CyclicSequence] = []
@@ -498,7 +501,9 @@ def _walk(word, remaining, found, end, n, l, vsize, vertex, per) -> None:
     """The walk of enumerate_sequences_with_frequency from the prefix
     `word`, which ends at `vertex` and passes the prenecklace test with
     period `per`: each member spelt by a circuit through the edges left in
-    `remaining` is appended to `found`. It recurses by its module name,
+    `remaining` is appended to `found`. The next letter is tried among the
+    letters of the vertex's own out-edges, largest first, so the letters
+    the vector does not use cost nothing. It recurses by its module name,
     not as a closure over itself, so a listing leaves no reference cycle."""
     i = len(word)
     if i == end:
@@ -508,14 +513,15 @@ def _walk(word, remaining, found, end, n, l, vsize, vertex, per) -> None:
         return
     # Past n letters each step only closes the circuit.
     top = word[i - per] if i < n else word[i - n]
-    for a in range(top, -1, -1) if i < n else (top,):
-        e = vertex * l + a
-        if remaining.get(e):
-            remaining[e] -= 1
+    edges = remaining[vertex]
+    for a in edges if i < n else (top,):
+        if a <= top and edges.get(a):
+            edges[a] -= 1
             word.append(a)
-            _walk(word, remaining, found, end, n, l, vsize, e % vsize, per if a == top else i + 1)
+            nxt = per if a == top else i + 1
+            _walk(word, remaining, found, end, n, l, vsize, (vertex * l + a) % vsize, nxt)
             word.pop()
-            remaining[e] += 1
+            edges[a] += 1
 
 
 def contract_doubled_edges(z: FrequencyVector) -> Multigraph:

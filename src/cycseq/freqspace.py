@@ -71,11 +71,10 @@ class FrequencyVector:
 
     Stored sparsely, once: a tuple of (0-based window index, positive count)
     pairs in index order, whose counts sum to n. Level p = 0 is the
-    single-entry vector [n]. The hash is computed on first use, since
-    vectors are immutable.
+    single-entry vector [n].
     """
 
-    __slots__ = ("p", "n", "l", "_items", "_hash")
+    __slots__ = ("p", "n", "l", "_items")
 
     def __init__(self, p: int, n: int, l: int, counts: Mapping[int, int]):
         if p < 0 or n < 1 or l < 2:
@@ -105,7 +104,6 @@ class FrequencyVector:
         self.n = n
         self.l = l
         self._items = items
-        self._hash = None
 
     @classmethod
     def from_dense(cls, p: int, n: int, l: int, entries: Iterable[int]) -> "FrequencyVector":
@@ -135,9 +133,7 @@ class FrequencyVector:
         return isinstance(other, FrequencyVector) and self.key() == other.key()
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.key())
-        return self._hash
+        return hash(self.key())
 
     def __repr__(self):
         return f"FrequencyVector(p={self.p}, n={self.n}, l={self.l}, {dict(self.items())})"

@@ -5,6 +5,7 @@ filtering. The wavelet basis lives here as a numeric verification layer."""
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from itertools import islice, product
 from typing import Sequence
 
@@ -19,17 +20,21 @@ from .freqspace import FrequencyVector, check_index_width, check_level
 # Work cap of step 1: the product of the per-block solution counts, checked
 # before any candidate is built. It bounds the public lower and solve_step1
 # (the `lower` command; cluster trees do not lower), which cost about 25 us
-# and 1.9 kB of traced memory per candidate. On a 2-core Intel Xeon VM
-# (Python 3.11) lowering ternary [16, 16, 16] (11,781 candidates) takes
-# about 0.3 s, and the largest equal composition admitted, [17, 17, 17]
-# (14,706), 0.27-0.38 s, or 0.43-0.53 s at 47 MB of RSS as a command;
-# with the cap lifted [24, 24, 24] (52,975) took 1.4 s and 101 MB traced.
-# Reaching the cap on [100, 100, 100] takes about 0.08 s.
+# and 1.9 kB of traced memory per candidate, whatever the alphabet: a block
+# is solved on the letters that occur in it, and a level-0 composition is
+# built from its nonzero parts. On a 2-core Intel Xeon VM (Python 3.11)
+# lowering [1] over 2^14 letters (2^14 candidates) takes 50-70 ms, ternary
+# [16, 16, 16] (11,781 candidates) about 0.3 s, and the largest equal
+# composition admitted, [17, 17, 17] (14,706), 0.27-0.38 s, or 0.43-0.53 s
+# at 47 MB of RSS as a command; with the cap lifted [24, 24, 24] (52,975)
+# took 1.4 s and 101 MB traced. Reaching the cap on [100, 100, 100] takes
+# about 0.08 s.
 STEP1_CAP = 1 << 14
 
 
 def _nonneg_matrices(row_sums: Sequence[int], col_sums: Sequence[int]):
-    """All non-negative integer matrices with the given margins, in
+    """All non-negative integer matrices with the given row and column
+    sums (r x c for r row sums and c column sums), in
     lexicographic order of their rows, each as a tuple of its nonzero
     (row, column, entry) cells.
 
@@ -41,20 +46,20 @@ def _nonneg_matrices(row_sums: Sequence[int], col_sums: Sequence[int]):
     """
     if sum(row_sums) != sum(col_sums):
         return
-    l = len(row_sums)
-    last = l - 1
+    width, last_row = len(col_sums), len(row_sums) - 1
+    last = width - 1
     cols = list(col_sums)  # what each column has left below the rows placed
     cells: list[tuple[int, int, int]] = []  # nonzero cells of the rows placed
-    rows: list = [None] * l
+    rows: list = [None] * last_row
     r = 0
     while r >= 0:
-        if r == last:
+        if r == last_row:
             yield tuple(cells + [(r, a, c) for a, c in enumerate(cols) if c])
             r -= 1
             continue
         row = rows[r]
         if row is None:
-            row = rows[r] = [0] * l
+            row = rows[r] = [0] * width
             j, rem = -1, row_sums[r]
         else:
             # Entry j can grow when its column has some left and a later
@@ -66,7 +71,7 @@ def _nonneg_matrices(row_sums: Sequence[int], col_sums: Sequence[int]):
             start = max(j, 0)
             while cells and cells[-1][0] == r and cells[-1][1] >= start:
                 cells.pop()
-            for a in range(start, l):
+            for a in range(start, width):
                 cols[a] += row[a]
             if j < 0:
                 rows[r] = None
@@ -80,7 +85,7 @@ def _nonneg_matrices(row_sums: Sequence[int], col_sums: Sequence[int]):
             rem -= v
             k -= 1
         row[j + 1 : k + 1] = [0] * (k - j)
-        for a in range(max(j, 0), l):
+        for a in range(max(j, 0), width):
             v = row[a]
             if v:
                 cols[a] -= v
@@ -104,33 +109,33 @@ def _frame(y: FrequencyVector) -> tuple[list, list] | None:
     windows of each solution of every other block. Window w = b . mid . a
     is the edge of A[Z] from w // l to w mod l^p.
 
-    The solutions, tuples of nonzero (b, a, count) entries, are listed once
-    per distinct margins; no more than STEP1_CAP + 1 are listed, which fail
-    the work check. The margins come from one pass over y's entries, and
-    the product of the solution counts so far is checked against STEP1_CAP
-    before a block is translated.
+    A block is solved on its nonzero margins Y[b . mid] and Y[mid . a]
+    only, so unused letters cost nothing; its solutions, tuples of nonzero
+    (row, column, count) cells, are listed once per distinct margin values
+    and mapped back through the block's letters. No more than STEP1_CAP + 1
+    are listed, which fail the work check. The margins come from one pass
+    over y's entries, and the product of the solution counts so far is
+    checked against STEP1_CAP before a block is translated.
     """
     check_index_width(y.p + 1, y.l)
     check_level(y.p + 1, y.n)
     l, mid_size = y.l, y.l ** (y.p - 1)
     top = mid_size * l
-    margins: dict[int, tuple[list, list]] = {}
+    # y's entries come in index order, so each block's letters are inserted
+    # in ascending order.
+    margins: dict[int, tuple[dict, dict]] = defaultdict(lambda: ({}, {}))
     for w, c in y.items():
         b, mid = divmod(w, mid_size)  # w = b . mid
-        if mid not in margins:
-            margins[mid] = ([0] * l, [0] * l)
         margins[mid][0][b] = c
         mid, a = divmod(w, l)  # w = mid . a
-        if mid not in margins:
-            margins[mid] = ([0] * l, [0] * l)
         margins[mid][1][a] = c
     forced: list[tuple[int, int]] = []
     free = []
-    blocks: dict = {}  # solutions by margins
+    blocks: dict = {}  # solutions by margin values
     work = 1
     for mid in sorted(margins):
         rows, cols = margins[mid]
-        key = (tuple(rows), tuple(cols))
+        key = (tuple(rows.values()), tuple(cols.values()))
         sols = blocks.get(key)
         if sols is None:
             sols = blocks[key] = list(islice(_nonneg_matrices(*key), STEP1_CAP + 1))
@@ -140,10 +145,11 @@ def _frame(y: FrequencyVector) -> tuple[list, list] | None:
         _check_work(work)
         # A forced block writes its windows straight into `forced`.
         options = [forced] if len(sols) == 1 else [[] for _ in sols]
-        head = mid * l
+        firsts = [b * top + mid * l for b in rows]
+        lasts = list(cols)
         for s, windows in zip(sols, options):
-            for b, a, v in s:
-                windows.append((b * top + head + a, v))
+            for i, j, v in s:
+                windows.append((firsts[i] + lasts[j], v))
         if len(sols) > 1:
             free.append(options)
     return forced, free
@@ -153,10 +159,11 @@ def solve_step1(y: FrequencyVector) -> list[FrequencyVector]:
     """All non-negative integer level-(p+1) vectors Z with L Z = R Z = Y.
 
     The system splits into independent blocks, one per length-(p-1) middle
-    word: within a block the unknowns Z[b, mid, a] form an l x l matrix whose
-    row sums are Y[b . mid] (outgoing flow) and column sums Y[mid . a]
-    (incoming flow). Candidates are the Cartesian product of the per-block
-    solutions, in lexicographic order of Z. More than STEP1_CAP candidates
+    word: within a block the unknowns Z[b, mid, a] form a matrix whose row
+    sums are Y[b . mid] (outgoing flow) and column sums Y[mid . a]
+    (incoming flow), over the letters b and a whose sums are not zero.
+    Candidates are the Cartesian product of the per-block solutions, in
+    lexicographic order of Z. More than STEP1_CAP candidates
     raise ResourceCapError before any is built; a level p >= n, which
     project would refuse to lower into, raises DomainError.
     """
@@ -164,7 +171,7 @@ def solve_step1(y: FrequencyVector) -> list[FrequencyVector]:
     if p == 0:
         # Level 0 -> 1: any composition of n into l parts.
         _check_work(math.comb(n + l - 1, l - 1))
-        return [FrequencyVector.from_dense(1, n, l, comp) for comp in _compositions(n, l)]
+        return [FrequencyVector(1, n, l, comp) for comp in _compositions(n, l)]
     frame = _frame(y)
     if frame is None:
         return []
@@ -181,20 +188,22 @@ def solve_step1(y: FrequencyVector) -> list[FrequencyVector]:
 
 def _compositions(n: int, parts: int):
     """The compositions of n into `parts` parts >= 0, in lexicographic
-    order. Each is stepped from the one before in place, so the l parts of
-    a large alphabet take no recursion depth."""
-    comp = [0] * (parts - 1) + [n]
-    j = parts - 1 if n else 0  # the last positive part past the first
+    order, each as a dict of its nonzero parts by position. Each is stepped
+    from the one before in place, touching two or three parts, so the parts
+    of a large alphabet cost neither time nor recursion depth."""
+    last = parts - 1
+    comp = {last: n} if n else {}
+    j = last if n else 0  # the last positive part past the first
     while True:
-        yield tuple(comp)
+        yield dict(comp)
         if j == 0:
             return
         # Part j gives one to part j - 1, and the rest of it goes last.
-        rest = comp[j] - 1
-        comp[j] = 0
-        comp[j - 1] += 1
-        comp[-1] = rest
-        j = parts - 1 if rest else j - 1
+        rest = comp.pop(j) - 1
+        comp[j - 1] = comp.get(j - 1, 0) + 1
+        if rest:
+            comp[last] = rest
+        j = last if rest else j - 1
 
 
 def lower(y: FrequencyVector) -> list[FrequencyVector]:

@@ -144,9 +144,6 @@ def _phi_row(p: int) -> tuple[int, ...]:
     configuration is connected exactly when it ends with one class. A class
     whose vertices have all retired is a finished component: it ends its
     branch, unless it is the last block and no other class remains.
-    UPPER is never tried in the first or last block: it puts weight 2 on
-    the first or last window, a self-loop on a vertex with no other edge,
-    so those configurations are always disconnected.
 
     Raises ResourceCapError when there are more than PHI_MAX_STATES blocks,
     before any table is built, or more than PHI_MAX_STATES states are live
@@ -170,7 +167,6 @@ def _phi_row(p: int) -> tuple[int, ...]:
         options = [
             (choice is BlockChoice.UNIFORM, [(index[u], index[v]) for u, v in pairs])
             for choice, pairs in table[m]
-            if not (choice is BlockChoice.UPPER and m in (0, blocks - 1))
         ]
         # Canonical labels of the live vertices lie below len(live), so the
         # entering vertices take fresh ones.

@@ -168,6 +168,29 @@ def test_members(capsys):
     assert obj["sequences"] == ["11101000", "11100010"]
 
 
+def test_wide_alphabet_requests(capsys):
+    # lowering and listing cost only the letters a vector uses, so each of
+    # these answers in well under 1 s however wide the alphabet
+    L = 10**4
+    vec = json.dumps({"p": 1, "n": 2, "l": L, "sparse": {"1": 1, str(L): 1}})
+    start = time.perf_counter()
+    obj = run_json(capsys, "lower", "--vector", vec)
+    assert time.perf_counter() - start < 1.0
+    assert obj == {"candidates": [{"p": 2, "n": 2, "l": L, "sparse": {str(L): 1, str((L - 1) * L + 1): 1}}]}
+    l = 16384
+    vec = json.dumps({"p": 0, "n": 1, "l": l, "sparse": {"1": 1}})
+    start = time.perf_counter()
+    obj = run_json(capsys, "lower", "--vector", vec)
+    assert time.perf_counter() - start < 1.0
+    assert obj["candidates"] == [{"p": 1, "n": 1, "l": l, "sparse": {str(j): 1}} for j in range(l, 0, -1)]
+    L = 10**12
+    vec = json.dumps({"p": 1, "n": 2, "l": L, "sparse": {"1": 1, str(L): 1}})
+    start = time.perf_counter()
+    obj = run_json(capsys, "members", "--vector", vec)
+    assert time.perf_counter() - start < 1.0
+    assert obj == {"count": "1", "sequences": [f"{L - 1},0"]}
+
+
 def test_members_cap(capsys):
     vec = json.dumps({"p": 1, "n": 30, "l": 2, "dense": [15, 15]})
     code, _, _ = run(capsys, "members", "--vector", vec)

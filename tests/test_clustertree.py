@@ -197,6 +197,44 @@ def test_json_round_trip():
     assert isinstance(obj["root"]["count"], str)
 
 
+_ROOT = '{"p": 0, "freq": {"p": 0, "n": 3, "l": 2, "dense": [3]}, "count": "4", "children": []}'
+MALFORMED_TREES = {
+    "empty": "",
+    "truncated": "{",
+    "too-deep": "[" * 100_000,
+    "no-fields": "{}",
+    "list": "[]",
+    "null": "null",
+    "no-root": '{"n": 3, "l": 2}',
+    "root-list": '{"n": 3, "l": 2, "root": []}',
+    "float-n": '{"n": 3.5, "l": 2, "root": ' + _ROOT + "}",
+    "text-l": '{"n": 3, "l": "x", "root": ' + _ROOT + "}",
+    "no-freq": '{"n": 3, "l": 2, "root": {"p": 0, "count": "4", "children": []}}',
+    "text-p": '{"n": 3, "l": 2, "root": ' + _ROOT.replace('"p": 0, "freq"', '"p": "x", "freq"') + "}",
+    "text-count": '{"n": 3, "l": 2, "root": ' + _ROOT.replace('"count": "4"', '"count": "four"') + "}",
+    "children-object": '{"n": 3, "l": 2, "root": ' + _ROOT.replace('"children": []', '"children": {}') + "}",
+    "child-number": '{"n": 3, "l": 2, "root": ' + _ROOT.replace('"children": []', '"children": [1]') + "}",
+    "dense-number": '{"n": 3, "l": 2, "root": ' + _ROOT.replace('"dense": [3]', '"dense": 3') + "}",
+    "freq-list": '{"n": 3, "l": 2, "root": '
+    + _ROOT.replace('{"p": 0, "n": 3, "l": 2, "dense": [3]}', "[3]")
+    + "}",
+}
+
+
+def test_tree_from_json_reads_a_well_formed_root():
+    tree = tree_from_json('{"n": 3, "l": 2, "root": ' + _ROOT + "}")
+    assert (tree.n, tree.l, tree.root.count) == (3, 2, 4)
+    assert tree.root.freq == FrequencyVector(0, 3, 2, {0: 3})
+
+
+@pytest.mark.parametrize("text", MALFORMED_TREES.values(), ids=MALFORMED_TREES)
+def test_tree_from_json_refuses_malformed_text(text):
+    # decode errors, missing fields and fields of the wrong type are all
+    # DomainError, not KeyError, TypeError or ValueError
+    with pytest.raises(DomainError):
+        tree_from_json(text)
+
+
 def test_dot_and_newick():
     tree = build_tree(5, 2)
     dot = tree_to_dot(tree)

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from cycseq import (
+    CyclicSequence,
     DomainError,
     FrequencyVector,
     Multigraph,
@@ -450,6 +451,18 @@ def test_enumerate_count_cap_boundary(monkeypatch):
     monkeypatch.setattr(debruijn, "SEQUENCE_COUNT_CAP", 1)
     with pytest.raises(ResourceCapError):
         enumerate_sequences_with_frequency(z)
+
+
+def test_enumerate_steps_over_the_vertices_own_edges():
+    # letters L - 1 and 0 once each over L = 10^12 letters: the walk tries
+    # only the two letters of the vertex's out-edges, not every letter up
+    # to L - 1
+    L = 10**12
+    z = FrequencyVector(1, 2, L, {0: 1, L - 1: 1})
+    start = time.perf_counter()
+    members = enumerate_sequences_with_frequency(z)
+    assert time.perf_counter() - start < 1.0
+    assert members == [CyclicSequence((L - 1, 0), L)]
 
 
 def test_enumerate_leaves_no_cyclic_garbage():

@@ -22,6 +22,7 @@ from cycseq import (
     subgraph_from_frequency,
     wavelet_basis,
 )
+from cycseq.freqspace import index_word
 from cycseq.lowering import STEP1_CAP
 
 from conftest import all_necklaces
@@ -41,13 +42,70 @@ def test_level0_gives_compositions():
     got = [z.dense() for z in solve_step1(y)]
     assert got == [[0, 4], [1, 3], [2, 2], [3, 1], [4, 0]]
     assert [z.dense() for z in lower(y)] == got
+    # built from their nonzero parts, in the order of their dense lists
+    for n in range(1, 6):
+        for l in range(2, 6):
+            want = [list(c) for c in product(range(n + 1), repeat=l) if sum(c) == n]
+            assert [z.dense() for z in solve_step1(FrequencyVector(0, n, l, {0: n}))] == want
 
 
 def test_level0_lowers_any_alphabet():
-    # the compositions are stepped in place, so many letters nest no calls:
-    # n = 1 over 1,200 letters lowers to its 1,200 one-letter vectors
-    zs = lower(FrequencyVector(0, 1, 1200, {0: 1}))
-    assert [list(z.items()) for z in zs] == [[(j, 1)] for j in range(1199, -1, -1)]
+    # the compositions are stepped in place from their nonzero parts, so
+    # many letters nest no calls and cost no time: n = 1 over 1,200 letters,
+    # or over the STEP1_CAP letters the cap admits, lowers at once to its
+    # one-letter vectors
+    for l in (1200, STEP1_CAP):
+        start = time.perf_counter()
+        zs = lower(FrequencyVector(0, 1, l, {0: 1}))
+        assert time.perf_counter() - start < 1.0
+        assert [list(z.items()) for z in zs] == [[(j, 1)] for j in range(l - 1, -1, -1)]
+
+
+def test_blocks_are_solved_on_the_letters_that_occur():
+    # letters 0 and L - 1 once each over L = 10^4 letters: one 2 x 2 block,
+    # two candidates, of which the 2-cycle through both letters survives
+    L = 10**4
+    y = FrequencyVector(1, 2, L, {0: 1, L - 1: 1})
+    start = time.perf_counter()
+    raw, zs = solve_step1(y), lower(y)
+    assert time.perf_counter() - start < 1.0
+    cycle = FrequencyVector(2, 2, L, {L - 1: 1, (L - 1) * L: 1})
+    loops = FrequencyVector(2, 2, L, {0: 1, L * L - 1: 1})
+    assert raw == [cycle, loops]
+    assert zs == [cycle]
+
+
+def _relabel(y, letters, big):
+    """y with letter a written as letters[a], over `big` letters."""
+    counts = {}
+    for j, c in y.items():
+        v = 0
+        for a in index_word(j + 1, y.p, y.l):
+            v = v * big + letters[a]
+        counts[v] = c
+    return FrequencyVector(y.p, y.n, big, counts)
+
+
+def test_relabelled_into_a_wide_alphabet():
+    # an increasing relabelling into 1,000 letters keeps the order of
+    # windows, vectors and maximal rotations, so lowering and listing the
+    # re-encoded vector give the re-encoded answers, in order
+    rng = random.Random(1000)
+    big = 1000
+    for _ in range(150):
+        l = rng.randint(2, 4)
+        n = rng.randint(2, 8)
+        p = rng.randint(1, min(n - 1, 3))
+        s = canonicalize([rng.randrange(l) for _ in range(n)], l)
+        letters = sorted(rng.sample(range(big), l))
+        y = project(s, p)
+        for f in (solve_step1, lower):
+            assert f(_relabel(y, letters, big)) == [_relabel(z, letters, big) for z in f(y)]
+        z = project(s, p + 1)
+        assert enumerate_sequences_with_frequency(_relabel(z, letters, big)) == [
+            canonicalize([letters[a] for a in m.symbols], big)
+            for m in enumerate_sequences_with_frequency(z)
+        ]
 
 
 def test_example_fiber_n3():
