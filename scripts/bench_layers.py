@@ -8,6 +8,10 @@ the median in seconds:
   the Laplacian cofactor;
 - count_sequences_with_frequency over every node of the binary n = 16 half
   tree (levels p >= 1): thousands of small BEST + Burnside counts;
+- count_sequences_with_frequency on the level-12 vectors of three random
+  binary words of 1,000 letters (random.Random(5)): about 760 vertices each,
+  about 190 of them branching, so the out-weight-1 contraction and the
+  cofactor of a graph with few twins;
 - build_tree(16, 2), build_tree(16, 2, half_tree=True),
   build_tree(2, 180), a tree of 16,290 level-1 classes, and
   build_tree(3, 32), whose necklaces (10,944) are written in letters past
@@ -81,6 +85,7 @@ import io
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -136,6 +141,18 @@ def _counting():
 
     vectors = [node.freq for node in _tree_nodes(16, 2, half_tree=True) if node.p >= 1]
     name = f"count_sequences_with_frequency x {len(vectors)} (build_tree(16, 2, half_tree=True))"
+    return name, lambda: [count_sequences_with_frequency(z) for z in vectors], None
+
+
+def _counting_words():
+    from cycseq.debruijn import count_sequences_with_frequency
+    from cycseq.freqspace import project
+    from cycseq.seqcore import canonicalize
+
+    rng = random.Random(5)
+    words = [[rng.randrange(2) for _ in range(1000)] for _ in range(3)]
+    vectors = [project(canonicalize(word, 2), 12) for word in words]
+    name = "count_sequences_with_frequency x 3 (level 12 of random binary words of 1,000 letters)"
     return name, lambda: [count_sequences_with_frequency(z) for z in vectors], None
 
 
@@ -236,7 +253,7 @@ def _timed(setup):
 # One case per row, in report order: case() gives (name, value).
 TIMED_SETUPS = (
     [lambda l=l, p=p: _euler(l, p) for l, p in EULER_CASES]
-    + [_counting]
+    + [_counting, _counting_words]
     + [lambda c=c: _tree(*c) for c in TREE_CASES]
     + [
         lambda: _twofold_table(4),

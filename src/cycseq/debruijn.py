@@ -51,8 +51,9 @@ BEST_MAX_BRANCHING = 512
 # it the search costs about what it saves (in-process, 2-core Intel Xeon
 # VM, Python 3.11): G_2(3) and G_3(2), 7 and 8 rows, took 26 and 36 us
 # against 20 and 26 us without it, G_2(4) (15 rows) broke even at 63 us,
-# and G_2(5) (31 rows) took 132 us against 219 us. The 1-7 row matrices of
-# the cluster tree took 40-75% longer at sizes 3-7 with the search.
+# and G_2(5) (31 rows) took 132 us against 219 us. Below it sits
+# count_twofold_exact(4), two 7-row matrices: 0.12-0.14 ms per call against
+# 0.15-0.16 ms with the search (medians of 12 alternating batches of 200).
 TWIN_MIN_ROWS = 16
 
 
@@ -226,14 +227,15 @@ def _best_count(edges: dict[tuple, int]) -> int:
     before the Laplacian is built.
 
     A vertex with out-weight 1 uses its one out-edge in every arborescence,
-    so it is contracted into its successor. With at most one branching
+    so it is contracted into its successor: one _union_find over those
+    edges, seeded with the branching vertices, leaves each branching vertex
+    the representative of its class. A class with none is a chain that
+    closes on itself and raises ArithmeticError. With at most one branching
     vertex the cofactor is empty, so 1.
     """
     out: dict = {}
-    succ: dict = {}
-    for (u, v), m in edges.items():
+    for (u, _), m in edges.items():
         out[u] = out.get(u, 0) + m
-        succ[u] = v
     branching = sorted([v for v, d in out.items() if d > 1])
     if len(branching) > BEST_MAX_BRANCHING:
         raise ResourceCapError(
@@ -243,9 +245,8 @@ def _best_count(edges: dict[tuple, int]) -> int:
     factor = math.prod([math.factorial(out[v] - 1) for v in branching])
     if len(branching) < 2:
         return factor
-    # Every chain of out-weight-1 vertices ends at a branching vertex, its
-    # representative: a closed chain would be a whole component without one.
-    rep = {v: v for v in branching}
+    parent, _ = _union_find([e for e in edges if out[e[0]] == 1], branching)
+    rep = {_find(parent, b): b for b in branching}
     # The Laplacian with the row and column of the root removed, as sparse
     # rows; a self-loop on a representative cancels.
     root = branching[0]
@@ -254,18 +255,9 @@ def _best_count(edges: dict[tuple, int]) -> int:
         row = rows.get(u)
         if row is None:
             continue
-        r = rep.get(v)
+        r = rep.get(_find(parent, v))
         if r is None:
-            path = []
-            while v not in rep:
-                path.append(v)
-                rep[v] = None  # on the path: meeting it again closes a chain
-                v = succ[v]
-            r = rep[v]
-            if r is None:
-                raise ArithmeticError("a chain of out-weight-1 vertices closes on itself")
-            for w in path:
-                rep[w] = r
+            raise ArithmeticError("a chain of out-weight-1 vertices closes on itself")
         if r != u:
             row[u] = row.get(u, 0) + m
             if r != root:
@@ -278,11 +270,12 @@ def _laplacian_cofactor(rows: dict) -> int:
     {i: {j: entry}} with no zero entries; the rows are consumed.
 
     First, twin rows are merged until none are left, or fewer than
-    TWIN_MIN_ROWS rows (_merge_twins). Rows u and v are twins when they
-    have the same diagonal d, the same off-diagonal entries and no entry in
-    each other's column. Subtracting row u from row v and then adding
-    column v to column u keeps the determinant and turns row v into d e_v,
-    so
+    TWIN_MIN_ROWS rows (_merge_twins), so small matrices such as
+    count_twofold_exact(4)'s skip the search. Rows u and v are twins when
+    they have the same diagonal d, the same off-diagonal entries and no
+    entry in each other's column. Subtracting row u from row v and then
+    adding column v to column u keeps the determinant and turns row v into
+    d e_v, so
 
         det = d * det(row and column v deleted, column v added to column u).
 
@@ -355,46 +348,38 @@ def _merge_twins(rows: dict, cols: dict) -> int:
     until none are left, updating `rows` and the column sets `cols` in place;
     returns the product of the twin diagonals taken out of the determinant.
 
-    Merging stops below TWIN_MIN_ROWS rows. Rows are bucketed by (diagonal,
-    length) first, and only a bucket of two or more builds off-diagonal
-    keys. Equal off-diagonal entries already rule out an entry in each
-    other's column: u's entry in column v would be one of v's off-diagonal
-    entries. A merge changes columns u and v only, on which the rows of
-    another twin class agree, so one pass merges every class it found.
+    Merging stops below TWIN_MIN_ROWS rows. Each pass keys every row once by
+    its diagonal and off-diagonal entries, stops when all keys differ, and
+    merges each class into its first row. Equal off-diagonal entries
+    already rule out an entry in each other's column: u's entry in column v
+    would be one of v's off-diagonal entries. A merge changes columns u and
+    v only, on which the rows of another twin class agree, so one pass
+    merges every class it found.
     """
     num = 1
     while len(rows) >= TWIN_MIN_ROWS:
-        buckets: dict = {}
+        twins: dict = {}
         for i, row in rows.items():
-            buckets.setdefault((row.get(i, 0), len(row)), []).append(i)
-        if len(buckets) == len(rows):
+            d = row.get(i, 0)
+            twins.setdefault((d, frozenset(row.items()) - {(i, d)}), []).append(i)
+        if len(twins) == len(rows):
             break
-        merged = False
-        for (d, _), bucket in buckets.items():
-            if len(bucket) < 2:
-                continue
-            twins: dict = {}
-            for i in bucket:
-                twins.setdefault(frozenset(rows[i].items()) - {(i, d)}, []).append(i)
-            for u, *others in twins.values():
-                if others and d <= 0:
-                    raise ArithmeticError("non-positive twin diagonal in a reduced Laplacian")
-                for v in others:
-                    merged = True
-                    num *= d
-                    for j in rows.pop(v):
-                        cols[j].discard(v)
-                    for r in cols.pop(v):
-                        row = rows[r]
-                        x = row.pop(v) + row.get(u, 0)
-                        if x:
-                            row[u] = x
-                            cols[u].add(r)
-                        else:
-                            del row[u]
-                            cols[u].discard(r)
-        if not merged:
-            break
+        for (d, _), (u, *others) in twins.items():
+            if others and d <= 0:
+                raise ArithmeticError("non-positive twin diagonal in a reduced Laplacian")
+            for v in others:
+                num *= d
+                for j in rows.pop(v):
+                    cols[j].discard(v)
+                for r in cols.pop(v):
+                    row = rows[r]
+                    x = row.pop(v) + row.get(u, 0)
+                    if x:
+                        row[u] = x
+                        cols[u].add(r)
+                    else:
+                        del row[u]
+                        cols[u].discard(r)
     return num
 
 

@@ -4,7 +4,6 @@ filtering. The wavelet basis lives here as a numeric verification layer."""
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from itertools import islice, product
 from typing import Sequence
@@ -163,15 +162,17 @@ def solve_step1(y: FrequencyVector) -> list[FrequencyVector]:
     sums are Y[b . mid] (outgoing flow) and column sums Y[mid . a]
     (incoming flow), over the letters b and a whose sums are not zero.
     Candidates are the Cartesian product of the per-block solutions, in
-    lexicographic order of Z. More than STEP1_CAP candidates
-    raise ResourceCapError before any is built; a level p >= n, which
-    project would refuse to lower into, raises DomainError.
+    lexicographic order of Z. More than STEP1_CAP candidates raise
+    ResourceCapError before any is built (at level 0, once STEP1_CAP + 1
+    compositions are); a level p >= n, which project would refuse to lower
+    into, raises DomainError.
     """
     p, n, l = y.p, y.n, y.l
     if p == 0:
         # Level 0 -> 1: any composition of n into l parts.
-        _check_work(math.comb(n + l - 1, l - 1))
-        return [FrequencyVector(1, n, l, comp) for comp in _compositions(n, l)]
+        comps = list(islice(_compositions(n, l), STEP1_CAP + 1))
+        _check_work(len(comps))
+        return [FrequencyVector(1, n, l, comp) for comp in comps]
     frame = _frame(y)
     if frame is None:
         return []

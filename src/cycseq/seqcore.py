@@ -17,11 +17,11 @@ from .errors import DomainError, ResourceCapError, brief
 # Most necklaces one listing returns (enumerate_necklaces, necklace_strings).
 # At the cap, `necklaces --list` at binary n = 24 (699,252 necklaces) and
 # ternary n = 15 (956,635) took 0.74-1.20 s at up to 140 MB of RSS and 20 MB
-# of output; the comma form at n = 2, l = 1,447 and n = 1, l = 2^20 took
-# 2.6-4.4 s at up to 128 MB, its time spreading that widely from run to run.
-# Quaternary n = 12 (1,398,500) took 0.85 s at 181 MB and is refused (2-core
-# Intel Xeon VM, Python 3.11). Every admitted letter chr(48 + a) is below
-# U+110000.
+# of output; the comma form at n = 2, l = 1,447 took 2.6-4.1 s and at
+# n = 1, l = 2^20 1.7-2.3 s, at up to 128 MB, its time spreading that widely
+# from run to run. Quaternary n = 12 (1,398,500) took 0.85 s at 181 MB and
+# is refused (2-core Intel Xeon VM, Python 3.11). Every admitted letter
+# chr(48 + a) is below U+110000.
 LIST_MAX_NECKLACES = 1 << 20
 
 # Widest necklace_count, as n log2(l) bits of l^n. At the cap the count took
@@ -423,9 +423,15 @@ def necklace_strings(n: int, l: int) -> list[str]:
     per necklace: for l <= 10 the _checked_necklaces words themselves, past
     10 letters their comma forms."""
     words = _checked_necklaces(n, l)
-    if l > 10:
+    if l > 10 and n == 1:
+        # Each necklace is one letter, and a table of every letter's comma
+        # form would be as large as the listing.
         for i, word in enumerate(words):
-            words[i] = _word_to_string(_letters(word), l)
+            words[i] = str(ord(word) - 48)
+    elif l > 10:
+        commas = {48 + a: f"{a}," for a in range(l)}
+        for i, word in enumerate(words):
+            words[i] = word.translate(commas)[:-1]
     return words
 
 

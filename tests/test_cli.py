@@ -513,6 +513,12 @@ def test_unprintable_counts_hit_the_cap_quickly(capsys, argv):
         ("necklaces", "--n", "100", "--list"),
         ("necklaces", "--n", "5000", "--alphabet", "3", "--list"),
         ("members", "--vector", json.dumps({"p": 1, "n": 20, "l": 3, "dense": [7, 7, 6]})),
+        (
+            "lower",
+            "--raw",
+            "--vector",
+            json.dumps({"p": 0, "n": 3 * 10**5, "l": 10**8, "sparse": {"1": 3 * 10**5}}),
+        ),
     ],
 )
 def test_costly_requests_hit_the_cap_quickly(capsys, argv):

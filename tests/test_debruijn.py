@@ -167,6 +167,15 @@ def test_contracted_euler_count_matches_brute_force_on_chains():
     assert checked > 100
 
 
+def test_best_count_refuses_a_closed_chain():
+    # the out-weight-1 cycle 5 -> 6 -> 5 hangs off the non-root branching
+    # vertex 1 and holds no branching vertex to contract into; hung off the
+    # root 0 instead, no row reads it
+    with pytest.raises(ArithmeticError, match="closes on itself"):
+        debruijn._best_count({(0, 1): 2, (1, 0): 1, (1, 5): 1, (5, 6): 1, (6, 5): 1})
+    assert debruijn._best_count({(1, 0): 2, (0, 1): 1, (0, 5): 1, (5, 6): 1, (6, 5): 1}) == 2
+
+
 def _random_balanced_edges(rng, hubs, chain, reach):
     """Edge multiplicities of a random balanced, strongly connected
     multigraph on hubs + chain vertices: one Hamiltonian cycle 0 -> 1 -> ...,

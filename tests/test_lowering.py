@@ -197,6 +197,12 @@ def test_step1_work_cap():
         assert time.perf_counter() - start < 1.0
     with pytest.raises(ResourceCapError):
         lower(FrequencyVector(0, 10**6, 3, {0: 10**6}))
+    # a level-0 vector is refused by the compositions built, not by the
+    # binomial count of them, which took 9.9 s at n = 3 * 10^5, l = 10^8
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        lower(FrequencyVector(0, 3 * 10**5, 10**8, {0: 3 * 10**5}))
+    assert time.perf_counter() - start < 1.0
     # just under the cap: 11,781 candidates
     y = FrequencyVector.from_dense(1, 48, 3, [16, 16, 16])
     assert len(solve_step1(y)) == 11781 <= STEP1_CAP
