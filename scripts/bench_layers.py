@@ -24,7 +24,9 @@ the median in seconds:
   run, outside the timed region, so the Phi computation is timed and not
   a cache lookup;
 - count_twofold_exact(8): one BEST + Burnside count on the doubled
-  graph G_2(8).
+  graph G_2(8);
+- count_twofold_exact(4), 200 calls: the workload request with the
+  smallest cofactors, two matrices of 5 rows after twin merging.
 - enumerate_necklaces(20, 2): FKM generation with a checked CyclicSequence
   per necklace, as the library lists them;
 - necklace_strings(11, 3) and necklace_strings(20, 2), the largest shape
@@ -63,7 +65,9 @@ Usage:
   python3 scripts/bench_layers.py --parent DIR [--src DIR]
 
 `--src` names the directory the `cycseq` package is imported from (default:
-this checkout's `src`). The first form times that one package in one
+this checkout's `src`); `--parent` names one too, such as another
+checkout's `src`. A directory that holds no `cycseq/__init__.py` is
+refused before any case runs. The first form times that one package in one
 process. Timings of two versions taken one after the other differ by the
 drift of the machine between the runs, so it is no comparison.
 
@@ -169,10 +173,11 @@ def _twofold_table(p: int):
     return f"twofold_table({p})", lambda: twofold.twofold_table(p), twofold._phi_row.cache_clear
 
 
-def _twofold_exact():
+def _twofold_exact(p: int, calls: int = 1):
     from cycseq.twofold import count_twofold_exact
 
-    return "count_twofold_exact(8)", lambda: count_twofold_exact(8), None
+    name = f"count_twofold_exact({p})" + (f" x {calls}" if calls > 1 else "")
+    return name, lambda: [count_twofold_exact(p) for _ in range(calls)], None
 
 
 def _necklaces():
@@ -258,7 +263,8 @@ TIMED_SETUPS = (
     + [
         lambda: _twofold_table(4),
         lambda: _twofold_table(5),
-        _twofold_exact,
+        lambda: _twofold_exact(8),
+        lambda: _twofold_exact(4, 200),
         _necklaces,
         lambda: _necklace_strings(11, 3),
         lambda: _necklace_strings(20, 2),
@@ -342,6 +348,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, default=None)
     parser.add_argument("--case", type=int, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    for option, path in (("--src", args.src), ("--parent", args.parent)):
+        if path is not None and not (path / "cycseq" / "__init__.py").is_file():
+            parser.error(
+                f"{option} {path} holds no cycseq/__init__.py:"
+                " give the directory of the package, a checkout's src"
+            )
     src = args.src.resolve()
     if args.parent is not None:
         result = compare(args.parent.resolve(), src)

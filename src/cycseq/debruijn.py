@@ -47,15 +47,6 @@ FULL_GRAPH_MAX_WINDOWS = 1 << 16
 # replaces it.
 BEST_MAX_BRANCHING = 512
 
-# Least row count at which _laplacian_cofactor looks for twin rows. Below
-# it the search costs about what it saves (in-process, 2-core Intel Xeon
-# VM, Python 3.11): G_2(3) and G_3(2), 7 and 8 rows, took 26 and 36 us
-# against 20 and 26 us without it, G_2(4) (15 rows) broke even at 63 us,
-# and G_2(5) (31 rows) took 132 us against 219 us. Below it sits
-# count_twofold_exact(4), two 7-row matrices: 0.12-0.14 ms per call against
-# 0.15-0.16 ms with the search (medians of 12 alternating batches of 200).
-TWIN_MIN_ROWS = 16
-
 
 def _find(parent: dict | list, v):
     """Root of v's class; halves the path on the way up."""
@@ -269,13 +260,11 @@ def _laplacian_cofactor(rows: dict) -> int:
     """Determinant of a reduced Laplacian given as sparse rows
     {i: {j: entry}} with no zero entries; the rows are consumed.
 
-    First, twin rows are merged until none are left, or fewer than
-    TWIN_MIN_ROWS rows (_merge_twins), so small matrices such as
-    count_twofold_exact(4)'s skip the search. Rows u and v are twins when
-    they have the same diagonal d, the same off-diagonal entries and no
-    entry in each other's column. Subtracting row u from row v and then
-    adding column v to column u keeps the determinant and turns row v into
-    d e_v, so
+    First, twin rows are merged until none are left (_merge_twins), at
+    every size. Rows u and v are twins when they have the same diagonal d,
+    the same off-diagonal entries and no entry in each other's column.
+    Subtracting row u from row v and then adding column v to column u keeps
+    the determinant and turns row v into d e_v, so
 
         det = d * det(row and column v deleted, column v added to column u).
 
@@ -348,8 +337,8 @@ def _merge_twins(rows: dict, cols: dict) -> int:
     until none are left, updating `rows` and the column sets `cols` in place;
     returns the product of the twin diagonals taken out of the determinant.
 
-    Merging stops below TWIN_MIN_ROWS rows. Each pass keys every row once by
-    its diagonal and off-diagonal entries, stops when all keys differ, and
+    Each pass keys every row once by its diagonal and off-diagonal
+    entries, stops when all keys differ (at once on an empty matrix), and
     merges each class into its first row. Equal off-diagonal entries
     already rule out an entry in each other's column: u's entry in column v
     would be one of v's off-diagonal entries. A merge changes columns u and
@@ -357,7 +346,7 @@ def _merge_twins(rows: dict, cols: dict) -> int:
     merges every class it found.
     """
     num = 1
-    while len(rows) >= TWIN_MIN_ROWS:
+    while True:
         twins: dict = {}
         for i, row in rows.items():
             d = row.get(i, 0)

@@ -483,16 +483,11 @@ def _fields_at_least(a: int, b: int, top: int) -> bool:
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
-def _word_to_string(word: Sequence[int], l: int) -> str:
-    """Digit string for l <= 10, comma-separated integers otherwise."""
-    if l <= 10:
-        return bytes(word).translate(_DIGITS).decode()
-    return ",".join(map(str, word))
-
-
 def sequence_to_string(s: CyclicSequence) -> str:
     """Digit string for l <= 10, comma-separated integers otherwise."""
-    return _word_to_string(s.symbols, s.alphabet_size)
+    if s.alphabet_size <= 10:
+        return bytes(s.symbols).translate(_DIGITS).decode()
+    return ",".join(map(str, s.symbols))
 
 
 def sequence_from_string(text: str, alphabet_size: int) -> CyclicSequence:

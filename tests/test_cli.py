@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycseq import count_twofold_exact, enumerate_necklaces, gamma_max, seqcore, ultrametric_distance
+from cycseq import count_twofold, count_twofold_exact, enumerate_necklaces, gamma_max, seqcore, ultrametric_distance
 from cycseq.cli import main
 from cycseq.debruijn import BEST_MAX_BRANCHING
 
@@ -239,6 +239,9 @@ def test_twofold_json(capsys):
     obj = run_json(capsys, "twofold", "--p", "3", "--table")
     assert obj["count"] == "72"
     assert [row["phi"] for row in obj["table"]] == ["2", "8", "11", "6", "1"]
+    assert run_json(capsys, "twofold", "--p", "3") == {"p": 3, "count": "72"}
+    for p in (1, 2, 4):
+        assert run_json(capsys, "twofold", "--p", str(p)) == {"p": p, "count": str(count_twofold(p))}
 
 
 def test_twofold_csv(capsys):

@@ -23,7 +23,9 @@ from cycseq import (
     enumerate_sequences_with_frequency,
     full_graph,
     integer_determinant,
+    lower,
     project,
+    solve_step1,
     subgraph_from_frequency,
     subgraph_to_dot,
 )
@@ -239,16 +241,13 @@ def test_sparse_cofactor_matches_dense_bareiss(hubs, chain, reach):
 def test_sparse_cofactor_refuses_non_positive_pivots():
     # a matrix that is no reduced Laplacian: [[1, 2], [3, 4]] leaves the
     # pivot -2, [[0, -1], [0, 1]] starts on a zero diagonal, and rows 0 and
-    # 1 of the last are twins on a zero diagonal, in a matrix large enough
-    # for the twin search
+    # 1 of the last are twins on a zero diagonal
     with pytest.raises(ArithmeticError):
         _laplacian_cofactor({0: {0: 1, 1: 2}, 1: {0: 3, 1: 4}})
     with pytest.raises(ArithmeticError):
         _laplacian_cofactor({0: {1: -1}, 1: {1: 1}})
-    rows = {0: {2: -1}, 1: {2: -1}}
-    rows.update({i: {i: i} for i in range(2, debruijn.TWIN_MIN_ROWS)})
     with pytest.raises(ArithmeticError, match="twin"):
-        _laplacian_cofactor(rows)
+        _laplacian_cofactor({0: {2: -1}, 1: {2: -1}, 2: {2: 2}})
 
 
 def _line_digraph(edges):
@@ -430,6 +429,7 @@ def test_enumerate_unbalanced_rejected():
         enumerate_sequences_with_frequency(z)
     with pytest.raises(DomainError):
         count_sequences_with_frequency(z)
+    assert lower(z) == solve_step1(z) == []
 
 
 def test_enumerate_cap():

@@ -397,6 +397,7 @@ def test_string_round_trip():
     big = canonicalize([11, 0, 3], 12)
     assert "," in sequence_to_string(big)
     assert sequence_from_string(sequence_to_string(big), 12) == big
+    assert sequence_from_string("11", 12).symbols == (11,)
 
 
 @pytest.mark.parametrize("l", [2, 3, 9, 10, 11, 12])
