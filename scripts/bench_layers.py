@@ -45,7 +45,10 @@ the median in seconds:
   round of that workload without the CLI around it;
 - lower over the internal nodes of build_tree(12, 2) and build_tree(7, 3),
   and lower on ternary [16, 16, 16] (11,781 step-1 candidates): the public
-  lowering that `lower` runs, which the trees do not call.
+  lowering that `lower` runs, which the trees do not call;
+- lower of one 50 x 50 block, the letters 97 * a for a < 50 once each over
+  10^4 letters: its ResourceCapError at STEP1_CAP, caught inside the timed
+  call, so the row times how fast a wide alphabet is refused.
 
 For the counting and lowering cases the trees are built once, outside the
 timed region.
@@ -244,6 +247,23 @@ def _lower_ternary():
     return "lower([16, 16, 16])", lambda: lower(y), None
 
 
+def _lower_wide_refusal():
+    from cycseq.errors import ResourceCapError
+    from cycseq.freqspace import FrequencyVector
+    from cycseq.lowering import lower
+
+    y = FrequencyVector(1, 50, 10**4, {97 * a: 1 for a in range(50)})
+
+    def refused():
+        try:
+            lower(y)
+        except ResourceCapError:
+            return
+        raise RuntimeError("a 50 x 50 block was not refused")
+
+    return "lower refusing one 50 x 50 block over 10^4 letters", refused, None
+
+
 def _timed(setup):
     """The case that times setup's fn: setup() imports the package from
     whatever `src` is first on sys.path and gives (name, fn, before)."""
@@ -275,6 +295,7 @@ TIMED_SETUPS = (
         _tree_round,
         _lower_tree_nodes,
         _lower_ternary,
+        _lower_wide_refusal,
     ]
 )
 CASES = [_timed(setup) for setup in TIMED_SETUPS] + [

@@ -442,7 +442,8 @@ def enumerate_sequences_with_frequency(z: FrequencyVector) -> list[CyclicSequenc
     SEQUENCE_COUNT_CAP. The count checks balance and connectivity first: it
     raises DomainError for an unbalanced vector and is 0 only when A[Z] is
     disconnected, since a connected balanced graph has a circuit. The walk
-    itself is an oracle for the count.
+    itself is an oracle for the count: a listing of any other length raises
+    ArithmeticError.
     """
     n, l = z.n, z.l
     if n > SEQUENCE_CAP:
@@ -468,6 +469,8 @@ def enumerate_sequences_with_frequency(z: FrequencyVector) -> list[CyclicSequenc
     per = _prenecklace(word)[1]
     found: list[CyclicSequence] = []
     _walk(word, remaining, found, n + p - 1, n, l, vsize, start % vsize, per)
+    if len(found) != count:
+        raise ArithmeticError(f"{len(found)} members listed for a count of {count}")
     return found
 
 

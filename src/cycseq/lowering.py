@@ -5,7 +5,7 @@ filtering. The wavelet basis lives here as a numeric verification layer."""
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Sequence
 
 from .debruijn import _union_find
@@ -18,16 +18,16 @@ from .freqspace import FrequencyVector, check_index_width, check_level
 
 # Work cap of step 1: the product of the per-block solution counts, checked
 # before any candidate is built. It bounds the public lower and solve_step1
-# (the `lower` command; cluster trees do not lower), which cost about 25 us
+# (the `lower` command; cluster trees do not lower), which cost about 16 us
 # and 1.9 kB of traced memory per candidate, whatever the alphabet: a block
 # is solved on the letters that occur in it, and a level-0 composition is
 # built from its nonzero parts. On a 2-core Intel Xeon VM (Python 3.11)
-# lowering [1] over 2^14 letters (2^14 candidates) takes 50-70 ms, ternary
-# [16, 16, 16] (11,781 candidates) about 0.3 s, and the largest equal
-# composition admitted, [17, 17, 17] (14,706), 0.27-0.38 s, or 0.43-0.53 s
-# at 47 MB of RSS as a command; with the cap lifted [24, 24, 24] (52,975)
-# took 1.4 s and 101 MB traced. Reaching the cap on [100, 100, 100] takes
-# about 0.08 s.
+# lowering [1] over 2^14 letters (2^14 candidates) takes 40-50 ms, ternary
+# [16, 16, 16] (11,781 candidates) 0.16-0.18 s, and the largest equal
+# composition admitted, [17, 17, 17] (14,706), 0.20-0.24 s, or 0.35-0.39 s
+# at 46 MB of RSS as a command; with the cap lifted [24, 24, 24] (52,975)
+# took 0.8-1.0 s and 100 MB traced. The cap refuses [100, 100, 100] in
+# about 0.05 s, and one 50 x 50 block over 10^4 letters in 0.25-0.30 s.
 STEP1_CAP = 1 << 14
 
 
@@ -99,27 +99,34 @@ def _check_work(candidates: int) -> None:
         )
 
 
-def _frame(y: FrequencyVector) -> tuple[list, list] | None:
-    """The step-1 frame of y (p >= 1): (forced, free), or None when some
-    block has no solution. Every block that y's nonzero entries touch is
-    solved, in order of mid, and each solution translated once into its
-    windows as (index, count) pairs: `forced` holds the windows of every
-    block with one solution, which all candidates share, and `free` the
-    windows of each solution of every other block. Window w = b . mid . a
-    is the edge of A[Z] from w // l to w mod l^p.
+def solve_step1(y: FrequencyVector) -> list[FrequencyVector]:
+    """All non-negative integer level-(p+1) vectors Z with L Z = R Z = Y.
 
-    A block is solved on its nonzero margins Y[b . mid] and Y[mid . a]
-    only, so unused letters cost nothing; its solutions, tuples of nonzero
-    (row, column, count) cells, are listed once per distinct margin values
-    and mapped back through the block's letters. No more than STEP1_CAP + 1
-    are listed, which fail the work check. The margins come from one pass
-    over y's entries, and the product of the solution counts so far is
-    checked against STEP1_CAP before a block is translated.
+    The system splits into independent blocks, one per length-(p-1) middle
+    word: within a block the unknowns Z[b, mid, a] form a matrix whose row
+    sums are Y[b . mid] (outgoing flow) and column sums Y[mid . a]
+    (incoming flow). A block is solved on its nonzero margins only, taken in
+    one pass over y's entries, so unused letters cost nothing. Each block y
+    touches, in order of mid, lists its solutions once, each translated into
+    its windows as (index, count) pairs; window w = b . mid . a is the edge
+    of A[Z] from w // l to w mod l^p. Candidates are the Cartesian product
+    of the blocks' solutions, in lexicographic order of Z.
+
+    More than STEP1_CAP candidates raise ResourceCapError before any is
+    built: a block lists at most STEP1_CAP + 1 solutions, and the product of
+    the counts so far is checked before the block is translated (at level 0,
+    once STEP1_CAP + 1 compositions are built). A level p >= n, which
+    project would refuse to lower into, raises DomainError.
     """
-    check_index_width(y.p + 1, y.l)
-    check_level(y.p + 1, y.n)
-    l, mid_size = y.l, y.l ** (y.p - 1)
-    top = mid_size * l
+    p, n, l = y.p, y.n, y.l
+    if p == 0:
+        # Level 0 -> 1: any composition of n into l parts.
+        comps = list(islice(_compositions(n, l), STEP1_CAP + 1))
+        _check_work(len(comps))
+        return [FrequencyVector(1, n, l, comp) for comp in comps]
+    check_index_width(p + 1, l)
+    check_level(p + 1, n)
+    mid_size, top = l ** (p - 1), l**p
     # y's entries come in index order, so each block's letters are inserted
     # in ascending order.
     margins: dict[int, tuple[dict, dict]] = defaultdict(lambda: ({}, {}))
@@ -128,62 +135,24 @@ def _frame(y: FrequencyVector) -> tuple[list, list] | None:
         margins[mid][0][b] = c
         mid, a = divmod(w, l)  # w = mid . a
         margins[mid][1][a] = c
-    forced: list[tuple[int, int]] = []
-    free = []
-    blocks: dict = {}  # solutions by margin values
-    work = 1
+    blocks, work = [], 1
     for mid in sorted(margins):
         rows, cols = margins[mid]
-        key = (tuple(rows.values()), tuple(cols.values()))
-        sols = blocks.get(key)
-        if sols is None:
-            sols = blocks[key] = list(islice(_nonneg_matrices(*key), STEP1_CAP + 1))
+        matrices = _nonneg_matrices(list(rows.values()), list(cols.values()))
+        sols = list(islice(matrices, STEP1_CAP + 1))
         if not sols:
-            return None
+            return []
         work *= len(sols)
         _check_work(work)
-        # A forced block writes its windows straight into `forced`.
-        options = [forced] if len(sols) == 1 else [[] for _ in sols]
-        firsts = [b * top + mid * l for b in rows]
-        lasts = list(cols)
-        for s, windows in zip(sols, options):
-            for i, j, v in s:
-                windows.append((firsts[i] + lasts[j], v))
-        if len(sols) > 1:
-            free.append(options)
-    return forced, free
-
-
-def solve_step1(y: FrequencyVector) -> list[FrequencyVector]:
-    """All non-negative integer level-(p+1) vectors Z with L Z = R Z = Y.
-
-    The system splits into independent blocks, one per length-(p-1) middle
-    word: within a block the unknowns Z[b, mid, a] form a matrix whose row
-    sums are Y[b . mid] (outgoing flow) and column sums Y[mid . a]
-    (incoming flow), over the letters b and a whose sums are not zero.
-    Candidates are the Cartesian product of the per-block solutions, in
-    lexicographic order of Z. More than STEP1_CAP candidates raise
-    ResourceCapError before any is built (at level 0, once STEP1_CAP + 1
-    compositions are); a level p >= n, which project would refuse to lower
-    into, raises DomainError.
-    """
-    p, n, l = y.p, y.n, y.l
-    if p == 0:
-        # Level 0 -> 1: any composition of n into l parts.
-        comps = list(islice(_compositions(n, l), STEP1_CAP + 1))
-        _check_work(len(comps))
-        return [FrequencyVector(1, n, l, comp) for comp in comps]
-    frame = _frame(y)
-    if frame is None:
-        return []
-    forced, free = frame
-    base = dict(forced)
-    out = []
-    for choice in product(*free):
-        counts = dict(base)
-        for windows in choice:
-            counts.update(windows)
-        out.append(FrequencyVector(p + 1, n, l, counts))
+        firsts, lasts = [b * top + mid * l for b in rows], list(cols)
+        # sols is rebound, so no cells are left when the candidates are built.
+        sols = [[(firsts[i] + lasts[j], v) for i, j, v in s] for s in sols]
+        blocks.append(sols)
+    # Each window lies in exactly one block, so no choice overwrites another.
+    out = [
+        FrequencyVector(p + 1, n, l, dict(chain.from_iterable(choice)))
+        for choice in product(*blocks)
+    ]
     return sorted(out, key=FrequencyVector.sort_key)
 
 

@@ -462,6 +462,15 @@ def test_enumerate_count_cap_boundary(monkeypatch):
         enumerate_sequences_with_frequency(z)
 
 
+def test_enumerate_checks_the_listing_against_the_count(monkeypatch):
+    # binary [10, 10] has 9,252 members: a count one too high is caught
+    z = FrequencyVector(1, 20, 2, {0: 10, 1: 10})
+    true_count = count_sequences_with_frequency(z)
+    monkeypatch.setattr(debruijn, "count_sequences_with_frequency", lambda z: true_count + 1)
+    with pytest.raises(ArithmeticError, match="9252 members listed for a count of 9253"):
+        enumerate_sequences_with_frequency(z)
+
+
 def test_enumerate_steps_over_the_vertices_own_edges():
     # letters L - 1 and 0 once each over L = 10^12 letters: the walk tries
     # only the two letters of the vertex's out-edges, not every letter up

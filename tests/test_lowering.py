@@ -188,13 +188,38 @@ def test_children_of_a_forced_disconnected_node():
     assert lower(y) == []
 
 
+def _dense_compositions(n, parts):
+    return [c for c in product(range(n + 1), repeat=parts) if sum(c) == n]
+
+
+def test_step1_is_every_balanced_preimage():
+    # every level-(p+1) composition Z of n with L Z = R Z, bucketed by
+    # Y = R Z: the whole step-1 set, disconnected candidates included
+    for l, p, top_n in ((2, 1, 6), (2, 2, 6), (3, 1, 4)):
+        for n in range(p + 1, top_n + 1):
+            buckets = {}
+            for dense in _dense_compositions(n, l ** (p + 1)):
+                z = FrequencyVector.from_dense(p + 1, n, l, dense)
+                y = raise_level(z)
+                lead = [sum(dense[j :: l**p]) for j in range(l**p)]
+                if y.dense() == lead:
+                    buckets.setdefault(y, []).append(z)
+            for dense in _dense_compositions(n, l**p):
+                y = FrequencyVector.from_dense(p, n, l, dense)
+                want = sorted(buckets.get(y, []), key=FrequencyVector.sort_key)
+                assert solve_step1(y) == want, y
+
+
 def test_step1_work_cap():
-    y = FrequencyVector.from_dense(1, 300, 3, [100, 100, 100])
-    for f in (solve_step1, lower):
-        start = time.perf_counter()
-        with pytest.raises(ResourceCapError):
-            f(y)
-        assert time.perf_counter() - start < 1.0
+    # [100, 100, 100], and one 50 x 50 block over 10^4 letters, where the
+    # wide alphabet reaches STEP1_CAP within the block
+    wide = FrequencyVector(1, 50, 10**4, {97 * a: 1 for a in range(50)})
+    for y in (FrequencyVector.from_dense(1, 300, 3, [100, 100, 100]), wide):
+        for f in (solve_step1, lower):
+            start = time.perf_counter()
+            with pytest.raises(ResourceCapError):
+                f(y)
+            assert time.perf_counter() - start < 1.0
     with pytest.raises(ResourceCapError):
         lower(FrequencyVector(0, 10**6, 3, {0: 10**6}))
     # a level-0 vector is refused by the compositions built, not by the
