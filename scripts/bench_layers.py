@@ -79,7 +79,13 @@ PROCS = 5 fresh processes per side, the `--parent` and `--src` sides
 alternating and taking turns to go first, so that drift of the machine over
 the run reaches both sides alike. Each process reports its median of five
 calls; the document holds, per case, the median of those five values for
-each side and their ratio.
+each side and their ratio. The k-th parent process and the k-th change
+process run one right after the other, so each such pair gives a ratio of
+its own: the document holds the smallest and largest of these next to the
+ratio of the medians, and marks a row whose pairs straddle 1 (some pair
+reads the change faster, another slower), a row the run does not resolve.
+The per-process values are listed in the order they ran, pair k at
+index k.
 
 Both forms print one JSON document to stdout.
 """
@@ -335,6 +341,22 @@ def _case_in_fresh_process(src: Path, index: int) -> tuple[str, float]:
     return name, value
 
 
+def _row(parent: list[float], change: list[float]) -> dict:
+    """One case's comparison from the per-process values of each side,
+    in the order they ran, parent[k] and change[k] one pair."""
+    pairs = [c / p for p, c in zip(parent, change)]
+    medians = {"parent": statistics.median(parent), "change": statistics.median(change)}
+    return {
+        **medians,
+        "change/parent": medians["change"] / medians["parent"],
+        "pair_ratio_min": min(pairs),
+        "pair_ratio_max": max(pairs),
+        "pairs_straddle_1": min(pairs) <= 1 <= max(pairs),
+        "parent_procs": parent,
+        "change_procs": change,
+    }
+
+
 def compare(parent: Path, change: Path) -> dict:
     """Every case in PROCS fresh processes per side, alternating."""
     sides = {"parent": parent, "change": change}
@@ -345,18 +367,15 @@ def compare(parent: Path, change: Path) -> dict:
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
                 name, value = _case_in_fresh_process(sides[side], index)
                 times[side].append(value)
-        medians = {side: statistics.median(ts) for side, ts in times.items()}
-        cases[name] = {
-            **medians,
-            "change/parent": medians["change"] / medians["parent"],
-            **{f"{side}_procs": sorted(ts) for side, ts in times.items()},
-        }
+        cases[name] = _row(times["parent"], times["change"])
     return {
         "procs": PROCS,
         "runs": RUNS,
         "statistic": (
             "per side, the median over fresh processes of each one's median seconds,"
-            " or of its tracemalloc peak for the peak MB rows"
+            " or of its tracemalloc peak for the peak MB rows; pair_ratio_min and"
+            " pair_ratio_max, the extremes of change/parent over the PROCS pairs of"
+            " processes that ran one after the other"
         ),
         **_machine(),
         "cases": cases,

@@ -21,13 +21,14 @@ from .seqcore import _check_listable, _checked_necklaces, level1_cluster_size, n
 
 # Most necklaces build_tree lists; a tree's cost follows necklace_count(n, l)
 # times its depth. At the cap (2-core Intel Xeon VM, Python 3.11, JSON written
-# to /dev/null) the largest trees of l = 2, 3, 4, 5, at n = 19, 11, 9, 7
-# (27,596, 16,107, 29,144, 11,165 necklaces), build in 1.39, 0.47, 0.80,
-# 0.23 s and export in 0.54, 0.20, 0.30, 0.10 s at a max RSS of 82, 38, 49,
-# 27 MB; the widest, (3, 46), (2, 255) and (1, 32768), build in 0.51-0.72 s
-# and export in 0.17-0.36 s at 40-42 MB. Past it binary n = 20 (52,488) takes
-# 2.2 + 1.1 s at 148 MB. It bounds the level-1 classes too: l at n = 1 and
-# l(l + 1)/2 at n = 2 are the necklace counts, and at n >= 3 there are fewer.
+# to /dev/null, medians of five processes) the largest trees of l = 2, 3, 4, 5,
+# at n = 19, 11, 9, 7 (27,596, 16,107, 29,144, 11,165 necklaces), build in
+# 0.78, 0.35, 0.50, 0.13 s and export in 0.32, 0.12, 0.17, 0.07 s at a max RSS
+# of 81, 38, 49, 26 MB; the widest, (3, 46), (2, 255) and (1, 32768), build in
+# 0.26-0.52 s and export in 0.07-0.23 s at 39-42 MB. Past it binary n = 20
+# (52,488) takes 1.5 + 0.5 s at 147 MB. It bounds the level-1 classes too: l
+# at n = 1 and l(l + 1)/2 at n = 2 are the necklace counts, and at n >= 3
+# there are fewer.
 TREE_MAX_NECKLACES = 1 << 15
 
 
@@ -120,7 +121,12 @@ def _split_members(root: ClusterNode, words: list, max_p: int) -> None:
             counts: dict = {}
             for w in windows:
                 counts[w] = counts.get(w, 0) + 1
-            kid = ClusterNode(p + 1, FrequencyVector(p + 1, n, l, counts), len(group))
+            # The rows of M are sorted, so `windows` ascends and `counts`
+            # keeps its keys in index order. Each key is a window index in
+            # [0, l^(p+1)) and the counts, all positive, count the n
+            # windows, so the vector needs no check.
+            freq = FrequencyVector._of_items(p + 1, n, l, tuple(counts.items()))
+            kid = ClusterNode(p + 1, freq, len(group))
             kids.append(kid)
             if len(group) > 1 and p + 1 < max_p:
                 stack.append((kid, windows, group))

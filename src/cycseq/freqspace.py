@@ -72,6 +72,12 @@ class FrequencyVector:
     Stored sparsely, once: a tuple of (0-based window index, positive count)
     pairs in index order, whose counts sum to n. Level p = 0 is the
     single-entry vector [n].
+
+    Every public constructor checks its input. The one unchecked
+    constructor, _of_items, takes that tuple as it is: its pairs must be
+    in strictly increasing index order within [0, l^p), with positive int
+    counts summing to n. Only clustertree calls it, on window counts it
+    builds valid by construction.
     """
 
     __slots__ = ("p", "n", "l", "_items")
@@ -104,6 +110,17 @@ class FrequencyVector:
         self.n = n
         self.l = l
         self._items = items
+
+    @classmethod
+    def _of_items(cls, p: int, n: int, l: int, items: tuple) -> "FrequencyVector":
+        """The vector whose pairs are `items`, checked for nothing; see the
+        class docstring for what the caller guarantees."""
+        self = object.__new__(cls)
+        self.p = p
+        self.n = n
+        self.l = l
+        self._items = items
+        return self
 
     @classmethod
     def from_dense(cls, p: int, n: int, l: int, entries: Iterable[int]) -> "FrequencyVector":

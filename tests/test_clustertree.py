@@ -289,6 +289,39 @@ def test_children_share_their_parents_invariants(l, max_n, half):
     assert periodic_children > 0
 
 
+def _all_nodes(node):
+    yield node
+    for c in node.children:
+        yield from _all_nodes(c)
+
+
+UNCHECKED_SHAPES = [(n, 2, half) for n in range(1, 15) for half in (False, True)]
+UNCHECKED_SHAPES += [(n, 3, False) for n in range(1, 9)]
+UNCHECKED_SHAPES += [(n, 4, False) for n in range(1, 7)]
+UNCHECKED_SHAPES += [(2, 180, False), (3, 32, False)]
+
+
+def test_node_vectors_are_what_the_checked_constructor_builds():
+    # build_tree makes its node vectors without FrequencyVector's checks;
+    # each must hold what the checks would require and equal, and hash
+    # as, the vector the checked constructor makes of its pairs
+    nodes = 0
+    for n, l, half in UNCHECKED_SHAPES:
+        for node in _all_nodes(build_tree(n, l, half_tree=half).root):
+            z = node.freq
+            assert (z.p, z.n, z.l) == (node.p, n, l)
+            indices = [j for j, _ in z.items()]
+            counts = [c for _, c in z.items()]
+            assert indices == sorted(set(indices)), (n, l, z)
+            assert 0 <= indices[0] and indices[-1] < l**z.p, (n, l, z)
+            assert all(type(j) is int for j in indices) and all(type(c) is int for c in counts)
+            assert min(counts) > 0 and sum(counts) == n, (n, l, z)
+            checked = FrequencyVector(z.p, n, l, dict(z.items()))
+            assert z == checked and hash(z) == hash(checked), (n, l, z)
+            nodes += 1
+    assert nodes == 42_448
+
+
 def _act(y, letters, reverse):
     """g(y) for g = (letter permutation, reversal or not), window by window
     through index_word / word_index."""
