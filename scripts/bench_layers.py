@@ -18,6 +18,9 @@ the median in seconds:
   the ten digits: the checked necklace listing grouped from the root by
   the columns of each necklace's sorted-rotation matrix, as the tree
   command runs it;
+- build_tree(16, 2) with every node's freq read once: a node holds its
+  sorted windows and builds its vector on each read, so this row is the
+  build plus what the JSON export pays for the vectors;
 - twofold_table(4) and twofold_table(5): the per-k Phi, PermNo and
   cofactor rows that `twofold --p 4 --table` and `--p 5 --table` print.
   The cache of the Phi row (twofold._phi_row) is cleared before every
@@ -176,6 +179,11 @@ def _tree(n: int, l: int, half: bool):
     return name, lambda: build_tree(n, l, half_tree=half), None
 
 
+def _tree_vectors():
+    name = "build_tree(16, 2) and every node's freq"
+    return name, lambda: [node.freq for node in _tree_nodes(16, 2)], None
+
+
 def _twofold_table(p: int):
     from cycseq import twofold
 
@@ -287,6 +295,7 @@ TIMED_SETUPS = (
     + [_counting, _counting_words]
     + [lambda c=c: _tree(*c) for c in TREE_CASES]
     + [
+        _tree_vectors,
         lambda: _twofold_table(4),
         lambda: _twofold_table(5),
         lambda: _twofold_exact(8),

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TextIO
 
-from .errors import DomainError
+from .errors import DomainError, brief
 from .freqspace import FrequencyVector, _as_int
 
 # Unused here, but bench/spans.py wraps these module attributes by name;
@@ -23,10 +23,10 @@ from .seqcore import _check_listable, _checked_necklaces, level1_cluster_size, n
 # times its depth. At the cap (2-core Intel Xeon VM, Python 3.11, JSON written
 # to /dev/null, medians of five processes) the largest trees of l = 2, 3, 4, 5,
 # at n = 19, 11, 9, 7 (27,596, 16,107, 29,144, 11,165 necklaces), build in
-# 0.78, 0.35, 0.50, 0.13 s and export in 0.32, 0.12, 0.17, 0.07 s at a max RSS
-# of 81, 38, 49, 26 MB; the widest, (3, 46), (2, 255) and (1, 32768), build in
-# 0.26-0.52 s and export in 0.07-0.23 s at 39-42 MB. Past it binary n = 20
-# (52,488) takes 1.5 + 0.5 s at 147 MB. It bounds the level-1 classes too: l
+# 0.45, 0.20, 0.22, 0.07 s and export in 0.49, 0.26, 0.23, 0.11 s at a max RSS
+# of 39, 26, 32, 21 MB; the widest, (3, 46), (2, 255) and (1, 32768), build in
+# 0.34-0.44 s and export in 0.18-0.31 s at 33-38 MB. Past it binary n = 20
+# (52,488) takes 1.0 + 1.4 s at 61 MB. It bounds the level-1 classes too: l
 # at n = 1 and l(l + 1)/2 at n = 2 are the necklace counts, and at n >= 3
 # there are fewer.
 TREE_MAX_NECKLACES = 1 << 15
@@ -34,10 +34,24 @@ TREE_MAX_NECKLACES = 1 << 15
 
 @dataclass(slots=True)
 class ClusterNode:
+    """A p-closeness class of `count` necklaces, held as the ascending
+    level-p window indices its members share (n of them, all 0 at the
+    root) over l letters."""
+
     p: int
-    freq: FrequencyVector
+    l: int
+    windows: list[int]
     count: int
     children: list["ClusterNode"] = field(default_factory=list)
+
+    @property
+    def freq(self) -> FrequencyVector:
+        """The class's level-p vector, built from the windows on each read:
+        they ascend and lie in [0, l^p), so their runs are its pairs."""
+        counts: dict = {}
+        for w in self.windows:
+            counts[w] = counts.get(w, 0) + 1
+        return FrequencyVector._of_items(self.p, len(self.windows), self.l, tuple(counts.items()))
 
 
 @dataclass
@@ -55,7 +69,9 @@ def build_tree(n: int, l: int, max_p: int | None = None, half_tree: bool = False
     _split_members: a node's children are its members grouped by their
     level-(p+1) window counts, so the root's children are the letter
     compositions, each counted as level1_cluster_size says. Refinement
-    stops once a cluster is a singleton or max_p is reached. half_tree
+    stops once a cluster is a singleton or max_p is reached; a negative
+    max_p is a DomainError. Each node keeps its sorted windows, and its
+    vector is built only when its freq is read. half_tree
     (l = 2 only) keeps the necklaces with at most floor(n/2) ones, and its
     root count is theirs whatever max_p is. More than TREE_MAX_NECKLACES
     necklaces are refused before any is listed.
@@ -65,8 +81,10 @@ def build_tree(n: int, l: int, max_p: int | None = None, half_tree: bool = False
         raise DomainError("half_tree is defined for the binary alphabet only")
     if max_p is None:
         max_p = n
+    elif max_p < 0:
+        raise DomainError(f"max_p must be >= 0, not {brief(max_p)}")
 
-    root = ClusterNode(0, FrequencyVector(0, n, l, {0: n}), necklace_count(n, l))
+    root = ClusterNode(0, l, [0] * n, necklace_count(n, l))
     words = _checked_necklaces(n, l)
     if half_tree:
         words = [w for w in words if w.count("1") <= n // 2]
@@ -101,35 +119,29 @@ def _split_members(root: ClusterNode, words: list, max_p: int) -> None:
     come in sort_key order when their columns are taken in descending
     order.
     """
-    n, l = root.freq.n, root.freq.l
+    n, l = len(root.windows), root.l
     letters = {48 + a: a for a in range(l)}
     group = []
     for word in words:
         ww = (word + word).translate(letters)
         group.append("".join(sorted([ww[r:r + n] for r in range(n)])))
-    stack = [(root, [0] * n, group)]
+    stack = [(root, group)]
     while stack:
-        node, parent_windows, group = stack.pop()
-        p = node.p
+        node, group = stack.pop()
+        p, parent_windows = node.p, node.windows
         groups: dict = {}
         for m in group:
             groups.setdefault(m[p::n], []).append(m)
         kids = []
         for column in sorted(groups, reverse=True):
             group = groups[column]
+            # The rows of M are sorted, so these windows ascend, each in
+            # [0, l^(p+1)): what ClusterNode.freq needs of them.
             windows = [w * l + a for w, a in zip(parent_windows, map(ord, column))]
-            counts: dict = {}
-            for w in windows:
-                counts[w] = counts.get(w, 0) + 1
-            # The rows of M are sorted, so `windows` ascends and `counts`
-            # keeps its keys in index order. Each key is a window index in
-            # [0, l^(p+1)) and the counts, all positive, count the n
-            # windows, so the vector needs no check.
-            freq = FrequencyVector._of_items(p + 1, n, l, tuple(counts.items()))
-            kid = ClusterNode(p + 1, freq, len(group))
+            kid = ClusterNode(p + 1, l, windows, len(group))
             kids.append(kid)
             if len(group) > 1 and p + 1 < max_p:
-                stack.append((kid, windows, group))
+                stack.append((kid, group))
         node.children = kids
 
 
@@ -150,15 +162,28 @@ def predicted_max_branching_level(n: int) -> int:
     return (n - 3) // 2 + 1
 
 
-def _node_from_obj(obj) -> ClusterNode:
+def _node_from_obj(obj, n: int, l: int, p: int) -> ClusterNode:
+    """The node of obj, which sits at level p of a tree of necklaces of
+    length n over l letters; its windows are expanded from its vector."""
     try:
-        p, freq, count, children = obj["p"], obj["freq"], obj["count"], obj["children"]
+        level, freq, count, children = obj["p"], obj["freq"], obj["count"], obj["children"]
     except (KeyError, TypeError):
         raise DomainError("a cluster node needs the fields p, freq, count and children") from None
     if not isinstance(children, list):
         raise DomainError("'children' must be a list of cluster nodes")
-    kids = [_node_from_obj(c) for c in children]
-    return ClusterNode(_as_int(p), FrequencyVector.from_obj(freq), _as_int(count), kids)
+    level, z, count = _as_int(level), FrequencyVector.from_obj(freq), _as_int(count)
+    if level != p:
+        raise DomainError(f"a node at level {p} of the tree has p = {brief(level)}")
+    if (z.p, z.n, z.l) != (p, n, l):
+        raise DomainError(
+            f"a node at level {p} of a tree with n = {n}, l = {l} holds a vector"
+            f" with p = {brief(z.p)}, n = {brief(z.n)}, l = {brief(z.l)}"
+        )
+    if count < 0:
+        raise DomainError(f"negative node count {brief(count)}")
+    windows = [j for j, c in z.items() for _ in range(c)]
+    kids = [_node_from_obj(c, n, l, p + 1) for c in children]
+    return ClusterNode(p, l, windows, count, kids)
 
 
 def _write_json(node: ClusterNode, write) -> None:
@@ -232,7 +257,10 @@ def tree_to_json(tree: ClusterTree) -> str:
 
 def tree_from_json(text: str) -> ClusterTree:
     """The tree of a JSON export. Text that is not JSON, or not a tree of
-    nodes with their fields, raises DomainError."""
+    nodes with their fields, raises DomainError; so does a node whose p is
+    not its depth, or whose vector is not of its level and of the tree's n
+    and l, or whose count is negative. A tree of more necklaces than
+    build_tree lists raises ResourceCapError before any node is read."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -241,7 +269,9 @@ def tree_from_json(text: str) -> ClusterTree:
         n, l, root = obj["n"], obj["l"], obj["root"]
     except (KeyError, TypeError):
         raise DomainError("a cluster tree needs the fields n, l and root") from None
-    return ClusterTree(_as_int(n), _as_int(l), _node_from_obj(root))
+    n, l = _as_int(n), _as_int(l)
+    _check_listable(n, l, TREE_MAX_NECKLACES)
+    return ClusterTree(n, l, _node_from_obj(root, n, l, 0))
 
 
 def tree_to_dot(tree: ClusterTree) -> str:

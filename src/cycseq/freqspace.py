@@ -76,8 +76,8 @@ class FrequencyVector:
     Every public constructor checks its input. The one unchecked
     constructor, _of_items, takes that tuple as it is: its pairs must be
     in strictly increasing index order within [0, l^p), with positive int
-    counts summing to n. Only clustertree calls it, on window counts it
-    builds valid by construction.
+    counts summing to n. Only clustertree calls it, on the runs of a
+    cluster-tree node's sorted windows, valid by construction.
     """
 
     __slots__ = ("p", "n", "l", "_items")

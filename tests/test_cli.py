@@ -221,6 +221,12 @@ def test_tree_cap(capsys):
     assert code == 4
 
 
+def test_tree_negative_max_p_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "tree", "--n", "4", "--max-p", "-3")
+    assert (code, out) == (3, "")
+    assert "error:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("alphabet", ["1", "0", "-1"])
 def test_tree_alphabet_below_two_is_a_domain_error(capsys, alphabet):
     code, out, err = run(capsys, "tree", "--n", "3", "--alphabet", alphabet)

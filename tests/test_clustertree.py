@@ -162,16 +162,21 @@ def test_half_root_count_does_not_depend_on_max_p(capsys):
     # ones, which max_p = 0 keeps off the tree but not out of the count
     for n in range(2, 15):
         full = build_tree(n, 2, half_tree=True).root
-        for max_p in (0, -1):
-            bare = build_tree(n, 2, half_tree=True, max_p=max_p).root
-            assert (bare.count, bare.children) == (full.count, []), (n, max_p)
+        bare = build_tree(n, 2, half_tree=True, max_p=0).root
+        assert (bare.count, bare.children) == (full.count, []), n
     assert main(["tree", "--n", "5", "--half", "--max-p", "0"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert (obj["root"]["count"], obj["root"]["children"]) == ("4", [])
-    # a negative cap keeps the level-1 children off the tree as well
-    assert main(["tree", "--n", "5", "--half", "--max-p", "-1"]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert (obj["root"]["count"], obj["root"]["children"]) == ("4", [])
+    # a negative cap is refused, not read as 0
+    assert main(["tree", "--n", "5", "--half", "--max-p", "-1"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("max_p", [-1, -3, -(2**100)])
+@pytest.mark.parametrize("n, l, half", [(4, 2, False), (5, 2, True)])
+def test_negative_max_p_is_a_domain_error(n, l, half, max_p):
+    with pytest.raises(DomainError, match="max_p"):
+        build_tree(n, l, max_p=max_p, half_tree=half)
 
 
 def test_caps_and_domain_errors():
@@ -218,6 +223,26 @@ MALFORMED_TREES = {
     "freq-list": '{"n": 3, "l": 2, "root": '
     + _ROOT.replace('{"p": 0, "n": 3, "l": 2, "dense": [3]}', "[3]")
     + "}",
+    # nodes whose fields contradict each other or the tree
+    "vector-p": '{"n": 3, "l": 2, "root": '
+    + _ROOT.replace('{"p": 0, "n": 3, "l": 2, "dense": [3]}', '{"p": 1, "n": 3, "l": 2, "dense": [2, 1]}')
+    + "}",
+    "vector-n": '{"n": 3, "l": 2, "root": '
+    + _ROOT.replace('{"p": 0, "n": 3, "l": 2, "dense": [3]}', '{"p": 0, "n": 5, "l": 2, "dense": [5]}')
+    + "}",
+    "vector-l": '{"n": 3, "l": 2, "root": ' + _ROOT.replace('"l": 2, "dense"', '"l": 3, "dense"') + "}",
+    "root-level-1": '{"n": 3, "l": 2, "root": {"p": 1, "freq": {"p": 1, "n": 3, "l": 2, "dense": [2, 1]},'
+    ' "count": "1", "children": []}}',
+    "child-level": '{"n": 3, "l": 2, "root": '
+    + _ROOT.replace(
+        '"children": []',
+        '"children": [{"p": 2, "freq": {"p": 2, "n": 3, "l": 2, "dense": [0, 1, 1, 1]},'
+        ' "count": "1", "children": []}]',
+    )
+    + "}",
+    "negative-count": '{"n": 3, "l": 2, "root": ' + _ROOT.replace('"count": "4"', '"count": "-4"') + "}",
+    "all-three": '{"n": 3, "l": 2, "root": {"p": 0, "freq": {"p": 1, "n": 5, "l": 3, "dense": [2, 2, 1]},'
+    ' "count": "-4", "children": []}}',
 }
 
 
@@ -235,6 +260,18 @@ def test_tree_from_json_refuses_malformed_text(text):
         tree_from_json(text)
 
 
+def test_tree_from_json_refuses_a_tree_past_the_cap():
+    # a node's windows are its vector expanded to n entries, so a tree
+    # larger than build_tree makes is refused before any node is read
+    for n in (20, 10**12, 2**200):
+        text = json.dumps({"n": n, "l": 2, "root": {
+            "p": 0, "freq": {"p": 0, "n": n, "l": 2, "dense": [n]}, "count": "1", "children": []}})
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError):
+            tree_from_json(text)
+        assert time.perf_counter() - start < 1.0, n
+
+
 def test_dot_and_newick():
     tree = build_tree(5, 2)
     dot = tree_to_dot(tree)
@@ -246,6 +283,25 @@ def test_dot_and_newick():
     assert export_tree(tree, "newick") == newick
     with pytest.raises(DomainError):
         export_tree(tree, "svg")
+
+
+def test_dot_and_newick_build_no_vector_below_level_1(monkeypatch):
+    # nodes hold their sorted windows: build_tree reads only the level-1
+    # vectors, for their Burnside check, and DOT, Newick and the branching
+    # level read none
+    built = []
+    of_items = FrequencyVector._of_items
+
+    def counted(p, n, l, items):
+        built.append(p)
+        return of_items(p, n, l, items)
+
+    monkeypatch.setattr(FrequencyVector, "_of_items", staticmethod(counted))
+    tree = build_tree(14, 2)
+    tree_to_dot(tree)
+    tree_to_newick(tree)
+    max_branching_level(tree)
+    assert built == [1] * len(tree.root.children)
 
 
 def _internal_nodes(node):
