@@ -20,7 +20,10 @@ the median in seconds:
   command runs it;
 - build_tree(16, 2) with every node's freq read once: a node holds its
   sorted windows and builds its vector on each read, so this row is the
-  build plus what the JSON export pays for the vectors;
+  build plus what a library caller pays for reading every vector;
+- build_tree(1, 32768) and its JSON export: 32,768 level-1 classes, one
+  per letter, whose level-1 check and JSON text read the runs of each
+  child's windows;
 - twofold_table(4) and twofold_table(5): the per-k Phi, PermNo and
   cofactor rows that `twofold --p 4 --table` and `--p 5 --table` print.
   The cache of the Phi row (twofold._phi_row) is cleared before every
@@ -184,6 +187,13 @@ def _tree_vectors():
     return name, lambda: [node.freq for node in _tree_nodes(16, 2)], None
 
 
+def _wide_tree_json():
+    from cycseq.clustertree import build_tree, export_tree
+
+    name = "build_tree(1, 32768) and export_tree json"
+    return name, lambda: export_tree(build_tree(1, 32768), "json"), None
+
+
 def _twofold_table(p: int):
     from cycseq import twofold
 
@@ -296,6 +306,7 @@ TIMED_SETUPS = (
     + [lambda c=c: _tree(*c) for c in TREE_CASES]
     + [
         _tree_vectors,
+        _wide_tree_json,
         lambda: _twofold_table(4),
         lambda: _twofold_table(5),
         lambda: _twofold_exact(8),

@@ -23,13 +23,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _parse_vector(text: str) -> FrequencyVector:
-    try:
-        return FrequencyVector.from_json(text)
-    except (json.JSONDecodeError, TypeError, KeyError) as exc:
-        raise DomainError(f"invalid frequency-vector JSON: {exc}")
-
-
 def _check_printable(exceeds) -> None:
     """Refuse a count, before computing it, when exceeds(limit) says its
     decimal digits would pass Python's integer-to-string limit (absent
@@ -63,7 +56,7 @@ def cmd_project(args) -> None:
 
 
 def cmd_raise(args) -> None:
-    _emit(freqspace.raise_level(_parse_vector(args.vector)).to_obj())
+    _emit(freqspace.raise_level(FrequencyVector.from_json(args.vector)).to_obj())
 
 
 def cmd_distance(args) -> None:
@@ -78,13 +71,13 @@ def cmd_distance(args) -> None:
 
 
 def cmd_lower(args) -> None:
-    y = _parse_vector(args.vector)
+    y = FrequencyVector.from_json(args.vector)
     candidates = lowering.solve_step1(y) if args.raw else lowering.lower(y)
     _emit({"candidates": [z.to_obj() for z in candidates]})
 
 
 def cmd_members(args) -> None:
-    seqs = debruijn.enumerate_sequences_with_frequency(_parse_vector(args.vector))
+    seqs = debruijn.enumerate_sequences_with_frequency(FrequencyVector.from_json(args.vector))
     _emit({"count": str(len(seqs)), "sequences": [str(s) for s in seqs]})
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import TextIO
 
 from .errors import DomainError, brief
-from .freqspace import FrequencyVector, _as_int
+from .freqspace import FrequencyVector, _as_int, _vector_json
 
 # Unused here, but bench/spans.py wraps these module attributes by name;
 # they go with the next change to the benchmark.
@@ -46,12 +46,18 @@ class ClusterNode:
 
     @property
     def freq(self) -> FrequencyVector:
-        """The class's level-p vector, built from the windows on each read:
-        they ascend and lie in [0, l^p), so their runs are its pairs."""
-        counts: dict = {}
-        for w in self.windows:
-            counts[w] = counts.get(w, 0) + 1
-        return FrequencyVector._of_items(self.p, len(self.windows), self.l, tuple(counts.items()))
+        """The class's level-p vector, built from the runs of its windows
+        on each read."""
+        return FrequencyVector(self.p, len(self.windows), self.l, _runs(self.windows))
+
+
+def _runs(windows: list[int]) -> dict[int, int]:
+    """The runs of the ascending windows, {index: length} in index order:
+    the (index, count) pairs of their vector."""
+    counts: dict = {}
+    for w in windows:
+        counts[w] = counts.get(w, 0) + 1
+    return counts
 
 
 @dataclass
@@ -94,7 +100,7 @@ def build_tree(n: int, l: int, max_p: int | None = None, half_tree: bool = False
     if max_p > 0:
         _split_members(root, words, max_p)
         for child in root.children:
-            size = level1_cluster_size([c for _, c in child.freq.items()])
+            size = level1_cluster_size(list(_runs(child.windows).values()))
             if child.count != size:
                 raise ArithmeticError(f"{child.count} necklaces listed for a class of {size}")
     return ClusterTree(n, l, root)
@@ -136,7 +142,7 @@ def _split_members(root: ClusterNode, words: list, max_p: int) -> None:
         for column in sorted(groups, reverse=True):
             group = groups[column]
             # The rows of M are sorted, so these windows ascend, each in
-            # [0, l^(p+1)): what ClusterNode.freq needs of them.
+            # [0, l^(p+1)).
             windows = [w * l + a for w, a in zip(parent_windows, map(ord, column))]
             kid = ClusterNode(p + 1, l, windows, len(group))
             kids.append(kid)
@@ -189,10 +195,9 @@ def _node_from_obj(obj, n: int, l: int, p: int) -> ClusterNode:
 def _write_json(node: ClusterNode, write) -> None:
     """node as the object {"p", "freq", "count", "children"}, its count a
     string (so any size survives JSON), written node by node."""
-    write(
-        f'{{"p": {node.p}, "freq": {node.freq.to_json()}, '
-        f'"count": "{node.count}", "children": ['
-    )
+    p, windows = node.p, node.windows
+    freq = _vector_json(p, len(windows), node.l, _runs(windows).items())
+    write(f'{{"p": {p}, "freq": {freq}, "count": "{node.count}", "children": [')
     sep = ""
     for child in node.children:
         write(sep)

@@ -72,12 +72,6 @@ class FrequencyVector:
     Stored sparsely, once: a tuple of (0-based window index, positive count)
     pairs in index order, whose counts sum to n. Level p = 0 is the
     single-entry vector [n].
-
-    Every public constructor checks its input. The one unchecked
-    constructor, _of_items, takes that tuple as it is: its pairs must be
-    in strictly increasing index order within [0, l^p), with positive int
-    counts summing to n. Only clustertree calls it, on the runs of a
-    cluster-tree node's sorted windows, valid by construction.
     """
 
     __slots__ = ("p", "n", "l", "_items")
@@ -110,17 +104,6 @@ class FrequencyVector:
         self.n = n
         self.l = l
         self._items = items
-
-    @classmethod
-    def _of_items(cls, p: int, n: int, l: int, items: tuple) -> "FrequencyVector":
-        """The vector whose pairs are `items`, checked for nothing; see the
-        class docstring for what the caller guarantees."""
-        self = object.__new__(cls)
-        self.p = p
-        self.n = n
-        self.l = l
-        self._items = items
-        return self
 
     @classmethod
     def from_dense(cls, p: int, n: int, l: int, entries: Iterable[int]) -> "FrequencyVector":
@@ -163,30 +146,14 @@ class FrequencyVector:
         differ, and the list with a nonzero entry there is the larger."""
         return tuple([(-j, c) for j, c in self._items])
 
-    def _is_dense(self) -> bool:
-        """Whether the serialized vector is written densely."""
-        # l >= 2, so l^p <= the limit only when 2^p is.
-        return (
-            self.p < DENSE_SERIALIZATION_LIMIT.bit_length()
-            and self.l**self.p <= DENSE_SERIALIZATION_LIMIT
-        )
-
     def to_json(self) -> str:
         """json.dumps(self.to_obj()), with the dense list written by runs of
         zeros instead of from l^p ints."""
-        if not self._is_dense():
-            return json.dumps(self.to_obj())
-        parts, nxt = [], 0
-        for j, c in self._items:
-            parts.append(f"{'0, ' * (j - nxt)}{c}, ")
-            nxt = j + 1
-        parts.append("0, " * (self.l**self.p - nxt))
-        dense = "".join(parts)[:-2]
-        return f'{{"p": {self.p}, "n": {self.n}, "l": {self.l}, "dense": [{dense}]}}'
+        return _vector_json(self.p, self.n, self.l, self._items)
 
     def to_obj(self) -> dict:
         obj: dict = {"p": self.p, "n": self.n, "l": self.l}
-        if self._is_dense():
+        if _is_dense(self.p, self.l):
             obj["dense"] = self.dense()
         else:
             obj["sparse"] = {str(j + 1): c for j, c in self.items()}
@@ -214,7 +181,34 @@ class FrequencyVector:
 
     @classmethod
     def from_json(cls, text: str) -> "FrequencyVector":
-        return cls.from_obj(json.loads(text))
+        """The vector of a JSON text; text that is not JSON, nested past the
+        recursion limit or holding a number past the integer-to-string
+        limit included, raises DomainError."""
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise DomainError(f"invalid frequency-vector JSON: {exc}") from None
+        return cls.from_obj(obj)
+
+
+def _is_dense(p: int, l: int) -> bool:
+    """Whether a level-p vector over l letters is serialized densely."""
+    # l >= 2, so l^p <= the limit only when 2^p is.
+    return p < DENSE_SERIALIZATION_LIMIT.bit_length() and l**p <= DENSE_SERIALIZATION_LIMIT
+
+
+def _vector_json(p: int, n: int, l: int, items) -> str:
+    """FrequencyVector.to_json of the vector (p, n, l) whose nonzero
+    (0-based index, count) pairs are `items`, in index order."""
+    if not _is_dense(p, l):
+        return json.dumps({"p": p, "n": n, "l": l, "sparse": {str(j + 1): c for j, c in items}})
+    parts, nxt = [], 0
+    for j, c in items:
+        parts.append(f"{'0, ' * (j - nxt)}{c}, ")
+        nxt = j + 1
+    parts.append("0, " * (l**p - nxt))
+    dense = "".join(parts)[:-2]
+    return f'{{"p": {p}, "n": {n}, "l": {l}, "dense": [{dense}]}}'
 
 
 def _as_int(value) -> int:

@@ -121,9 +121,17 @@ def test_raise_at_a_huge_level(capsys):
     assert json.loads(out) == {"p": 10**9 - 1, "n": 2, "l": 3, "sparse": {"1": 2}}
 
 
-def test_raise_invalid_json(capsys):
-    code, _, _ = run(capsys, "raise", "--vector", "{broken")
-    assert code == 3
+@pytest.mark.parametrize(
+    "text",
+    ["{broken", "[" * 30000 + "]" * 30000, '{"p": 0, "n": ' + "9" * 5000 + ', "l": 2}'],
+    ids=["broken", "deep", "long-literal"],
+)
+def test_raise_invalid_json(capsys, text):
+    # not JSON, nested past the recursion limit, or a number past the
+    # integer-to-string limit: a domain error, not a traceback
+    code, out, err = run(capsys, "raise", "--vector", text)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
 
 
 def test_distance(capsys):

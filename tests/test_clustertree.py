@@ -285,23 +285,27 @@ def test_dot_and_newick():
         export_tree(tree, "svg")
 
 
-def test_dot_and_newick_build_no_vector_below_level_1(monkeypatch):
-    # nodes hold their sorted windows: build_tree reads only the level-1
-    # vectors, for their Burnside check, and DOT, Newick and the branching
-    # level read none
+def test_build_and_every_export_construct_no_vector(monkeypatch):
+    # nodes hold their sorted windows: build_tree's level-1 check, the
+    # three exports and the branching level read their runs, and none
+    # constructs a vector
     built = []
-    of_items = FrequencyVector._of_items
+    init = FrequencyVector.__init__
 
-    def counted(p, n, l, items):
-        built.append(p)
-        return of_items(p, n, l, items)
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(FrequencyVector, "_of_items", staticmethod(counted))
-    tree = build_tree(14, 2)
-    tree_to_dot(tree)
-    tree_to_newick(tree)
-    max_branching_level(tree)
-    assert built == [1] * len(tree.root.children)
+    monkeypatch.setattr(FrequencyVector, "__init__", counted)
+    for n, l in [(14, 2), (8, 3), (1, 300)]:
+        tree = build_tree(n, l)
+        for fmt in ("json", "dot", "newick"):
+            export_tree(tree, fmt)
+        max_branching_level(tree)
+    assert built == []
+    # the counter sees what it counts
+    assert tree.root.freq.items() == ((0, 1),)
+    assert len(built) == 1
 
 
 def _internal_nodes(node):
@@ -357,14 +361,26 @@ UNCHECKED_SHAPES += [(n, 4, False) for n in range(1, 7)]
 UNCHECKED_SHAPES += [(2, 180, False), (3, 32, False)]
 
 
+def _json_nodes(obj):
+    yield obj
+    for c in obj["children"]:
+        yield from _json_nodes(c)
+
+
 def test_node_vectors_are_what_the_checked_constructor_builds():
-    # build_tree makes its node vectors without FrequencyVector's checks;
-    # each must hold what the checks would require and equal, and hash
-    # as, the vector the checked constructor makes of its pairs
+    # each node's vector holds what the checks require and equals, and
+    # hashes as, the vector the checked constructor makes of its pairs;
+    # the JSON export writes its text from the windows' runs, and each
+    # node's "freq" there is that vector's object
     nodes = 0
     for n, l, half in UNCHECKED_SHAPES:
-        for node in _all_nodes(build_tree(n, l, half_tree=half).root):
+        tree = build_tree(n, l, half_tree=half)
+        written = list(_json_nodes(json.loads(tree_to_json(tree))["root"]))
+        tree_nodes = list(_all_nodes(tree.root))
+        assert len(written) == len(tree_nodes), (n, l, half)
+        for node, obj in zip(tree_nodes, written):
             z = node.freq
+            assert obj["freq"] == z.to_obj(), (n, l, z)
             assert (z.p, z.n, z.l) == (node.p, n, l)
             indices = [j for j, _ in z.items()]
             counts = [c for _, c in z.items()]

@@ -144,26 +144,3 @@ def test_every_local_is_read():
                 if isinstance(node.ctx, ast.Store) and node.id != "_" and node.id not in read:
                     unread.append(f"{path.name}:{node.lineno} {func.name}.{node.id}")
     assert unread == []
-
-
-def test_only_clustertree_calls_the_unchecked_vector_constructor():
-    # FrequencyVector._of_items checks nothing, so no path from CLI or JSON
-    # input may reach it: the package names it only where freqspace
-    # defines it and where clustertree calls it to build a tree's vectors
-    calls, other = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "_of_items" and id(node) in called:
-                calls.append(path.name)
-            elif (
-                isinstance(node, ast.Attribute) and node.attr == "_of_items"
-                or isinstance(node, ast.Name) and node.id == "_of_items"
-                or isinstance(node, ast.Constant) and node.value == "_of_items"
-                or isinstance(node, ast.FunctionDef) and node.name == "_of_items"
-                and path.name != "freqspace.py"
-            ):
-                other.append(f"{path.name}:{node.lineno}")
-    assert set(calls) == {"clustertree.py"}
-    assert other == []
