@@ -70,17 +70,14 @@ the script runs on any version of the package that has them.
 
 Usage:
 
-  python3 scripts/bench_layers.py [--src DIR]
-  python3 scripts/bench_layers.py --parent DIR [--src DIR]
+  python3 scripts/bench_layers.py [--parent DIR] [--src DIR]
 
 `--src` names the directory the `cycseq` package is imported from (default:
 this checkout's `src`); `--parent` names one too, such as another
-checkout's `src`. A directory that holds no `cycseq/__init__.py` is
-refused before any case runs. The first form times that one package in one
-process. Timings of two versions taken one after the other differ by the
-drift of the machine between the runs, so it is no comparison.
+checkout's `src` (default: `--src`). A directory that holds no
+`cycseq/__init__.py` is refused before any case runs.
 
-The second form compares two versions of the package. Each case runs in
+The script compares two versions of the package. Each case runs in
 PROCS = 5 fresh processes per side, the `--parent` and `--src` sides
 alternating and taking turns to go first, so that drift of the machine over
 the run reaches both sides alike. Each process reports its median of five
@@ -93,7 +90,11 @@ reads the change faster, another slower), a row the run does not resolve.
 The per-process values are listed in the order they ran, pair k at
 index k.
 
-Both forms print one JSON document to stdout.
+A run without `--parent` times the package against itself: an A/A run.
+The pair range of each of its rows is that row's noise, which a
+comparison of two versions has to beat before it shows a change.
+
+The script prints one JSON document to stdout.
 """
 
 from __future__ import annotations
@@ -348,12 +349,6 @@ def _machine() -> dict:
     }
 
 
-def measure() -> dict:
-    cases = dict(case() for case in CASES)
-    statistic = "median seconds; the peak MB rows, one tracemalloc peak"
-    return {"runs": RUNS, "statistic": statistic, **_machine(), "cases": cases}
-
-
 def _case_in_fresh_process(src: Path, index: int) -> tuple[str, float]:
     argv = [sys.executable, __file__, "--src", str(src), "--case", str(index)]
     out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
@@ -405,26 +400,25 @@ def compare(parent: Path, change: Path) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--parent", type=Path, default=None)
+    parser.add_argument("--parent", type=Path)
     parser.add_argument("--case", type=int, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    for option, path in (("--src", args.src), ("--parent", args.parent)):
-        if path is not None and not (path / "cycseq" / "__init__.py").is_file():
+    parent = args.parent or args.src
+    for option, path in (("--src", args.src), ("--parent", parent)):
+        if not (path / "cycseq" / "__init__.py").is_file():
             parser.error(
                 f"{option} {path} holds no cycseq/__init__.py:"
                 " give the directory of the package, a checkout's src"
             )
     src = args.src.resolve()
-    if args.parent is not None:
-        result = compare(args.parent.resolve(), src)
-    else:
+    if args.case is not None:
+        # One case, in a process of its own, for compare().
+        if args.case not in range(len(CASES)):
+            parser.error(f"--case {args.case} is not in range({len(CASES)})")
         sys.path.insert(0, str(src))
-        if args.case is not None:
-            # One case, in a process of its own, for compare().
-            print(json.dumps(CASES[args.case]()))
-            return 0
-        result = measure()
-    print(json.dumps(result, indent=2))
+        print(json.dumps(CASES[args.case]()))
+        return 0
+    print(json.dumps(compare(parent.resolve(), src), indent=2))
     return 0
 
 

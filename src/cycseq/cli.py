@@ -23,30 +23,23 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _check_printable(exceeds) -> None:
-    """Refuse a count, before computing it, when exceeds(limit) says its
-    decimal digits would pass Python's integer-to-string limit (absent
-    before Python 3.10.7, 0 when switched off, else at least 640).
-
-    The estimates compare an int argument with a float threshold, which
-    Python does exactly and without converting the int, so no size of the
-    argument overflows a float."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and exceeds(limit):
-        raise ResourceCapError(
-            f"the count would have more than {limit} digits, "
-            "the limit for printing an integer (sys.set_int_max_str_digits)"
-        )
+def _digits_cap_error() -> ResourceCapError:
+    return ResourceCapError(
+        f"the count would have more than {sys.get_int_max_str_digits()} digits, "
+        "the limit for printing an integer (sys.set_int_max_str_digits)"
+    )
 
 
 def cmd_necklaces(args) -> None:
-    n, l = args.n, args.alphabet
-    if n >= 1 and l >= 2:
-        # About l^n / n necklaces: n log10(l) digits.
-        _check_printable(lambda limit: n > limit / math.log10(l))
-    out = {"count": str(seqcore.necklace_count(n, l))}
+    # necklace_count stops at its own bit cap, so the count is cheap to take
+    # and its own digits, not an estimate, decide whether it prints.
+    count = seqcore.necklace_count(args.n, args.alphabet)
+    try:
+        out = {"count": str(count)}
+    except ValueError:
+        raise _digits_cap_error() from None
     if args.list:
-        out["necklaces"] = seqcore.necklace_strings(n, l)
+        out["necklaces"] = seqcore.necklace_strings(args.n, args.alphabet)
     _emit(out)
 
 
@@ -101,22 +94,29 @@ def cmd_debruijn_count(args) -> None:
 
 
 def _check_debruijn_printable(l: int, p: int, f: int = 1) -> None:
-    """The number of f-fold de Bruijn sequences of order p is about
-    M^(l^(p-1)) for the multinomial M = (f l)! / (f!)^l (count_multi_debruijn),
-    so it has about l^(p-1) log10(M) digits; at f = 1, M = l!.
+    """Refuse, before anything is counted, a count of f-fold de Bruijn
+    sequences of order p whose digits would pass Python's integer-to-string
+    limit (absent before Python 3.10.7, 0 when switched off).
+
+    The count is about M^(l^(p-1)) for the multinomial
+    M = (f l)! / (f!)^l (count_multi_debruijn), so it has about
+    l^(p-1) log10(M) digits; at f = 1, M = l!.
 
     M is at least l! and at least C(2f, f). log10(l!) > l once l > 27, and
     log10 C(2f, f) > f / 2 once f > 6, so an alphabet larger than the
     limit, or a fold more than twice the limit, exceeds it at every p (and
-    lgamma is then never asked for a number past a float)."""
-    _check_printable(
-        lambda limit: l > limit
+    lgamma is then never asked for a number past a float). The estimate
+    compares an int argument with a float threshold, which Python does
+    exactly and without converting the int, so no size of the argument
+    overflows a float."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and (
+        l > limit
         or f > 2 * limit
         or p - 1
-        > math.log(
-            limit * math.log(10) / (math.lgamma(f * l + 1) - l * math.lgamma(f + 1)), l
-        )
-    )
+        > math.log(limit * math.log(10) / (math.lgamma(f * l + 1) - l * math.lgamma(f + 1)), l)
+    ):
+        raise _digits_cap_error()
 
 
 def cmd_euler_count(args) -> None:

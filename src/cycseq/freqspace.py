@@ -6,6 +6,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, ResourceCapError, brief
@@ -77,17 +78,19 @@ class FrequencyVector:
     __slots__ = ("p", "n", "l", "_items")
 
     def __init__(self, p: int, n: int, l: int, counts: Mapping[int, int]):
+        # _index only for what is not a plain int already (a bool, a numpy
+        # integer, or what is refused): the calls were most of the loop's time.
+        if type(p) is not int or type(n) is not int or type(l) is not int:
+            p, n, l = _index(p), _index(n), _index(l)
         if p < 0 or n < 1 or l < 2:
             raise DomainError("need p >= 0, n >= 1, l >= 2")
         cleaned: dict[int, int] = {}
         for j, c in counts.items():
+            if type(j) is not int or type(c) is not int:
+                j, c = _index(j), _index(c)
             if c < 0:
                 raise DomainError(f"negative count {brief(c)} at index {brief(j)}")
             if c:
-                # int() only for what is not a plain int already (a bool, a
-                # numpy integer): the calls were most of this loop's time.
-                if type(j) is not int or type(c) is not int:
-                    j, c = int(j), int(c)
                 cleaned[j] = c
         if sum(cleaned.values()) != n:
             raise DomainError(f"entries must sum to n = {brief(n)}")
@@ -201,7 +204,8 @@ def _vector_json(p: int, n: int, l: int, items) -> str:
     """FrequencyVector.to_json of the vector (p, n, l) whose nonzero
     (0-based index, count) pairs are `items`, in index order."""
     if not _is_dense(p, l):
-        return json.dumps({"p": p, "n": n, "l": l, "sparse": {str(j + 1): c for j, c in items}})
+        sparse = ", ".join([f'"{j + 1}": {c}' for j, c in items])
+        return f'{{"p": {p}, "n": {n}, "l": {l}, "sparse": {{{sparse}}}}}'
     parts, nxt = [], 0
     for j, c in items:
         parts.append(f"{'0, ' * (j - nxt)}{c}, ")
@@ -209,6 +213,16 @@ def _vector_json(p: int, n: int, l: int, items) -> str:
     parts.append("0, " * (l**p - nxt))
     dense = "".join(parts)[:-2]
     return f'{{"p": {p}, "n": {n}, "l": {l}, "dense": [{dense}]}}'
+
+
+def _index(value) -> int:
+    """value as the int it is (operator.index: a bool or a numpy integer
+    too); anything else, a float included, is a DomainError rather than
+    silently truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"not an integer: {value!r}") from None
 
 
 def _as_int(value) -> int:

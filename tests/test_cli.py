@@ -486,8 +486,11 @@ def test_integer_strings_are_accepted_in_vectors(capsys):
 
 
 def test_necklace_count_of_1000_prints(capsys):
-    count = run_json(capsys, "necklaces", "--n", "1000")["count"]
-    assert len(count) == 299
+    # n = 14285 has 4,297 digits, under the printing limit of 4,300, though
+    # n log10(2) is past it
+    for n, digits in ((1000, 299), (14285, 4297)):
+        count = run_json(capsys, "necklaces", "--n", str(n))["count"]
+        assert len(count) == digits
 
 
 @pytest.mark.parametrize(
@@ -499,6 +502,7 @@ def test_necklace_count_of_1000_prints(capsys):
         ("euler-count", "--alphabet", "256", "--p", "1"),
         ("necklaces", "--n", str(10**400)),
         ("debruijn-count", "--p", str(10**400)),
+        ("necklaces", "--n", "14299"),
     ],
 )
 def test_unprintable_counts_hit_the_cap_quickly(capsys, argv):

@@ -4,6 +4,7 @@ import random
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -239,6 +240,11 @@ def test_json_round_trip_dense():
     obj = json.loads(x.to_json())
     assert obj["dense"] == [2, 0, 0, 3]
     assert FrequencyVector.from_json(x.to_json()) == x
+    # bools and numpy integers are the ints they are, in the text too
+    text = '{"p": 1, "n": 1, "l": 2, "dense": [1, 0]}'
+    assert FrequencyVector(True, 1, 2, {0: 1}).to_json() == text
+    y = FrequencyVector(np.int64(2), np.int8(5), np.uint16(2), {np.int64(0): np.int32(2), 3: 3})
+    assert y.to_json() == x.to_json()
 
 
 def test_json_sparse_above_limit():
@@ -257,6 +263,16 @@ def test_vector_validation():
         FrequencyVector(1, 3, 2, {2: 3})  # index out of range
     with pytest.raises(DomainError):
         FrequencyVector(1, 3, 2, {0: 4, 1: -1})
+    # a float count, index or size is refused, not truncated
+    for args in [
+        (1, 3, 2, {0: 2.5, 1: 1.5}),
+        (1, 3, 2, {0.7: 3}),
+        (1, 2, 2.0, {0: 2}),
+        (1.0, 2, 2, {0: 2}),
+        (1, 2.0, 2, {0: 2}),
+    ]:
+        with pytest.raises(DomainError, match="not an integer"):
+            FrequencyVector(*args)
 
 
 def test_index_range_and_serialization_are_exact():
@@ -276,6 +292,9 @@ def test_index_range_and_serialization_are_exact():
             obj = x.to_obj()
             assert ("dense" in obj) == (size <= 4096), (l, p)
             assert x.to_json() == json.dumps(obj)
+            if size > 2:
+                y = FrequencyVector(p, 6, l, {0: 1, 1: 2, size - 1: 3})
+                assert y.to_json() == json.dumps(y.to_obj())
 
 
 
