@@ -49,6 +49,9 @@ the median in seconds:
 - build_tree and export_tree over the nine TREE_SHAPES of the benchmark's
   `tree` workload (bench/workloads.py), each in its export format: one
   round of that workload without the CLI around it;
+- cycseq.cli.main over the five NECKLACE_SHAPES of the benchmark's
+  `necklaces` workload, each with `--list`, stdout in a StringIO: one
+  round of that workload, parser, listing, check and printer included;
 - lower over the internal nodes of build_tree(12, 2) and build_tree(7, 3),
   and lower on ternary [16, 16, 16] (11,781 step-1 candidates): the public
   lowering that `lower` runs, which the trees do not call;
@@ -116,7 +119,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 
-from workloads import TREE_SHAPES  # noqa: E402
+from workloads import NECKLACE_SHAPES, TREE_SHAPES  # noqa: E402
 
 EULER_CASES = [(2, 7), (2, 8), (2, 9), (3, 4), (3, 5), (8, 3), (16, 2)]
 TREE_CASES = [(16, 2, False), (16, 2, True), (2, 180, False), (3, 32, False)]
@@ -241,6 +244,20 @@ def _tree_round():
     ], None
 
 
+def _necklace_round():
+    from cycseq.cli import main
+
+    argvs = [["necklaces", "--n", str(n), "--alphabet", str(l), "--list"] for n, l in NECKLACE_SHAPES]
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in argvs:
+                if main(argv) != 0:
+                    raise RuntimeError(f"{' '.join(argv)} failed")
+
+    return f"cli.main necklaces --list x {len(NECKLACE_SHAPES)} (NECKLACE_SHAPES)", run, None
+
+
 def _tree_peak(n: int, l: int, half: bool, fmt: str) -> tuple[str, float]:
     from cycseq.cli import main
 
@@ -320,6 +337,7 @@ TIMED_SETUPS = (
         lambda: _necklace_strings(2, 1447),
         _members,
         _tree_round,
+        _necklace_round,
         _lower_tree_nodes,
         _lower_ternary,
         _lower_wide_refusal,

@@ -35,12 +35,20 @@ def cmd_necklaces(args) -> None:
     # and its own digits, not an estimate, decide whether it prints.
     count = seqcore.necklace_count(args.n, args.alphabet)
     try:
-        out = {"count": str(count)}
+        digits = str(count)
     except ValueError:
         raise _digits_cap_error() from None
-    if args.list:
-        out["necklaces"] = seqcore.necklace_strings(args.n, args.alphabet)
-    _emit(out)
+    if not args.list:
+        _emit({"count": digits})
+        return
+    # The bytes _emit would write, joined without json.dumps: every word has
+    # passed _checked_necklaces, so for l <= 10 it holds ASCII digits only
+    # (joined.isdigit()), and past 10 letters each letter lies in
+    # "0"..chr(47 + l) and is written as its number (with a comma, "a,",
+    # between letters), so no word holds a character that JSON escapes.
+    # There is at least one necklace, so the list is never empty.
+    words = seqcore.necklace_strings(args.n, args.alphabet)
+    sys.stdout.write('{"count": "' + digits + '", "necklaces": ["' + '", "'.join(words) + '"]}\n')
 
 
 def cmd_project(args) -> None:

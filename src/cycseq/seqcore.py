@@ -463,11 +463,14 @@ def _check_digit_words(words: list[str], n: int, l: int) -> None:
     width = (n + 1) * b
     ones = ((1 << width * len(words)) - 1) // ((1 << width) - 1)  # 1 in each field
     top = ones << (n * b)
+    # _fields_at_least(x, rotated, top) with its whole-listing passes, x | top
+    # and the n b value bits of every field, taken once for all rotations
+    xt = x | top
+    full = ((1 << n * b) - 1) * ones
     for r in range(1, n):
         low = ((1 << r * b) - 1) * ones
-        high = ((1 << n * b) - 1) * ones - low
-        rotated = ((x << r * b) & high) | ((x >> (n - r) * b) & low)
-        if not _fields_at_least(x, rotated, top):
+        rotated = ((x << r * b) & (full ^ low)) | ((x >> (n - r) * b) & low)
+        if (xt - rotated) & top != top:
             raise DomainError("a listed word is not in canonical rotation")
     first = (x >> (n - 1) * b) & (((1 << b) - 1) * ones)
     if not _fields_at_least((l - 1) * ones, first, ones << b):
@@ -491,17 +494,24 @@ def sequence_to_string(s: CyclicSequence) -> str:
 
 
 def sequence_from_string(text: str, alphabet_size: int) -> CyclicSequence:
-    """Inverse of sequence_to_string; canonicalizes the parsed word."""
-    text = text.strip()
+    """Inverse of sequence_to_string; canonicalizes the parsed word.
+
+    Letters are ASCII digits only, separated by commas in the comma form:
+    int() alone would also read signs, spaces, "_" and non-ASCII digits,
+    none of which sequence_to_string writes."""
     if not text:
         raise DomainError("empty sequence string")
+    if "," in text:
+        tokens = text.split(",")
+    elif alphabet_size <= 10:
+        tokens = text
+    else:
+        tokens = [text]
+    # an ASCII string's isdigit() holds for "0" to "9" only
+    if not text.isascii() or not all(map(str.isdigit, tokens)):
+        raise DomainError(f"invalid sequence string {text!r}")
     try:
-        if "," in text:
-            word = [int(tok) for tok in text.split(",")]
-        elif alphabet_size <= 10:
-            word = [int(c) for c in text]
-        else:
-            word = [int(text)]
-    except ValueError:
+        word = [int(tok) for tok in tokens]
+    except ValueError:  # a letter of more digits than int() reads
         raise DomainError(f"invalid sequence string {text!r}") from None
     return canonicalize(word, alphabet_size)

@@ -46,7 +46,8 @@ def test_necklaces_list(capsys):
 
 # sha256 of the stdout of `cycseq necklaces --n N --alphabet L --list`, pinned
 # so that a faster generator, check or printer cannot reorder or reformat a
-# single necklace; (3, 12) covers the comma form of alphabets past 10.
+# single necklace; (3, 12) covers the comma form of alphabets past 10, and
+# (1, 11) its one-letter words.
 NECKLACE_DIGESTS = [
     (18, 2, "0d88335d523a1e5aa30c134fc29ea0c1e86aab9477787557a717d9492bd1bc0a"),
     (19, 2, "e030fa55e81fd4d82ebb054b53180c384cd043b24a71e30e51baea9a5911debe"),
@@ -58,6 +59,7 @@ NECKLACE_DIGESTS = [
     (3, 11, "34d763d99320aaa47048c2e24a7097bf39748245641d6bd06d498d4639ad91d3"),
     (1, 2, "f56058a5da5e30081da90fc99e55d1264080a9477a719e31c137a14e9b18fd2b"),
     (3, 12, "a44a0881e3a8804d385eb4795ee242409ecd75e0184444522019eb5e1ae3a752"),
+    (1, 11, "13626dffa22f8ca0a2efe3e0609340db095a7d2adefb3f45df19bce69616f67f"),
 ]
 
 
@@ -66,6 +68,16 @@ def test_necklaces_list_output_is_pinned(capsys, n, l, digest):
     code, out, _ = run(capsys, "necklaces", "--n", str(n), "--alphabet", str(l), "--list")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, l", [(n, l) for l in range(2, 13) for n in range(1, 5)])
+def test_necklaces_list_is_the_json_document(capsys, n, l):
+    # the listing is written without json.dumps: its bytes are still those
+    # of the document, in the digit form and in the comma form past 10
+    code, out, _ = run(capsys, "necklaces", "--n", str(n), "--alphabet", str(l), "--list")
+    assert code == 0
+    doc = {"count": str(seqcore.necklace_count(n, l)), "necklaces": seqcore.necklace_strings(n, l)}
+    assert out == json.dumps(doc) + "\n"
 
 
 @pytest.mark.parametrize("words", [("111", "110", "100", "001"), ("210", "110", "100", "000")],
@@ -344,9 +356,11 @@ class _FailingStdout(io.StringIO):
         raise self.error
 
 
-# One command per printer: _emit, _print_table's CSV and cmd_tree.
+# One command per printer: cmd_necklaces' listing, _emit, _print_table's CSV
+# and cmd_tree.
 WRITING_ARGVS = [
     ("necklaces", "--n", "12", "--list"),
+    ("necklaces", "--n", "12"),
     ("twofold", "--p", "3", "--table", "--format", "csv"),
     ("tree", "--n", "6"),
 ]

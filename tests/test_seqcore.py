@@ -24,6 +24,7 @@ from cycseq import (
     shift,
 )
 from cycseq import seqcore
+from cycseq.cli import main
 from cycseq.seqcore import NECKLACE_COUNT_MAX_BITS, _max_rotation_offset, _prenecklace
 
 from conftest import all_necklaces, naive_canonical
@@ -398,6 +399,7 @@ def test_string_round_trip():
     assert "," in sequence_to_string(big)
     assert sequence_from_string(sequence_to_string(big), 12) == big
     assert sequence_from_string("11", 12).symbols == (11,)
+    assert sequence_from_string("1,0,2", 3) == sequence_from_string("210", 3)
 
 
 @pytest.mark.parametrize("l", [2, 3, 9, 10, 11, 12])
@@ -407,6 +409,19 @@ def test_string_is_one_token_per_symbol(l):
         assert sequence_to_string(s) == sep.join(str(a) for a in s.symbols)
 
 
+# what int() reads besides ASCII digits, and what sequence_to_string never
+# writes: a letter of PLANT_LETTERS that is not a digit, planted anywhere in
+# a digit string or a comma string
+STRICT_TEXTS = sorted(
+    {(text[:i] + c + text[i + k :], l)
+     for c in set(PLANT_LETTERS) - set("0123456789")
+     for text, l in (("011", 2), ("1,0,2", 3), ("10,2", 12))
+     for i in range(len(text) + 1)
+     for k in (0, 1) if i + k <= len(text)}
+    | {("\u0660\u0661", 2), ("1_0,2", 12), ("+1,2", 3), ("1, 2", 3), (" 01", 2), ("01\n", 2)}
+)
+
+
 def test_string_rejects_garbage():
     with pytest.raises(DomainError):
         sequence_from_string("", 2)
@@ -414,6 +429,18 @@ def test_string_rejects_garbage():
         sequence_from_string("102", 2)
     with pytest.raises(DomainError):
         sequence_from_string("abc", 2)
+    for text, l in STRICT_TEXTS:
+        with pytest.raises(DomainError, match="invalid sequence string"):
+            sequence_from_string(text, l)
+
+
+def test_cli_takes_ascii_digits_only(capsys):
+    for text, l in STRICT_TEXTS:
+        # "--seq=-1" and not "--seq -1", which argparse reads as an option
+        for argv in (["project", f"--seq={text}", "--p", "1"], ["distance", f"--a={text}", "--b", "1"]):
+            assert main([*argv, "--alphabet", str(l)]) == 3, (argv, l)
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: invalid sequence string")
 
 
 def test_necklace_count_refuses_huge_n_quickly():
